@@ -15,9 +15,8 @@ tables, eigenvalue fields, the solver and a damping scan.
 
 from .stencils import (GridSpec, Stencil, apply, delta_stencil,
                        laplacian_stencil, mass_stencil, tensor_product)
-from .vanka import (PatchLayout, VankaOperator, apply_vanka, assemble_dense,
-                    assemble_sparse, build_vanka, closed_form_stencil,
-                    export_triplets)
+from .vanka import (PatchLayout, VankaOperator, assemble_dense, assemble_sparse,
+                    build_vanka, closed_form_stencil, export_triplets)
 from .lfa import (EigenField, FrequencyGrid, OptimalDamping, SmootherKind,
                   SmootherSpec, TwoGridSymbol, eigenfield, exact_optimum,
                   optimal_omega, smoother_symbol, smoothing_factor,
@@ -33,8 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "GridSpec", "Stencil", "apply", "delta_stencil", "laplacian_stencil",
     "mass_stencil", "tensor_product",
-    "PatchLayout", "VankaOperator", "apply_vanka", "assemble_dense",
-    "assemble_sparse", "build_vanka", "closed_form_stencil", "export_triplets",
+    "PatchLayout", "VankaOperator", "assemble_dense", "assemble_sparse",
+    "build_vanka", "closed_form_stencil", "export_triplets",
     "EigenField", "FrequencyGrid", "OptimalDamping", "SmootherKind",
     "SmootherSpec", "TwoGridSymbol", "eigenfield", "exact_optimum",
     "optimal_omega", "smoother_symbol", "smoothing_factor", "spectral_radius",

@@ -85,6 +85,13 @@ def _nu_split(nu: int) -> tuple:
     return ceil(nu / 2), nu // 2
 
 
+def _frequency_grid(dim: int, samples: int) -> FrequencyGrid:
+    try:
+        return FrequencyGrid(dim, samples)
+    except ValueError as exc:
+        raise CliError(f"--samples {samples}: {exc}") from exc
+
+
 def _spec(kind: str, dim: int, omega) -> SmootherSpec:
     try:
         if omega is None:
@@ -99,12 +106,11 @@ def _spec(kind: str, dim: int, omega) -> SmootherSpec:
 # ---------------------------------------------------------------------------
 
 def cmd_table1(args) -> int:
-    grid_cache = {}
+    fgrids = {dim: _frequency_grid(dim, args.samples) for _, dim in TABLE1_PAIRS}
     rows = []
     worst = 0.0
     for kind, dim in TABLE1_PAIRS:
-        fgrid = grid_cache.setdefault(dim, FrequencyGrid(dim, args.samples))
-        opt = lfa.optimal_omega(kind, dim, fgrid)
+        opt = lfa.optimal_omega(kind, dim, fgrids[dim])
         mu_err = abs(opt.mu - float(opt.mu_exact))
         worst = max(worst, mu_err)
         rows.append({
@@ -127,7 +133,7 @@ def cmd_table2(args) -> int:
     ok = True
     for kind, dim, reference in REFERENCE_TWO_GRID:
         spec = _spec(kind, dim, None)
-        fgrid = FrequencyGrid(dim, args.samples)
+        fgrid = _frequency_grid(dim, args.samples)
         mu = lfa.smoothing_factor(spec, fgrid)
         rho = {}
         deviation = 0.0
@@ -163,7 +169,7 @@ def cmd_eigfield(args) -> int:
     nu1, nu2 = (args.nu1, args.nu2) if args.nu is None else _nu_split(args.nu)
     if nu1 + nu2 < 1:
         raise CliError("need at least one smoothing sweep")
-    field = lfa.eigenfield(spec, nu1, nu2, FrequencyGrid(2, args.samples))
+    field = lfa.eigenfield(spec, nu1, nu2, _frequency_grid(2, args.samples))
     csv_text = field.to_csv(args.out if args.out else None)
     summary = _dump_json({"kind": args.kind, "dim": 2, "omega": spec.omega,
                           "nu1": nu1, "nu2": nu2, **field.summary})
@@ -179,15 +185,19 @@ def cmd_solve(args) -> int:
     h = _parse_h(args.h)
     n = h.denominator - 1
     spec = _spec(args.kind, args.dim, args.omega)
+    fgrid = _frequency_grid(args.dim, args.samples)
+    if args.cycles < 2:
+        raise CliError(f"--cycles must be at least 2, got {args.cycles}")
     try:
         cspec = solver.CycleSpec(spec, args.nu1, args.nu2, args.cycle)
-        grid = GridSpec(args.dim, n, float(h))
-        hier = solver.build_hierarchy(cspec, grid)
-    except (ValueError, NotImplementedError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc)) from exc
+    try:
+        hier = solver.build_hierarchy(cspec, GridSpec(args.dim, n, float(h)))
+    except ValueError as exc:
+        raise CliError(f"--h {args.h}: {exc}") from exc
     run = solver.run_convergence(hier, cycles=args.cycles, seed=args.seed)
-    lfa_rho = lfa.two_grid_factor(spec, args.nu1, args.nu2,
-                                  FrequencyGrid(args.dim, args.samples))
+    lfa_rho = lfa.two_grid_factor(spec, args.nu1, args.nu2, fgrid)
     payload = {
         "spec": {"kind": args.kind, "dim": args.dim, "omega": spec.omega,
                  "nu1": args.nu1, "nu2": args.nu2, "cycle": args.cycle},
@@ -217,7 +227,7 @@ def cmd_scan_omega(args) -> int:
         sys.stderr.write(f"warning: step {args.step} exceeds {OMEGA_SCAN_MAX}; "
                          "scanning the single point omega = 1.5\n")
         omegas = [OMEGA_SCAN_MAX]
-    fgrid = FrequencyGrid(args.dim, args.samples)
+    fgrid = _frequency_grid(args.dim, args.samples)
     rows = []
     best = None
     for omega in omegas:

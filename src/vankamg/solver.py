@@ -152,9 +152,10 @@ def build_hierarchy(spec: CycleSpec, fine_grid: GridSpec) -> Hierarchy:
     """Build grids, operators, smoothers and transfers for the requested cycle.
 
     The finest level keeps its stencil; coarser operators are Galerkin
-    products.  Two-grid hierarchies have exactly two levels; V-cycles coarsen
-    until at most :data:`COARSEST_MAX` points per dimension remain.  The
-    coarsest level is factorised densely.
+    products.  Two-grid hierarchies have exactly two levels and need
+    ``n >= 7``; V-cycles coarsen until at most :data:`COARSEST_MAX` points
+    per dimension remain and need ``n >= 15``.  The coarsest level is
+    factorised densely.
     """
     if fine_grid.boundary != "dirichlet":
         raise ValueError("the solver runs on Dirichlet grids")
@@ -163,6 +164,11 @@ def build_hierarchy(spec: CycleSpec, fine_grid: GridSpec) -> Hierarchy:
     n = fine_grid.n
     if n < 3 or (n + 1) & n:
         raise ValueError(f"need n = 2**k - 1 interior points, got n={n}")
+    # a two-grid coarse level needs 3 points; a V-cycle must coarsen at least once
+    min_n = 2 * COARSEST_MAX + 1 if spec.cycle == "v-cycle" else 7
+    if n < min_n:
+        raise ValueError(f"{spec.cycle} needs n >= {min_n} interior points "
+                         f"per dimension, got n={n}")
 
     fine_stencil = laplacian_stencil(fine_grid.dim, fine_grid.h)
     levels = [Level(fine_grid, fine_stencil, assemble_sparse(fine_stencil, fine_grid))]
@@ -178,9 +184,7 @@ def build_hierarchy(spec: CycleSpec, fine_grid: GridSpec) -> Hierarchy:
         levels.append(Level(coarse_grid, None, coarse_matrix))
 
     for level in levels[:-1]:
-        level.m_apply = _smoother_applicator(
-            spec.smoother, level.grid, level.stencil if level.stencil is not None
-            else level.matrix)
+        level.m_apply = _smoother_applicator(spec.smoother, level.grid, level.matrix)
     coarsest = levels[-1]
     coarsest.lu = scipy.linalg.lu_factor(coarsest.matrix.toarray())
     return Hierarchy(spec, levels)
@@ -200,8 +204,7 @@ def _descend(hier: Hierarchy, idx: int, u: np.ndarray, b: np.ndarray) -> np.ndar
     for _ in range(hier.spec.nu1):
         u = relax(sm, level, u, b)
     residual = b - level.matvec(u)
-    restrict = level.prolong.T * (2.0 ** -level.grid.dim)
-    coarse_b = restrict @ residual
+    coarse_b = (level.prolong.T @ residual) * 2.0 ** -level.grid.dim
     coarse_u = _descend(hier, idx + 1, np.zeros_like(coarse_b), coarse_b)
     u = u + level.prolong @ coarse_u
     for _ in range(hier.spec.nu2):

@@ -12,6 +12,12 @@ Two patch layouts are supported:
 * vertex-wise: one patch per interior unknown, covering the unknown and its
   ``2*dim`` axis neighbours (truncated near the boundary).
 
+:func:`build_vanka` assembles ``M`` as one CSR matrix in a single batched
+pass: a ``(P, k)`` patch index array from broadcast offsets, one gather of
+all ``(P, k, k)`` local blocks from the CSR system operator, one batched
+inverse (truncated slots padded with the identity) and one COO scatter of
+the weighted inverses.  Applying the smoother is then one sparse product.
+
 In the interior both layouts reduce to translation-invariant stencils with
 exact rational coefficients, exposed by :func:`closed_form_stencil` and used
 as the oracle for assembly tests on periodic grids.
@@ -33,7 +39,6 @@ __all__ = [
     "Patch",
     "VankaOperator",
     "build_vanka",
-    "apply_vanka",
     "closed_form_stencil",
     "assemble_sparse",
     "assemble_dense",
@@ -67,122 +72,110 @@ class Patch:
     inverse: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
 class VankaOperator:
     """Assembled additive Vanka operator for one grid and layout.
 
-    Instances are built by :func:`build_vanka`.  ``apply`` evaluates ``M r``;
-    the result is independent of patch order up to floating-point summation
-    order, and a sequential mode is available for order tests.
+    Instances are built by :func:`build_vanka`.  ``matrix`` is the CSR
+    smoother ``M``, ``weights`` the partition-of-unity entries ``1/m_j`` and
+    ``operator`` the CSR system operator whose principal submatrices are the
+    patch problems.
     """
 
-    def __init__(self, layout: PatchLayout, grid: GridSpec, patches, weights):
-        self.layout = layout
-        self.grid = grid
-        self.patches = patches
-        self.weights = weights
-        self._groups = None
+    layout: PatchLayout
+    grid: GridSpec
+    matrix: sp.csr_matrix
+    weights: np.ndarray
+    operator: sp.csr_matrix
 
-    def _build_groups(self):
-        # batch patches sharing a cached inverse into one gather/scatter
-        groups = {}
-        for patch in self.patches:
-            key = (id(patch.inverse), patch.dofs.size)
-            groups.setdefault(key, (patch.inverse, []))[1].append(patch.dofs)
-        self._groups = [(inv, np.vstack(dofs)) for inv, dofs in groups.values()]
-
-    def apply(self, r: np.ndarray, sequential: bool = False) -> np.ndarray:
-        """Evaluate ``M r`` over all patches."""
+    def apply(self, r: np.ndarray) -> np.ndarray:
+        """Evaluate ``M r``."""
         r = np.asarray(r, dtype=float)
         if r.shape != (self.grid.npoints,):
             raise ValueError(f"expected flat array of length {self.grid.npoints}")
-        out = np.zeros_like(r)
-        if sequential:
-            for patch in self.patches:
-                local = patch.inverse @ r[patch.dofs]
-                out[patch.dofs] += self.weights[patch.dofs] * local
-            return out
-        if self._groups is None:
-            self._build_groups()
-        for inv, dofs in self._groups:
-            local = r[dofs] @ inv.T
-            local *= self.weights[dofs]
-            np.add.at(out, dofs.reshape(-1), local.reshape(-1))
-        return out
+        return self.matrix @ r
 
     def as_dense(self) -> np.ndarray:
         if self.grid.npoints > DENSE_CAP:
             raise ValueError(f"refusing dense assembly beyond {DENSE_CAP} unknowns")
-        m = np.zeros((self.grid.npoints, self.grid.npoints))
-        for patch in self.patches:
-            block = self.weights[patch.dofs, None] * patch.inverse
-            m[np.ix_(patch.dofs, patch.dofs)] += block
-        return m
+        return self.matrix.toarray()
 
+    @property
+    def patches(self) -> list:
+        """Per-patch view (key, dofs, local matrix, inverse), rebuilt on each access.
 
-def apply_vanka(op: VankaOperator, r: np.ndarray, sequential: bool = False) -> np.ndarray:
-    """Functional alias for :meth:`VankaOperator.apply`."""
-    return op.apply(r, sequential=sequential)
+        Keys are cell coordinates for element patches (``0..n`` per axis on
+        Dirichlet grids) and centre coordinates for vertex patches.  Dofs
+        are in lexicographic lattice order.
+        """
+        keys, index, blocks = _patch_blocks(self.layout, self.grid, self.operator)
+        inverses = np.linalg.inv(blocks)
+        first = (index < 0).sum(axis=1)
+        return [Patch(tuple(keys[p].tolist()), index[p, f:], blocks[p, f:, f:],
+                      inverses[p, f:, f:]) for p, f in enumerate(first)]
 
 
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
 
-def _axes_points(n, dim):
-    return list(product(range(n), repeat=dim))
+def _patch_index(layout: PatchLayout, grid: GridSpec) -> tuple:
+    """Patch keys ``(P, dim)`` and flat unknown indices ``(P, k)``.
 
-
-def _patch_index_sets(layout: PatchLayout, grid: GridSpec):
-    """Yield (key, list-of-lattice-coord-tuples) for every patch."""
+    Keys are cell (element) or centre (vertex) coordinates in lexicographic
+    order.  Truncated slots hold ``-1``; each index row is sorted ascending,
+    so truncated slots come first and the unknowns follow in lexicographic
+    lattice order.
+    """
     n, dim = grid.n, grid.dim
     periodic = grid.boundary == "periodic"
     if layout.kind == "element":
-        cell_range = range(n) if periodic else range(n + 1)
-        for cell in product(cell_range, repeat=dim):
-            coords = []
-            for corner in product((0, 1), repeat=dim):
-                point = tuple(c + k for c, k in zip(cell, corner))
-                if periodic:
-                    coords.append(tuple(p % n for p in point))
-                else:
-                    # node indices 1..n are interior; shift to 0-based lattice
-                    if all(1 <= p <= n for p in point):
-                        coords.append(tuple(p - 1 for p in point))
-            if coords:
-                yield cell, coords
+        offsets = np.array(list(product((0, 1), repeat=dim)))
+        # Dirichlet cells run 0..n and their corners are nodes 0..n+1, of
+        # which 1..n are interior; shift to the 0-based lattice
+        extent = n if periodic else n + 1
+        shift = 0 if periodic else -1
     else:
-        for center in product(range(n), repeat=dim):
-            coords = [center]
-            for axis in range(dim):
-                for sign in (-1, 1):
-                    point = list(center)
-                    point[axis] += sign
-                    if periodic:
-                        point[axis] %= n
-                        coords.append(tuple(point))
-                    elif 0 <= point[axis] < n:
-                        coords.append(tuple(point))
-            yield center, coords
+        unit = np.eye(dim, dtype=np.int64)
+        offsets = np.concatenate([np.zeros((1, dim), dtype=np.int64), -unit, unit])
+        extent, shift = n, 0
+    keys = np.indices((extent,) * dim).reshape(dim, -1).T
+    points = keys[:, None, :] + offsets + shift
+    if periodic:
+        points %= n
+        valid = np.ones(points.shape[:2], dtype=bool)
+    else:
+        valid = ((points >= 0) & (points < n)).all(axis=2)
+    index = points @ (n ** np.arange(dim - 1, -1, -1))
+    index[~valid] = -1
+    index.sort(axis=1)
+    # 32-bit indices halve the (P, k, k) gather and scatter index arrays
+    return keys, index.astype(np.int32 if grid.npoints < 2**31 else np.int64)
 
 
-def _local_matrix_from_stencil(stencil, coords, grid):
-    n = grid.n
-    periodic = grid.boundary == "periodic"
-    k = len(coords)
-    a = np.zeros((k, k))
-    for i, p in enumerate(coords):
-        for j, q in enumerate(coords):
-            offset = tuple(qc - pc for pc, qc in zip(p, q))
-            if periodic:
-                offset = tuple((o + n // 2) % n - n // 2 for o in offset)
-            coef = stencil.entries.get(offset)
-            if coef is not None:
-                a[i, j] = float(coef)
-    return a
+def _patch_blocks(layout: PatchLayout, grid: GridSpec, matrix: sp.csr_matrix):
+    """Patch keys, index array and all local blocks, padded slots set to identity.
+
+    Returns ``(keys, index, blocks)`` with ``blocks[p]`` the principal submatrix
+    of ``matrix`` on ``index[p]``; a truncated slot holds a unit diagonal
+    and no coupling, so the padded block inverts to the truncated inverse
+    bordered by the identity.
+    """
+    keys, index = _patch_index(layout, grid)
+    count, k = index.shape
+    padded = index < 0
+    safe = np.where(padded, 0, index)
+    rows = np.broadcast_to(safe[:, :, None], (count, k, k)).reshape(-1)
+    cols = np.broadcast_to(safe[:, None, :], (count, k, k)).reshape(-1)
+    blocks = np.asarray(matrix[rows, cols]).reshape(count, k, k)
+    blocks[padded[:, :, None] | padded[:, None, :]] = 0.0
+    p, slot = np.nonzero(padded)
+    blocks[p, slot, slot] = 1.0
+    return keys, index, blocks
 
 
 def build_vanka(layout: PatchLayout, grid: GridSpec, operator) -> VankaOperator:
-    """Assemble the patches, partition-of-unity weights and local inverses.
+    """Assemble the additive Vanka smoother ``M`` as one CSR matrix.
 
     Parameters
     ----------
@@ -190,49 +183,42 @@ def build_vanka(layout: PatchLayout, grid: GridSpec, operator) -> VankaOperator:
     grid : GridSpec
     operator : Stencil or scipy sparse matrix
         System operator whose principal submatrices define the patch solves.
+        A stencil is assembled on ``grid`` first.
 
     Notes
     -----
-    Patch unknowns are ordered lexicographically by lattice coordinate, and
-    local inverses are cached by matrix content, so all interior patches of
-    a translation-invariant operator share one factorisation.
+    All local blocks are gathered and inverted in one batch; truncated
+    boundary patches are padded with identity slots, which invert exactly
+    and are dropped before the scatter.
     """
     if layout.dim == 3:
         raise NotImplementedError("patch assembly is implemented for dim 1 and 2 only")
     if layout.dim != grid.dim:
         raise ValueError(f"layout dim {layout.dim} != grid dim {grid.dim}")
-    if grid.boundary == "periodic" and isinstance(operator, Stencil) \
-            and grid.n <= 2 * operator.reach:
-        raise ValueError(f"periodic wrap needs n > {2 * operator.reach}")
-
-    matrix = None
-    if not isinstance(operator, Stencil):
+    if isinstance(operator, Stencil):
+        matrix = assemble_sparse(operator, grid)
+    else:
         matrix = sp.csr_matrix(operator)
         if matrix.shape != (grid.npoints, grid.npoints):
             raise ValueError("operator matrix does not match the grid")
 
-    patches = []
-    counts = np.zeros(grid.npoints, dtype=np.int64)
-    inverse_cache = {}
-    for key, coords in _patch_index_sets(layout, grid):
-        coords = sorted(coords)
-        dofs = np.array([grid.ravel_index(c) for c in coords], dtype=np.int64)
-        if matrix is None:
-            a = _local_matrix_from_stencil(operator, coords, grid)
-        else:
-            a = matrix[np.ix_(dofs, dofs)].toarray()
-        cache_key = (a.shape[0], a.tobytes())
-        cached = inverse_cache.get(cache_key)
-        if cached is None:
-            cached = np.linalg.inv(a)
-            inverse_cache[cache_key] = cached
-        patches.append(Patch(key, dofs, a, cached))
-        counts[dofs] += 1
-
+    _, index, blocks = _patch_blocks(layout, grid, matrix)
+    valid = index >= 0
+    counts = np.bincount(index[valid], minlength=grid.npoints)
     if counts.min() <= 0:
         raise RuntimeError("patch layout left some unknowns uncovered")
     weights = 1.0 / counts
-    return VankaOperator(layout, grid, patches, weights)
+
+    count, k = index.shape
+    local = np.linalg.inv(blocks)
+    del blocks  # lowers the peak memory of the scatter below
+    local *= weights[index][:, :, None]  # padded rows are dropped by ``pairs``
+    pairs = valid[:, :, None] & valid[:, None, :]
+    rows = np.broadcast_to(index[:, :, None], (count, k, k))[pairs]
+    cols = np.broadcast_to(index[:, None, :], (count, k, k))[pairs]
+    m = sp.coo_matrix((local[pairs], (rows, cols)),
+                      shape=(grid.npoints, grid.npoints)).tocsr()
+    return VankaOperator(layout, grid, m, weights, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +285,7 @@ def assemble_sparse(operator, grid: GridSpec = None) -> sp.csr_matrix:
     Dirichlet truncation and periodic wrap-around.
     """
     if isinstance(operator, VankaOperator):
-        if operator.grid.npoints > DENSE_CAP:
-            # patches are dense blocks; go through the same guarded path
-            raise ValueError(f"refusing assembly beyond {DENSE_CAP} unknowns")
-        return sp.csr_matrix(operator.as_dense())
+        return operator.matrix
     if grid is None:
         raise ValueError("assembling a stencil requires a grid")
     if operator.dim != grid.dim:

@@ -196,6 +196,38 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def _one_line_usage_error(capsys, argv):
+    code, _, err = _run(capsys, argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_solve_rejects_single_cycle(capsys):
+    err = _one_line_usage_error(capsys, ["solve", "--kind", "vanka-e", "--cycles", "1"])
+    assert "--cycles" in err
+
+
+@pytest.mark.parametrize("argv", [["table1"], ["table2"], ["eigfield", "--kind", "mass"],
+                                  ["scan-omega", "--kind", "jacobi"],
+                                  ["solve", "--kind", "vanka-e"]],
+                         ids=lambda argv: argv[0])
+def test_odd_samples_rejected(capsys, argv):
+    err = _one_line_usage_error(capsys, argv + ["--samples", "5"])
+    assert "--samples 5" in err
+
+
+def test_solve_rejects_single_level_v_cycle(capsys):
+    err = _one_line_usage_error(capsys, ["solve", "--kind", "jacobi", "--dim", "3",
+                                         "--h", "1/8", "--cycle", "v-cycle"])
+    assert "--h 1/8" in err
+
+
+def test_solve_too_coarse_mesh_names_flag(capsys):
+    err = _one_line_usage_error(capsys, ["solve", "--kind", "vanka-e", "--h", "1/4"])
+    assert "--h 1/4" in err
+
+
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out

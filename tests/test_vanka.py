@@ -23,7 +23,6 @@ from vankamg import (
     GridSpec,
     PatchLayout,
     Stencil,
-    VankaOperator,
     assemble_dense,
     assemble_sparse,
     build_vanka,
@@ -206,6 +205,14 @@ def test_interior_row_matches_closed_form_dirichlet():
 # operator application
 # ---------------------------------------------------------------------------
 
+def _patchwise_apply(op, r, patches):
+    """Reference ``M r``: one local solve per patch, accumulated in loop order."""
+    out = np.zeros_like(r)
+    for patch in patches:
+        out[patch.dofs] += op.weights[patch.dofs] * (patch.inverse @ r[patch.dofs])
+    return out
+
+
 @pytest.mark.parametrize("layout", ALL_LAYOUTS, ids=lambda la: f"{la.kind}-{la.dim}d")
 def test_apply_matches_dense_and_sequential(layout):
     n = 7 if layout.dim == 1 else 5
@@ -215,18 +222,39 @@ def test_apply_matches_dense_and_sequential(layout):
     r = rng.standard_normal(grid.npoints)
     batched = op.apply(r)
     assert np.allclose(batched, op.as_dense() @ r, atol=1e-12)
-    assert np.allclose(batched, op.apply(r, sequential=True), atol=1e-13)
+    assert np.allclose(batched, _patchwise_apply(op, r, op.patches), atol=1e-13)
 
 
 def test_apply_is_patch_order_invariant():
     grid = GridSpec(2, 5, 1.0 / 6)
     op = build_vanka(PatchLayout("vertex", 2), grid, laplacian_stencil(2, Fraction(1, 6)))
-    shuffled = VankaOperator(op.layout, grid, list(reversed(op.patches)), op.weights)
     rng = np.random.default_rng(13)
     r = rng.standard_normal(grid.npoints)
-    assert np.allclose(op.apply(r), shuffled.apply(r), atol=1e-13)
-    assert np.allclose(op.apply(r, sequential=True),
-                       shuffled.apply(r, sequential=True), atol=1e-13)
+    patches = op.patches
+    forward = _patchwise_apply(op, r, patches)
+    assert np.allclose(op.apply(r), forward, atol=1e-13)
+    assert np.allclose(forward, _patchwise_apply(op, r, reversed(patches)), atol=1e-13)
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("layout", ALL_LAYOUTS, ids=lambda la: f"{la.kind}-{la.dim}d")
+def test_matrix_equals_patch_sum(layout, boundary):
+    # M = sum_i V_i^T W_i inv(A_i) V_i, summed patch by patch from the system matrix
+    n = 31
+    h = Fraction(1, n + 1)
+    grid = GridSpec(layout.dim, n, float(h), boundary=boundary)
+    a = assemble_sparse(laplacian_stencil(layout.dim, h), grid).toarray()
+    op = build_vanka(layout, grid, laplacian_stencil(layout.dim, h))
+    patches = op.patches
+    counts = np.bincount(np.concatenate([p.dofs for p in patches]), minlength=grid.npoints)
+    want = np.zeros((grid.npoints, grid.npoints))
+    for patch in patches:
+        block = a[np.ix_(patch.dofs, patch.dofs)]
+        want[np.ix_(patch.dofs, patch.dofs)] += \
+            np.linalg.inv(block) / counts[patch.dofs, None]
+    got = op.matrix.toarray()
+    assert op.matrix.format == "csr"
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("layout", ALL_LAYOUTS, ids=lambda la: f"{la.kind}-{la.dim}d")
@@ -301,8 +329,8 @@ def test_dense_cap_enforced():
     op = build_vanka(PatchLayout("vertex", 2), big, laplacian_stencil(2, Fraction(1, 66)))
     with pytest.raises(ValueError, match="4096"):
         op.as_dense()
-    with pytest.raises(ValueError, match="4096"):
-        assemble_sparse(op)
+    # the smoother is stored sparse, so sparse assembly needs no cap
+    assert assemble_sparse(op) is op.matrix
 
 
 def test_export_triplets_roundtrip(tmp_path):
