@@ -129,11 +129,12 @@ def cmd_table1(args) -> int:
 
 
 def cmd_table2(args) -> int:
+    fgrids = {dim: _frequency_grid(dim, args.samples) for _, dim, _ in REFERENCE_TWO_GRID}
     rows = []
     ok = True
     for kind, dim, reference in REFERENCE_TWO_GRID:
         spec = _spec(kind, dim, None)
-        fgrid = _frequency_grid(dim, args.samples)
+        fgrid = fgrids[dim]
         mu = lfa.smoothing_factor(spec, fgrid)
         rho = {}
         deviation = 0.0

@@ -12,7 +12,14 @@ Standard coarsening couples each low frequency ``theta`` with its harmonics
 ``theta + kappa*pi``, ``kappa in {0,1}^d``, giving a ``2^d x 2^d`` two-grid
 error symbol per base frequency; the two-grid convergence factor is the
 largest spectral radius of that block over the sampled low region (the
-singular base ``theta = 0`` is skipped).
+singular base ``theta = 0`` is skipped).  With ``S = diag(s)`` that block is
+``E = S^nu2 (I - p (a*p)^T / a_H) S^nu1``.  Conjugating by ``diag(sqrt(a))``
+and cycling the factors makes it similar to ``Pi Sigma Pi``, with
+``Pi = I - w w^T``, ``w = sqrt(a)*p / |sqrt(a)*p|``, ``Sigma = diag(s^(nu1+nu2))``:
+the spectrum is real, depends on ``nu1 + nu2`` only, and its extreme roots of
+``sum_k w_k^2/(sigma_k - lambda) = 0`` lie in ``[sigma_(K-1), sigma_(K)]`` and
+``[sigma_(1), sigma_(2)]`` by Cauchy interlacing.  ``two_grid_factor`` solves
+only those brackets; the dense route of ``two_grid_symbol`` is its oracle.
 
 For every supported smoother the product symbol ``M~ A~`` has a known exact
 range ``[t_min, t_max]`` on the high-frequency set, and the damping that
@@ -35,7 +42,7 @@ from itertools import product
 import numpy as np
 
 from . import vanka
-from .stencils import Stencil, delta_stencil, laplacian_stencil, mass_stencil
+from .stencils import Stencil, delta_stencil, laplacian_stencil, mass_stencil, tensor_product
 
 __all__ = [
     "SmootherKind",
@@ -56,6 +63,10 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLES = 64
+
+# cap on FrequencyGrid.nbytes_estimate: a larger grid is refused before
+# anything is allocated (3D at 256 samples is the largest accepted)
+MEMORY_BUDGET_BYTES = 2**30
 
 
 class SmootherKind(str, Enum):
@@ -136,7 +147,8 @@ class FrequencyGrid:
 
     With ``samples_per_dim`` divisible by 4 the grid contains ``0``, ``pi/2``
     and ``pi`` exactly; the first half of the 1D samples covers the low
-    region ``[-pi/2, pi/2)``.
+    region ``[-pi/2, pi/2)``.  Grids whose ``nbytes_estimate`` exceeds
+    ``MEMORY_BUDGET_BYTES`` are refused at construction.
     """
 
     dim: int
@@ -147,6 +159,20 @@ class FrequencyGrid:
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if self.samples_per_dim < 4 or self.samples_per_dim % 2:
             raise ValueError("samples_per_dim must be even and at least 4")
+        if self.nbytes_estimate > MEMORY_BUDGET_BYTES:
+            raise ValueError(
+                f"{self.samples_per_dim} samples in {self.dim}D need about "
+                f"{self.nbytes_estimate / 2**30:.1f} GiB, over the "
+                f"{MEMORY_BUDGET_BYTES / 2**30:.0f} GiB budget")
+
+    @property
+    def nbytes_estimate(self) -> int:
+        """Bytes of one float64 ``(N, K, K)`` two-grid stack on this grid.
+
+        ``(samples/2)**dim`` bases times ``K**2 = 4**dim`` entries; that stack
+        (built by ``eigenfield``) is the unit of memory the analysis needs.
+        """
+        return 8 * self.samples_per_dim**self.dim * 2**self.dim
 
     @cached_property
     def theta_1d(self) -> np.ndarray:
@@ -175,12 +201,19 @@ class FrequencyGrid:
             high |= component.reshape(-1) >= half
         return pts[high]
 
+    @cached_property
+    def off_origin(self) -> np.ndarray:
+        """Mask over ``low_points(skip_origin=False)``, False only at ``theta = 0``."""
+        zero = np.abs(self.low_1d) <= 1e-14
+        at_origin = zero
+        for _ in range(self.dim - 1):
+            at_origin = np.logical_and.outer(at_origin, zero)
+        return ~at_origin.reshape(-1)
+
     def low_points(self, skip_origin: bool = True) -> np.ndarray:
         """Samples of the low region; the singular origin is dropped by default."""
         pts = self._cartesian(self.low_1d)
-        if skip_origin:
-            pts = pts[np.abs(pts).max(axis=1) > 1e-14]
-        return pts
+        return pts[self.off_origin] if skip_origin else pts
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +246,30 @@ def _symbol_real(stencil: Stencil, pts: np.ndarray) -> np.ndarray:
     return (np.exp(1j * pts @ offsets.T) @ coefs.astype(complex)).real
 
 
+def _harmonic_symbols(stencil: Stencil, grid: FrequencyGrid) -> np.ndarray:
+    """Real symbol at every harmonic of every low base, shape ``(K, N)``.
+
+    ``exp(i o . theta)`` factors over the axes, so on the Cartesian grid the
+    symbol is the stencil's coefficient tensor contracted axis by axis with
+    the 1D table ``exp(i o theta_k)``.  Per axis the harmonics ``kappa = 0, 1``
+    of the ``samples/2`` low values are the two halves of ``theta_1d``.  Row
+    ``k`` is harmonic ``kappas[k]``; columns follow ``low_points(False)``, so
+    rows ``1:`` are exactly the high-frequency samples.
+    """
+    offsets, coefs = stencil._arrays
+    low = offsets.min(axis=0)
+    values = np.zeros(tuple(offsets.max(axis=0) - low + 1), dtype=complex)
+    values[tuple((offsets - low).T)] = coefs
+    for axis in range(grid.dim):
+        reach = np.arange(low[axis], low[axis] + values.shape[0])
+        table = np.exp(1j * np.multiply.outer(reach, grid.theta_1d))
+        values = np.tensordot(values, table, axes=(0, 0))    # axis goes last
+    half = grid.samples_per_dim // 2
+    split = values.real.reshape((2, half) * grid.dim)
+    order = [*range(0, 2 * grid.dim, 2), *range(1, 2 * grid.dim, 2)]
+    return split.transpose(order).reshape(2**grid.dim, half**grid.dim)
+
+
 def smoother_symbol(spec: SmootherSpec, theta) -> np.ndarray:
     """Symbol of ``S = I - omega M A``; real for the supported smoothers."""
     theta = np.asarray(theta, dtype=float)
@@ -229,7 +286,14 @@ def smoothing_factor(spec: SmootherSpec, grid: FrequencyGrid = None) -> float:
         grid = FrequencyGrid(spec.dim)
     if grid.dim != spec.dim:
         raise ValueError(f"frequency grid dim {grid.dim} != smoother dim {spec.dim}")
-    return float(np.abs(smoother_symbol(spec, grid.high_points())).max())
+    t = _product_symbol_high(spec.m_stencil(), spec.a_stencil(), grid)
+    return float(np.abs(1.0 - float(spec.omega) * t).max())
+
+
+def _product_symbol_high(m_stencil: Stencil, a_stencil: Stencil,
+                         grid: FrequencyGrid) -> np.ndarray:
+    """``M~ A~`` on the sampled high-frequency set (order as in the harmonics)."""
+    return _harmonic_symbols(m_stencil, grid)[1:] * _harmonic_symbols(a_stencil, grid)[1:]
 
 
 @dataclass(frozen=True)
@@ -258,9 +322,7 @@ def optimal_omega(kind: SmootherKind, dim: int, grid: FrequencyGrid = None) -> O
         raise ValueError(f"unsupported smoother/dimension pair ({kind.value}, {dim})")
     if grid is None:
         grid = FrequencyGrid(dim)
-    pts = grid.high_points()
-    t = _symbol_real(smoother_m_stencil(kind, dim), pts) \
-        * _symbol_real(laplacian_stencil(dim, 1), pts)
+    t = _product_symbol_high(smoother_m_stencil(kind, dim), laplacian_stencil(dim, 1), grid)
     t_min, t_max = float(t.min()), float(t.max())
     if t_min <= 0:
         raise ValueError("product symbol is not positive on the high-frequency set")
@@ -283,20 +345,28 @@ def _interp_symbol(pts: np.ndarray) -> np.ndarray:
     return np.prod(np.cos(pts / 2) ** 2, axis=-1)
 
 
-def transfer_symbols(dim: int, theta) -> tuple:
-    """Per-harmonic symbols of prolongation and restriction at a low frequency.
+def transfer_symbols(dim: int, theta) -> np.ndarray:
+    """Per-harmonic prolongation symbol ``p`` at a low frequency.
 
-    Returns ``(p, r)`` with one entry per harmonic ``theta + kappa*pi`` in the
-    order of ``kappa = (0,...,0), ..., (1,...,1)``.  Restriction is the scaled
-    transpose of prolongation, so both rows coincide; the Galerkin coarse
-    symbol is ``sum_k r[k] A~(theta_k) p[k]``.
+    One entry per harmonic ``theta + kappa*pi`` in the order of
+    ``kappa = (0,...,0), ..., (1,...,1)``.  Restriction is the scaled
+    transpose of prolongation, so its symbol equals ``p`` and the Galerkin
+    coarse symbol is ``sum_k p[k] A~(theta_k) p[k]``.
     """
     theta = np.asarray(theta, dtype=float).reshape(dim)
     if np.any(theta < -np.pi / 2 - 1e-12) or np.any(theta >= np.pi / 2 - 1e-12):
         raise ValueError("transfer symbols are defined for theta in [-pi/2, pi/2)")
     harmonics = theta[None, :] + np.pi * _kappas(dim)
-    p = _interp_symbol(harmonics)
-    return p, p.copy()
+    return _interp_symbol(harmonics)
+
+
+def _interpolation_stencil(dim: int) -> Stencil:
+    """Linear interpolation as a stencil: symbol ``prod_k (1 + cos theta_k)/2``."""
+    line = Stencil(1, {(-1,): Fraction(1, 4), (0,): Fraction(1, 2), (1,): Fraction(1, 4)})
+    out = line
+    for _ in range(dim - 1):
+        out = tensor_product(out, line)
+    return out
 
 
 def _two_grid_stack(spec: SmootherSpec, bases: np.ndarray, nu1: int, nu2: int):
@@ -353,14 +423,106 @@ def two_grid_symbol(spec: SmootherSpec, theta, nu1: int, nu2: int) -> TwoGridSym
 
 def two_grid_factor(spec: SmootherSpec, nu1: int, nu2: int,
                     grid: FrequencyGrid = None) -> float:
-    """Largest spectral radius of the error symbol over the sampled low region."""
+    """Largest spectral radius of the error symbol over the sampled low region.
+
+    Uses the rank-one structure of the block (module docstring) instead of
+    assembling it; ``max |eigvals|`` of ``_two_grid_stack`` is the oracle.
+    """
     if grid is None:
         grid = FrequencyGrid(spec.dim)
     if grid.dim != spec.dim:
         raise ValueError(f"frequency grid dim {grid.dim} != smoother dim {spec.dim}")
-    bases = grid.low_points(skip_origin=True)
-    e, _, _ = _two_grid_stack(spec, bases, nu1, nu2)
-    return float(np.abs(np.linalg.eigvals(e)).max())
+    if nu1 < 0 or nu2 < 0:
+        raise ValueError("smoothing step counts must be nonnegative")
+    a, m, p = (_harmonic_symbols(st, grid)[:, grid.off_origin]
+               for st in (spec.a_stencil(), spec.m_stencil(), _interpolation_stencil(spec.dim)))
+    return _rank_one_radius(float(spec.omega), nu1 + nu2, a, m, p)
+
+
+def _rank_one_radius(omega: float, nu: int, a, m, p) -> float:
+    """Largest ``rho(Pi Sigma Pi)`` over the columns of per-harmonic symbols.
+
+    ``a``, ``m``, ``p`` have shape ``(K, N)``.  The radius of a column is
+    ``max(|lambda_min|, |lambda_max|)``.  A bracket end of constant sign
+    bounds its root's modulus from below; brackets whose larger end cannot
+    beat the best such bound are not solved, which also covers every
+    bracket that has shrunk to a point (a repeated ``sigma``).
+    """
+    a_coarse = (p * p * a).sum(axis=0)
+    if np.any(np.abs(a_coarse) < 1e-13):
+        raise ValueError("singular coarse symbol; theta = 0 must be excluded")
+    s = 1.0 - omega * m * a
+    # a negative base makes ``**`` take a far slower libm path
+    sigma = (np.abs(s) ** nu * (np.sign(s) if nu % 2 else 1.0)).T    # (N, K)
+    w2 = (p * p * a / a_coarse).T
+    ordered = np.sort(sigma, axis=1)
+    k = sigma.shape[1]
+    ends = sorted({(0, 1), (k - 2, k - 1)})                      # one pair in 1D
+    lo = np.concatenate([ordered[:, i] for i, _ in ends])
+    hi = np.concatenate([ordered[:, j] for _, j in ends])
+    rows = np.tile(np.arange(sigma.shape[0]), len(ends))
+    floor = np.where((lo > 0) | (hi < 0), np.minimum(np.abs(lo), np.abs(hi)), 0.0)
+    best = float(floor.max())
+    open_ = np.maximum(np.abs(lo), np.abs(hi)) > best
+    roots = _secular_roots(sigma[rows[open_]], w2[rows[open_]], lo[open_], hi[open_])
+    return max(best, float(np.abs(roots).max(initial=0.0)))
+
+
+_SECULAR_STEPS = 100
+
+
+def _secular_roots(sigma, w2, lo, hi) -> np.ndarray:
+    """Root of ``f(lam) = sum_k w2[:, k] / (sigma[:, k] - lam)`` in each ``[lo, hi]``.
+
+    No ``sigma`` lies inside a bracket and ``f`` increases between its poles.
+    A side without weight leaves ``f`` of one sign on the bracket, and the
+    root is the end on that side (a deflated eigenvalue).  Otherwise each
+    step fits ``c + b1/(lo - lam) + b2/(hi - lam)`` to the value and slope of
+    the terms on either side (Bunch, Nielsen and Sorensen 1978) and takes its
+    root if that lies inside the bracket narrowed by the sign of ``f``, else
+    bisects; a model root past an end pole is that pole to rounding.
+    """
+    left = sigma <= lo[:, None]
+    w_left = np.where(left, w2, 0.0).sum(axis=1)
+    w_right = np.where(left, 0.0, w2).sum(axis=1)
+    lam = np.where(w_left == 0, lo, hi)
+    active = np.flatnonzero((w_left > 0) & (w_right > 0))
+    lam[active] = 0.5 * (lo[active] + hi[active])
+    narrow_lo, narrow_hi = lo.copy(), hi.copy()
+    tol = 4 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_SECULAR_STEPS):
+            if active.size == 0:
+                break
+            x, pole_lo, pole_hi = lam[active], lo[active], hi[active]
+            d = sigma[active] - x[:, None]
+            terms = w2[active] / d
+            f = terms.sum(axis=1)
+            slopes = terms / d
+            slope_lo = np.where(left[active], slopes, 0.0).sum(axis=1)
+            slope_hi = slopes.sum(axis=1) - slope_lo
+            below = f < 0
+            l = np.where(below, x, narrow_lo[active])
+            h = np.where(below, narrow_hi[active], x)
+            # root of c + b1/(dl - s) + b2/(dh - s), i.e. of c s^2 - bq s + cq
+            dl, dh = pole_lo - x, pole_hi - x
+            b1, b2 = slope_lo * dl * dl, slope_hi * dh * dh
+            c = f - slope_lo * dl - slope_hi * dh
+            bq = c * (dl + dh) + b1 + b2
+            cq = c * dl * dh + b1 * dh + b2 * dl
+            q = 0.5 * (bq + np.copysign(np.sqrt(np.maximum(bq * bq - 4 * c * cq, 0.0)), bq))
+            roots = (cq / q, q / c)       # one lies in (dl, dh), up to rounding
+            past = [np.maximum(np.maximum(dl - r, r - dh), 0.0) for r in roots]
+            s = np.where(past[0] <= past[1], *roots)
+            step, eps = x + s, tol[active]
+            take = ((step > l) & (step < h)) | (np.abs(s) <= eps)
+            snap = ~take & (((np.abs(step - pole_lo) <= eps) & (l == pole_lo))
+                            | ((np.abs(step - pole_hi) <= eps) & (h == pole_hi)))
+            nxt = np.where(take, step,
+                           np.where(snap, np.clip(step, pole_lo, pole_hi), 0.5 * (l + h)))
+            lam[active], narrow_lo[active], narrow_hi[active] = nxt, l, h
+            active = active[~snap & (np.abs(nxt - x) > eps)]
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -442,31 +604,9 @@ def eigenfield(spec: SmootherSpec, nu1: int, nu2: int,
 
 
 # ---------------------------------------------------------------------------
-# spectral radius with an independent fallback
+# spectral radius
 # ---------------------------------------------------------------------------
 
-def spectral_radius(matrix: np.ndarray, method: str = "eig") -> float:
-    """Spectral radius of a small dense matrix.
-
-    ``method="eig"`` uses the dense eigenvalue routine; ``method="power"``
-    estimates the dominant growth rate by normalised repeated squaring
-    (the power method pushed to order ``2**50``), an independent route that
-    agrees to well below 1e-8 on the two-grid blocks.
-    """
-    matrix = np.asarray(matrix)
-    if method == "eig":
-        return float(np.abs(np.linalg.eigvals(matrix)).max())
-    if method != "power":
-        raise ValueError(f"unknown method {method!r}")
-    a = matrix.astype(complex)
-    log_rho = 0.0
-    weight = 1.0
-    for _ in range(50):
-        norm = np.linalg.norm(a, 2)
-        if norm == 0.0:
-            return 0.0
-        log_rho += weight * np.log(norm)
-        a = (a / norm) @ (a / norm)
-        weight /= 2
-    log_rho += weight * np.log(np.linalg.norm(a, 2))
-    return float(np.exp(log_rho))
+def spectral_radius(matrix: np.ndarray) -> float:
+    """Spectral radius of a small dense matrix, by the dense eigenvalue routine."""
+    return float(np.abs(np.linalg.eigvals(np.asarray(matrix))).max())

@@ -1,6 +1,7 @@
 """Command-line interface: payload shapes, tolerancing gates and exit codes."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -215,6 +216,20 @@ def test_solve_rejects_single_cycle(capsys):
 def test_odd_samples_rejected(capsys, argv):
     err = _one_line_usage_error(capsys, argv + ["--samples", "5"])
     assert "--samples 5" in err
+
+
+@pytest.mark.parametrize("argv", [["table2"], ["scan-omega", "--kind", "jacobi", "--dim", "3"],
+                                  ["solve", "--kind", "jacobi", "--dim", "3"]],
+                         ids=lambda argv: argv[0])
+def test_oversized_samples_refused_before_allocating(capsys, argv):
+    tracemalloc.start()
+    try:
+        err = _one_line_usage_error(capsys, argv + ["--samples", "4096"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "--samples 4096" in err and "budget" in err
+    assert peak < 1 << 20
 
 
 def test_solve_rejects_single_level_v_cycle(capsys):
