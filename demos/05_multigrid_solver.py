@@ -14,11 +14,11 @@ from vankamg import (
     SmootherKind,
     SmootherSpec,
     build_hierarchy,
+    cycle,
     exact_optimum,
     measured_convergence_factor,
     run_convergence,
     two_grid_factor,
-    v_cycle,
 )
 
 omega, _ = exact_optimum(SmootherKind.VANKA_ELEMENT, 2)
@@ -59,8 +59,8 @@ u = np.zeros_like(f)
 print(f"  levels: {[lvl.grid.n for lvl in hier.levels]}")
 r0 = np.linalg.norm(f)
 for k in range(1, 9):
-    u = v_cycle(hier, u, f)
-    r = np.linalg.norm(f - hier.fine.matvec(u))
+    u = cycle(hier, u, f)
+    r = np.linalg.norm(f - hier.fine.matrix @ u)
     print(f"  cycle {k}: |r|/|r0| = {r / r0:.3e}")
 err = np.abs(u - exact).max()
 print(f"  discretisation-level error |u - u_exact|_inf = {err:.2e}")

@@ -25,7 +25,7 @@ from .lfa import (EigenField, FrequencyGrid, OptimalDamping, SmootherKind,
 from .solver import (ConvergenceRun, CycleSpec, Hierarchy, Level,
                      StagnationError, build_hierarchy, cycle,
                      measured_convergence_factor, relax, run_convergence,
-                     transfer_ops, two_grid_cycle, v_cycle)
+                     transfer_ops)
 
 __version__ = "0.1.0"
 
@@ -40,6 +40,6 @@ __all__ = [
     "symbol", "transfer_symbols", "two_grid_factor", "two_grid_symbol",
     "ConvergenceRun", "CycleSpec", "Hierarchy", "Level", "StagnationError",
     "build_hierarchy", "cycle", "measured_convergence_factor", "relax",
-    "run_convergence", "transfer_ops", "two_grid_cycle", "v_cycle",
+    "run_convergence", "transfer_ops",
     "__version__",
 ]

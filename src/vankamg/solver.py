@@ -1,13 +1,15 @@
 """Two-grid and V-cycle solvers for the Dirichlet Poisson problem.
 
 The hierarchy uses grids with ``n = 2**k - 1`` interior points per dimension
-so that standard coarsening maps interior nodes onto interior nodes.  The
-finest operator is applied by its stencil; coarse operators come from the
-Galerkin product ``A_H = R A P`` with linear interpolation ``P`` and full
-weighting ``R = 2**-dim P^T``, which reproduces the coarse Laplacian exactly
-in 1D and keeps the discrete two-grid operator aligned with its Fourier
-symbol (the error operator is invariant under the common rescaling of ``R``
-and ``A_H``, so transposed-interpolation restriction yields the same cycle).
+so that standard coarsening maps interior nodes onto interior nodes.  Every
+level holds one CSR operator: the finest is the assembled Laplacian stencil,
+coarser ones come from the Galerkin product ``A_H = 2**-dim P^T A P`` with
+linear interpolation ``P``.  The cycle restricts with full weighting
+``R = 2**-dim P^T``, so ``A_H = R A P``; this reproduces the coarse Laplacian
+exactly in 1D and keeps the discrete two-grid operator aligned with its
+Fourier symbol (the error operator is invariant under the common rescaling of
+``R`` and ``A_H``, so transposed-interpolation restriction yields the same
+cycle).  The coarsest level is solved by a sparse LU factorisation.
 
 ``measured_convergence_factor`` runs homogeneous cycles (``b = 0``) from a
 seeded random start, renormalising the iterate every cycle; the asymptotic
@@ -21,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from .lfa import SmootherKind, SmootherSpec
-from .stencils import GridSpec, Stencil, laplacian_stencil, mass_stencil
+from .stencils import GridSpec, laplacian_stencil, mass_stencil
 from . import stencils
 from .vanka import PatchLayout, build_vanka, assemble_sparse
 
@@ -39,8 +41,6 @@ __all__ = [
     "build_hierarchy",
     "relax",
     "cycle",
-    "two_grid_cycle",
-    "v_cycle",
     "measured_convergence_factor",
     "run_convergence",
 ]
@@ -71,19 +71,13 @@ class CycleSpec:
 
 @dataclass
 class Level:
-    """One grid level: operator, smoother applicator, transfer to the finer level."""
+    """One grid level: CSR operator, smoother applicator, transfer to the finer level."""
 
     grid: GridSpec
-    stencil: Stencil | None
     matrix: sp.csr_matrix
     m_apply: object = None
     prolong: sp.csr_matrix | None = None   # from the next coarser level to here
-    lu: tuple | None = None                # dense factorisation on the coarsest
-
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        if self.stencil is not None:
-            return stencils.apply(self.stencil, self.grid, u)
-        return self.matrix @ u
+    lu: object = None                      # sparse LU (``splu``) on the coarsest
 
 
 @dataclass
@@ -98,43 +92,36 @@ class Hierarchy:
 
 def _p1_matrix(nc: int) -> sp.csr_matrix:
     """1D linear interpolation from nc coarse to 2*nc + 1 fine interior points."""
-    nf = 2 * nc + 1
-    rows, cols, vals = [], [], []
-    for j in range(nc):
-        rows += [2 * j + 1]
-        cols += [j]
-        vals += [1.0]
-    for m in range(nc + 1):
-        for j in (m - 1, m):
-            if 0 <= j < nc:
-                rows += [2 * m]
-                cols += [j]
-                vals += [0.5]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(nf, nc))
+    j = np.arange(nc)
+    # coarse point j sits on fine point 2j+1; its two fine neighbours get 1/2
+    rows = np.concatenate([2 * j + 1, 2 * j, 2 * j + 2])
+    vals = np.repeat([1.0, 0.5, 0.5], nc)
+    return sp.csr_matrix((vals, (rows, np.tile(j, 3))), shape=(2 * nc + 1, nc))
 
 
-def transfer_ops(fine_grid: GridSpec) -> tuple:
-    """Restriction and prolongation between ``n`` and ``(n-1)/2`` grids.
+def transfer_ops(fine_grid: GridSpec) -> sp.csr_matrix:
+    """Prolongation ``P`` from the ``(n-1)/2`` grid to the ``n`` grid.
 
-    Returns sparse ``(R, P)`` with ``R = 2**-dim P^T`` (full weighting) and
-    ``P`` the tensor product of 1D linear interpolation.
+    ``P`` is the tensor product of 1D linear interpolation; the full-weighting
+    restriction is ``2**-dim P^T`` and is applied as such, never stored.
     """
     n = fine_grid.n
     if n < 3 or (n - 1) % 2:
         raise ValueError(f"cannot coarsen n={n}")
-    nc = (n - 1) // 2
-    if nc < 1:
-        raise ValueError(f"cannot coarsen n={n}")
-    p1 = _p1_matrix(nc)
+    p1 = _p1_matrix((n - 1) // 2)
     p = p1
     for _ in range(fine_grid.dim - 1):
         p = sp.kron(p, p1, format="csr")
-    r = (p.T * (2.0 ** -fine_grid.dim)).tocsr()
-    return r, p
+    return p
 
 
 def _smoother_applicator(sm: SmootherSpec, level_grid: GridSpec, operator):
-    """Return a callable evaluating ``M r`` for the level operator."""
+    """Return a callable evaluating ``M r`` for the level operator.
+
+    Vanka smoothers are one CSR matrix.  Jacobi is a scale and the mass
+    smoother its stencil, applied matrix-free: assembling the 27-point 3D
+    mass matrix would cost more setup time and memory than it saves.
+    """
     kind = sm.kind
     if kind in (SmootherKind.VANKA_ELEMENT, SmootherKind.VANKA_VERTEX):
         layout = PatchLayout("element" if kind is SmootherKind.VANKA_ELEMENT else "vertex",
@@ -151,11 +138,11 @@ def _smoother_applicator(sm: SmootherSpec, level_grid: GridSpec, operator):
 def build_hierarchy(spec: CycleSpec, fine_grid: GridSpec) -> Hierarchy:
     """Build grids, operators, smoothers and transfers for the requested cycle.
 
-    The finest level keeps its stencil; coarser operators are Galerkin
-    products.  Two-grid hierarchies have exactly two levels and need
-    ``n >= 7``; V-cycles coarsen until at most :data:`COARSEST_MAX` points
-    per dimension remain and need ``n >= 15``.  The coarsest level is
-    factorised densely.
+    Every level holds one CSR operator: the assembled fine Laplacian and
+    Galerkin products below it.  Two-grid hierarchies have exactly two levels
+    and need ``n >= 7``; V-cycles coarsen until at most :data:`COARSEST_MAX`
+    points per dimension remain and need ``n >= 15``.  The coarsest level is
+    factorised by sparse LU (``scipy.sparse.linalg.splu``).
     """
     if fine_grid.boundary != "dirichlet":
         raise ValueError("the solver runs on Dirichlet grids")
@@ -170,40 +157,40 @@ def build_hierarchy(spec: CycleSpec, fine_grid: GridSpec) -> Hierarchy:
         raise ValueError(f"{spec.cycle} needs n >= {min_n} interior points "
                          f"per dimension, got n={n}")
 
-    fine_stencil = laplacian_stencil(fine_grid.dim, fine_grid.h)
-    levels = [Level(fine_grid, fine_stencil, assemble_sparse(fine_stencil, fine_grid))]
+    fine_matrix = assemble_sparse(laplacian_stencil(fine_grid.dim, fine_grid.h), fine_grid)
+    levels = [Level(fine_grid, fine_matrix)]
     while True:
         cur = levels[-1]
         stop = cur.grid.n <= COARSEST_MAX if spec.cycle == "v-cycle" else len(levels) == 2
         if stop:
             break
-        r, p = transfer_ops(cur.grid)
+        p = transfer_ops(cur.grid)
         coarse_grid = GridSpec(cur.grid.dim, (cur.grid.n - 1) // 2, 2 * cur.grid.h)
-        coarse_matrix = (r @ cur.matrix @ p).tocsr()
+        coarse_matrix = ((p.T @ cur.matrix @ p) * 2.0 ** -cur.grid.dim).tocsr()
         cur.prolong = p
-        levels.append(Level(coarse_grid, None, coarse_matrix))
+        levels.append(Level(coarse_grid, coarse_matrix))
 
     for level in levels[:-1]:
         level.m_apply = _smoother_applicator(spec.smoother, level.grid, level.matrix)
     coarsest = levels[-1]
-    coarsest.lu = scipy.linalg.lu_factor(coarsest.matrix.toarray())
+    coarsest.lu = scipy.sparse.linalg.splu(coarsest.matrix.tocsc())
     return Hierarchy(spec, levels)
 
 
 def relax(sm: SmootherSpec, level: Level, u: np.ndarray, b: np.ndarray) -> np.ndarray:
     """One sweep of ``u + omega M (b - A u)``."""
-    residual = b - level.matvec(u)
+    residual = b - level.matrix @ u
     return u + float(sm.omega) * level.m_apply(residual)
 
 
 def _descend(hier: Hierarchy, idx: int, u: np.ndarray, b: np.ndarray) -> np.ndarray:
     level = hier.levels[idx]
     if level.lu is not None:
-        return scipy.linalg.lu_solve(level.lu, b)
+        return level.lu.solve(b)
     sm = hier.spec.smoother
     for _ in range(hier.spec.nu1):
         u = relax(sm, level, u, b)
-    residual = b - level.matvec(u)
+    residual = b - level.matrix @ u
     coarse_b = (level.prolong.T @ residual) * 2.0 ** -level.grid.dim
     coarse_u = _descend(hier, idx + 1, np.zeros_like(coarse_b), coarse_b)
     u = u + level.prolong @ coarse_u
@@ -213,22 +200,10 @@ def _descend(hier: Hierarchy, idx: int, u: np.ndarray, b: np.ndarray) -> np.ndar
 
 
 def cycle(hier: Hierarchy, u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One multigrid cycle from the finest level."""
+    """One cycle from the finest level: two-grid or V, as the hierarchy was built."""
     u = np.asarray(u, dtype=float)
     b = np.asarray(b, dtype=float)
     return _descend(hier, 0, u, b)
-
-
-def two_grid_cycle(hier: Hierarchy, u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One two-grid cycle (validates the hierarchy shape)."""
-    if len(hier.levels) != 2:
-        raise ValueError("two_grid_cycle expects a two-level hierarchy")
-    return cycle(hier, u, b)
-
-
-def v_cycle(hier: Hierarchy, u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One V-cycle down to the direct coarsest solve."""
-    return cycle(hier, u, b)
 
 
 @dataclass(frozen=True)

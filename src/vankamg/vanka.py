@@ -95,11 +95,6 @@ class VankaOperator:
             raise ValueError(f"expected flat array of length {self.grid.npoints}")
         return self.matrix @ r
 
-    def as_dense(self) -> np.ndarray:
-        if self.grid.npoints > DENSE_CAP:
-            raise ValueError(f"refusing dense assembly beyond {DENSE_CAP} unknowns")
-        return self.matrix.toarray()
-
     @property
     def patches(self) -> list:
         """Per-patch view (key, dofs, local matrix, inverse), rebuilt on each access.
@@ -323,10 +318,10 @@ def assemble_sparse(operator, grid: GridSpec = None) -> sp.csr_matrix:
 
 
 def assemble_dense(operator, grid: GridSpec = None) -> np.ndarray:
-    """Dense matrix of a stencil or Vanka operator, capped at 4096 unknowns."""
+    """Dense matrix of a stencil or Vanka operator, capped at :data:`DENSE_CAP` unknowns."""
     if isinstance(operator, VankaOperator):
-        return operator.as_dense()
-    if grid is None:
+        grid = operator.grid
+    elif grid is None:
         raise ValueError("assembling a stencil requires a grid")
     if grid.npoints > DENSE_CAP:
         raise ValueError(f"refusing dense assembly beyond {DENSE_CAP} unknowns")

@@ -135,7 +135,7 @@ def test_criterion_06_assembled_stencil_equivalence():
         grid = GridSpec(dim, 8, float(h), boundary="periodic")
         for kind in ("element", "vertex"):
             layout = PatchLayout(kind, dim)
-            assembled = build_vanka(layout, grid, laplacian_stencil(dim, h)).as_dense()
+            assembled = v.assemble_dense(build_vanka(layout, grid, laplacian_stencil(dim, h)))
             closed = v.assemble_dense(closed_form_stencil(layout, h), grid)
             worst = max(worst, float(np.abs(assembled - closed).max()))
     ok = worst <= 1e-12

@@ -139,6 +139,15 @@ def test_solve_vcycle_csv(capsys):
     assert len(lines) == 11
 
 
+def test_solve_two_grid_fine_mesh(capsys):
+    # the default two-grid cycle at h = 1/256 factorises its 127^2-point
+    # coarse level sparsely; a dense LU there needed about 4 GB
+    code, out, _ = _run(capsys, ["solve", "--kind", "vanka-e", "--h", "1/256",
+                                 "--cycles", "20"])
+    assert code == 0
+    assert abs(json.loads(out)["measured_rho"] - 0.2757) <= 0.02 * 0.2757
+
+
 def test_solve_rejects_bad_mesh(capsys):
     for bad in ("1/63", "0.3", "abc", "1/2"):
         code, _, err = _run(capsys, ["solve", "--kind", "vanka-e", "--h", bad])

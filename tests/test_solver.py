@@ -9,6 +9,7 @@ regardless of n, versus 1/17 for the interior symbol), while in 2D it stays
 within about 0.01 of the predicted factor.  Both behaviours are pinned here.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,9 +29,8 @@ from vankamg.solver import (
     relax,
     run_convergence,
     transfer_ops,
-    two_grid_cycle,
 )
-from vankamg.stencils import GridSpec, laplacian_stencil
+from vankamg.stencils import GridSpec, laplacian_stencil, mass_stencil
 from vankamg.vanka import PatchLayout, assemble_sparse, build_vanka
 
 
@@ -56,15 +56,15 @@ def _error_matrix(hier):
 # ---------------------------------------------------------------------------
 
 def test_prolongation_columns_1d():
-    r, p = transfer_ops(GridSpec(1, 7, 1 / 8))
+    p = transfer_ops(GridSpec(1, 7, 1 / 8))
     assert p.shape == (7, 3)
     assert np.array_equal(p.toarray()[:, 1], [0, 0, 0.5, 1.0, 0.5, 0, 0])
-    assert np.abs(r.toarray() - 0.5 * p.toarray().T).max() == 0
-    assert np.array_equal(r.toarray()[1], [0, 0, 0.25, 0.5, 0.25, 0, 0])
+    # the cycle restricts with full weighting 2**-dim P^T
+    assert np.array_equal((0.5 * p.T).toarray()[1], [0, 0, 0.25, 0.5, 0.25, 0, 0])
 
 
 def test_prolongation_tensor_2d():
-    _, p = transfer_ops(GridSpec(2, 7, 1 / 8))
+    p = transfer_ops(GridSpec(2, 7, 1 / 8))
     assert p.shape == (49, 9)
     col = p.toarray()[:, 4].reshape(7, 7)  # coarse centre (1, 1)
     one_d = np.array([0, 0, 0.5, 1.0, 0.5, 0, 0])
@@ -109,6 +109,36 @@ def test_v_cycle_level_sizes():
     assert all(level.lu is None for level in hier.levels[:-1])
 
 
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("make", [laplacian_stencil, mass_stencil], ids=["laplacian", "mass"])
+def test_assembled_operator_matches_stencil_apply(make, dim, boundary):
+    # every level applies its CSR matrix, so on the finest level the assembled
+    # stencil must act exactly as the matrix-free stencil does
+    grid = GridSpec(dim, 7 if boundary == "dirichlet" else 8, 1 / 8, boundary=boundary)
+    st = make(dim, Fraction(1, 8))
+    u = np.random.default_rng(dim).standard_normal(grid.npoints)
+    want = stencils.apply(st, grid, u)
+    got = assemble_sparse(st, grid) @ u
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_coarse_factor_is_sparse_and_solves():
+    # a dense copy of the 63^2-point coarse operator alone would take 126 MB
+    spec = CycleSpec(_smoother("vanka-e", 2), 1, 0, "two-grid")
+    tracemalloc.start()
+    try:
+        hier = build_hierarchy(spec, GridSpec(2, 127, 1 / 128))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    coarse = hier.levels[-1]
+    b = np.random.default_rng(5).standard_normal(coarse.grid.npoints)
+    x = coarse.lu.solve(b)
+    assert np.linalg.norm(b - coarse.matrix @ x) <= 1e-12 * np.linalg.norm(b)
+
+
 def test_hierarchy_validation():
     spec = CycleSpec(_smoother("vanka-e", 1), 1, 0, "two-grid")
     with pytest.raises(ValueError, match="2\\*\\*k - 1"):
@@ -128,13 +158,6 @@ def test_cycle_spec_validation():
         CycleSpec(sm, 0, 0)
     with pytest.raises(ValueError, match="cycle"):
         CycleSpec(sm, 1, 0, "w-cycle")
-
-
-def test_two_grid_cycle_validates_shape():
-    spec = CycleSpec(_smoother("vanka-e", 1), 1, 1, "v-cycle")
-    hier = build_hierarchy(spec, GridSpec(1, 31, 1 / 32))
-    with pytest.raises(ValueError, match="two-level"):
-        two_grid_cycle(hier, np.zeros(31), np.zeros(31))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +193,7 @@ def test_relax_vanka_scales_periodic_mode_by_symbol():
     grid = GridSpec(2, n, h, boundary="periodic")
     sm = _smoother("vanka-e", 2)
     st = laplacian_stencil(2, Fraction(1, 8))
-    level = Level(grid, st, assemble_sparse(st, grid),
+    level = Level(grid, assemble_sparse(st, grid),
                   m_apply=build_vanka(PatchLayout("element", 2), grid, st).apply)
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     for theta in ((np.pi, np.pi), (np.pi / 2, np.pi / 2), (np.pi / 4, -np.pi / 2)):
@@ -187,7 +210,7 @@ def test_relax_smoothing_property_periodic_fft():
     grid = GridSpec(2, n, h, boundary="periodic")
     sm = _smoother("vanka-e", 2)
     st = laplacian_stencil(2, Fraction(1, 16))
-    level = Level(grid, st, assemble_sparse(st, grid),
+    level = Level(grid, assemble_sparse(st, grid),
                   m_apply=build_vanka(PatchLayout("element", 2), grid, st).apply)
     rng = np.random.default_rng(4)
     u0 = rng.standard_normal(n * n)
@@ -281,7 +304,7 @@ def test_v_cycle_converges_and_solves():
     # solve a problem with known discrete solution
     rng = np.random.default_rng(9)
     truth = rng.standard_normal(63)
-    b = hier.fine.matvec(truth)
+    b = hier.fine.matrix @ truth
     u = np.zeros(63)
     for _ in range(10):
         u = cycle(hier, u, b)

@@ -175,7 +175,7 @@ def test_assembled_periodic_matches_closed_form(layout):
     grid = GridSpec(layout.dim, n, float(h), boundary="periodic")
     op = build_vanka(layout, grid, laplacian_stencil(layout.dim, h))
     want = assemble_dense(closed_form_stencil(layout, h), grid)
-    assert np.abs(op.as_dense() - want).max() <= 1e-12
+    assert np.abs(assemble_dense(op) - want).max() <= 1e-12
 
 
 def test_mass_identities_exact():
@@ -193,7 +193,7 @@ def test_interior_row_matches_closed_form_dirichlet():
     h = Fraction(1, 8)
     grid = GridSpec(2, 7, float(h))
     op = build_vanka(PatchLayout("element", 2), grid, laplacian_stencil(2, h))
-    dense = op.as_dense()
+    dense = assemble_dense(op)
     center = grid.ravel_index((3, 3))
     want = np.zeros(grid.npoints)
     for offset, coef in closed_form_stencil(PatchLayout("element", 2), h).entries.items():
@@ -221,7 +221,7 @@ def test_apply_matches_dense_and_sequential(layout):
     rng = np.random.default_rng(7)
     r = rng.standard_normal(grid.npoints)
     batched = op.apply(r)
-    assert np.allclose(batched, op.as_dense() @ r, atol=1e-12)
+    assert np.allclose(batched, assemble_dense(op) @ r, atol=1e-12)
     assert np.allclose(batched, _patchwise_apply(op, r, op.patches), atol=1e-13)
 
 
@@ -260,7 +260,8 @@ def test_matrix_equals_patch_sum(layout, boundary):
 @pytest.mark.parametrize("layout", ALL_LAYOUTS, ids=lambda la: f"{la.kind}-{la.dim}d")
 def test_operator_symmetric_positive_definite_periodic(layout):
     grid = GridSpec(layout.dim, 8, 0.125, boundary="periodic")
-    dense = build_vanka(layout, grid, laplacian_stencil(layout.dim, Fraction(1, 8))).as_dense()
+    op = build_vanka(layout, grid, laplacian_stencil(layout.dim, Fraction(1, 8)))
+    dense = assemble_dense(op)
     assert np.abs(dense - dense.T).max() <= 1e-14
     assert np.linalg.eigvalsh(dense).min() > 0
 
@@ -271,7 +272,8 @@ def test_operator_spectrum_positive_dirichlet(layout):
     # near Dirichlet boundaries; the spectrum stays real and positive
     n = 7 if layout.dim == 1 else 5
     grid = GridSpec(layout.dim, n, 1.0 / (n + 1))
-    dense = build_vanka(layout, grid, laplacian_stencil(layout.dim, Fraction(1, n + 1))).as_dense()
+    op = build_vanka(layout, grid, laplacian_stencil(layout.dim, Fraction(1, n + 1)))
+    dense = assemble_dense(op)
     if layout.kind == "element":
         assert np.abs(dense - dense.T).max() <= 1e-14  # uniform weights
     eigs = np.linalg.eigvals(dense)
@@ -284,7 +286,7 @@ def test_build_from_matrix_matches_stencil_route():
     st = laplacian_stencil(2, Fraction(1, 6))
     from_stencil = build_vanka(PatchLayout("vertex", 2), grid, st)
     from_matrix = build_vanka(PatchLayout("vertex", 2), grid, assemble_sparse(st, grid))
-    assert np.abs(from_stencil.as_dense() - from_matrix.as_dense()).max() <= 1e-14
+    assert np.abs(assemble_dense(from_stencil) - assemble_dense(from_matrix)).max() <= 1e-14
 
 
 def test_build_vanka_validation():
@@ -328,7 +330,7 @@ def test_dense_cap_enforced():
         assemble_dense(laplacian_stencil(2, Fraction(1, 66)), big)
     op = build_vanka(PatchLayout("vertex", 2), big, laplacian_stencil(2, Fraction(1, 66)))
     with pytest.raises(ValueError, match="4096"):
-        op.as_dense()
+        assemble_dense(op)
     # the smoother is stored sparse, so sparse assembly needs no cap
     assert assemble_sparse(op) is op.matrix
 
