@@ -55,11 +55,14 @@ def _dump_json(payload) -> str:
 
 
 def _emit(text: str, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise CliError(f"--out {out_path}: {exc.strerror or exc}") from exc
 
 
 def _csv(rows, header) -> str:
@@ -83,6 +86,15 @@ def _parse_h(text: str) -> Fraction:
 
 def _nu_split(nu: int) -> tuple:
     return ceil(nu / 2), nu // 2
+
+
+def _sweeps(args) -> tuple:
+    """``(nu1, nu2)`` from ``--nu`` (split as pre/post) or ``--nu1``/``--nu2``."""
+    nu1, nu2 = (args.nu1, args.nu2) if args.nu is None else _nu_split(args.nu)
+    if nu1 < 0 or nu2 < 0 or nu1 + nu2 < 1:
+        raise CliError("need nonnegative smoothing sweep counts and at least one "
+                       f"sweep, got nu1 = {nu1}, nu2 = {nu2}")
+    return nu1, nu2
 
 
 def _frequency_grid(dim: int, samples: int) -> FrequencyGrid:
@@ -167,18 +179,13 @@ def cmd_eigfield(args) -> int:
     if args.dim != 2:
         raise CliError("eigenvalue fields are produced for dim 2 only")
     spec = _spec(args.kind, 2, args.omega)
-    nu1, nu2 = (args.nu1, args.nu2) if args.nu is None else _nu_split(args.nu)
-    if nu1 + nu2 < 1:
-        raise CliError("need at least one smoothing sweep")
+    nu1, nu2 = _sweeps(args)
     field = lfa.eigenfield(spec, nu1, nu2, _frequency_grid(2, args.samples))
-    csv_text = field.to_csv(args.out if args.out else None)
     summary = _dump_json({"kind": args.kind, "dim": 2, "omega": spec.omega,
                           "nu1": nu1, "nu2": nu2, **field.summary})
-    if args.out:
-        sys.stdout.write(summary)
-    else:
-        sys.stdout.write(csv_text)
-        sys.stderr.write(summary)
+    # the CSV goes where --out says; the summary to whichever stream is left
+    _emit(field.to_csv(), args.out)
+    (sys.stdout if args.out else sys.stderr).write(summary)
     return 0
 
 
@@ -189,6 +196,8 @@ def cmd_solve(args) -> int:
     fgrid = _frequency_grid(args.dim, args.samples)
     if args.cycles < 2:
         raise CliError(f"--cycles must be at least 2, got {args.cycles}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be nonnegative, got {args.seed}")
     try:
         cspec = solver.CycleSpec(spec, args.nu1, args.nu2, args.cycle)
     except ValueError as exc:
@@ -217,9 +226,7 @@ def cmd_solve(args) -> int:
 
 def cmd_scan_omega(args) -> int:
     spec_probe = _spec(args.kind, args.dim, None)  # validates the pair
-    nu1, nu2 = (args.nu1, args.nu2) if args.nu is None else _nu_split(args.nu)
-    if nu1 + nu2 < 1:
-        raise CliError("need at least one smoothing sweep")
+    nu1, nu2 = _sweeps(args)
     if args.step <= 0:
         raise CliError("step must be positive")
     count = int(OMEGA_SCAN_MAX / args.step + 1e-9)

@@ -94,20 +94,24 @@ PRODUCT_RANGE = {
 SUPPORTED_PAIRS = frozenset(PRODUCT_RANGE)
 
 
+def _supported(kind, dim: int) -> SmootherKind:
+    """``kind`` as a :class:`SmootherKind`; raises unless ``(kind, dim)`` is supported."""
+    kind = SmootherKind(kind)
+    if (kind, dim) not in SUPPORTED_PAIRS:
+        raise ValueError(f"unsupported smoother/dimension pair ({kind.value}, {dim})")
+    return kind
+
+
 def exact_optimum(kind: SmootherKind, dim: int) -> tuple:
     """Closed-form ``(omega*, mu*)`` as exact rationals."""
-    kind = SmootherKind(kind)
-    if (kind, dim) not in PRODUCT_RANGE:
-        raise ValueError(f"unsupported smoother/dimension pair ({kind.value}, {dim})")
+    kind = _supported(kind, dim)
     t_min, t_max = PRODUCT_RANGE[(kind, dim)]
     return 2 / (t_min + t_max), (t_max - t_min) / (t_min + t_max)
 
 
 def smoother_m_stencil(kind: SmootherKind, dim: int, h=1) -> Stencil:
     """The approximate inverse ``M`` defining ``S = I - omega M A``."""
-    kind = SmootherKind(kind)
-    if (kind, dim) not in SUPPORTED_PAIRS:
-        raise ValueError(f"unsupported smoother/dimension pair ({kind.value}, {dim})")
+    kind = _supported(kind, dim)
     if kind is SmootherKind.JACOBI:
         return delta_stencil(dim).scaled(Fraction(h) ** 2 / (2 * dim))
     if kind is SmootherKind.VANKA_ELEMENT:
@@ -127,10 +131,7 @@ class SmootherSpec:
     omega: float
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", SmootherKind(self.kind))
-        if (self.kind, self.dim) not in SUPPORTED_PAIRS:
-            raise ValueError(
-                f"unsupported smoother/dimension pair ({self.kind.value}, {self.dim})")
+        object.__setattr__(self, "kind", _supported(self.kind, self.dim))
         if not 0 < float(self.omega) <= 2:
             raise ValueError(f"damping must lie in (0, 2], got {self.omega}")
 
@@ -232,18 +233,12 @@ def symbol(stencil: Stencil, theta) -> np.ndarray:
     scalar = theta.ndim == 1
     pts = theta.reshape(-1, stencil.dim)
     offsets, coefs = stencil._arrays
-    values = np.exp(1j * pts @ offsets.T) @ coefs.astype(complex)
+    phase = pts @ offsets.T
+    # real cos and sin are vectorised; complex exp is several times slower
+    values = np.cos(phase) @ coefs + 1j * (np.sin(phase) @ coefs)
     if scalar:
         return values[0]
     return values.reshape(theta.shape[:-1])
-
-
-def _symbol_real(stencil: Stencil, pts: np.ndarray) -> np.ndarray:
-    """Fast real-valued evaluation for symmetric stencils, shape (N,)."""
-    offsets, coefs = stencil._arrays
-    if stencil.is_symmetric:
-        return np.cos(pts @ offsets.T) @ coefs
-    return (np.exp(1j * pts @ offsets.T) @ coefs.astype(complex)).real
 
 
 def _harmonic_symbols(stencil: Stencil, grid: FrequencyGrid) -> np.ndarray:
@@ -272,12 +267,8 @@ def _harmonic_symbols(stencil: Stencil, grid: FrequencyGrid) -> np.ndarray:
 
 def smoother_symbol(spec: SmootherSpec, theta) -> np.ndarray:
     """Symbol of ``S = I - omega M A``; real for the supported smoothers."""
-    theta = np.asarray(theta, dtype=float)
-    scalar = theta.ndim == 1
-    pts = theta.reshape(-1, spec.dim)
-    t = _symbol_real(spec.m_stencil(), pts) * _symbol_real(spec.a_stencil(), pts)
-    values = 1.0 - float(spec.omega) * t
-    return values[0] if scalar else values.reshape(theta.shape[:-1])
+    t = symbol(spec.m_stencil(), theta).real * symbol(spec.a_stencil(), theta).real
+    return 1.0 - float(spec.omega) * t
 
 
 def smoothing_factor(spec: SmootherSpec, grid: FrequencyGrid = None) -> float:
@@ -317,9 +308,7 @@ def optimal_omega(kind: SmootherKind, dim: int, grid: FrequencyGrid = None) -> O
     region and returns ``omega = 2/(t_min+t_max)`` together with the exact
     rational optimum for the pair, so the two routes can be cross-checked.
     """
-    kind = SmootherKind(kind)
-    if (kind, dim) not in SUPPORTED_PAIRS:
-        raise ValueError(f"unsupported smoother/dimension pair ({kind.value}, {dim})")
+    kind = _supported(kind, dim)
     if grid is None:
         grid = FrequencyGrid(dim)
     t = _product_symbol_high(smoother_m_stencil(kind, dim), laplacian_stencil(dim, 1), grid)
@@ -340,11 +329,6 @@ def _kappas(dim: int) -> np.ndarray:
     return np.array(list(product((0, 1), repeat=dim)), dtype=np.int64)
 
 
-def _interp_symbol(pts: np.ndarray) -> np.ndarray:
-    """Linear-interpolation symbol ``prod_k cos^2(theta_k/2)``, shape (N,)."""
-    return np.prod(np.cos(pts / 2) ** 2, axis=-1)
-
-
 def transfer_symbols(dim: int, theta) -> np.ndarray:
     """Per-harmonic prolongation symbol ``p`` at a low frequency.
 
@@ -357,7 +341,7 @@ def transfer_symbols(dim: int, theta) -> np.ndarray:
     if np.any(theta < -np.pi / 2 - 1e-12) or np.any(theta >= np.pi / 2 - 1e-12):
         raise ValueError("transfer symbols are defined for theta in [-pi/2, pi/2)")
     harmonics = theta[None, :] + np.pi * _kappas(dim)
-    return _interp_symbol(harmonics)
+    return symbol(_interpolation_stencil(dim), harmonics).real
 
 
 def _interpolation_stencil(dim: int) -> Stencil:
@@ -381,12 +365,9 @@ def _two_grid_stack(spec: SmootherSpec, bases: np.ndarray, nu1: int, nu2: int):
     dim = spec.dim
     kappas = _kappas(dim)
     harmonics = bases[None, :, :] + np.pi * kappas[:, None, :]   # (K, N, d)
-    a_st, m_st = spec.a_stencil(), spec.m_stencil()
-    flat = harmonics.reshape(-1, dim)
-    a = _symbol_real(a_st, flat).reshape(len(kappas), -1)
-    m = _symbol_real(m_st, flat).reshape(len(kappas), -1)
+    a, m, p = (symbol(st, harmonics).real                         # (K, N) each
+               for st in (spec.a_stencil(), spec.m_stencil(), _interpolation_stencil(dim)))
     s = 1.0 - float(spec.omega) * m * a
-    p = _interp_symbol(harmonics)                                # (K, N)
     a_coarse = (p * p * a).sum(axis=0)                           # (N,)
     if np.any(np.abs(a_coarse) < 1e-13):
         raise ValueError("singular coarse symbol; theta = 0 must be excluded")

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .lfa import SmootherKind, SmootherSpec
-from .stencils import GridSpec, laplacian_stencil, mass_stencil
+from .stencils import GridSpec, laplacian_stencil
 from . import stencils
 from .vanka import PatchLayout, build_vanka, assemble_sparse
 
@@ -118,9 +118,11 @@ def transfer_ops(fine_grid: GridSpec) -> sp.csr_matrix:
 def _smoother_applicator(sm: SmootherSpec, level_grid: GridSpec, operator):
     """Return a callable evaluating ``M r`` for the level operator.
 
-    Vanka smoothers are one CSR matrix.  Jacobi is a scale and the mass
-    smoother its stencil, applied matrix-free: assembling the 27-point 3D
-    mass matrix would cost more setup time and memory than it saves.
+    Vanka smoothers are one CSR matrix built from the level's patches.  For
+    every other kind ``M`` is the stencil the analysis uses,
+    ``lfa.smoother_m_stencil`` at the level's ``h``, applied matrix-free:
+    assembling the 27-point 3D mass matrix would cost more setup time and
+    memory than it saves.
     """
     kind = sm.kind
     if kind in (SmootherKind.VANKA_ELEMENT, SmootherKind.VANKA_VERTEX):
@@ -128,10 +130,7 @@ def _smoother_applicator(sm: SmootherSpec, level_grid: GridSpec, operator):
                              level_grid.dim)
         op = build_vanka(layout, level_grid, operator)
         return op.apply
-    if kind is SmootherKind.JACOBI:
-        scale = level_grid.h**2 / (2 * level_grid.dim)
-        return lambda r: scale * r
-    m_st = mass_stencil(level_grid.dim, level_grid.h)
+    m_st = sm.m_stencil(level_grid.h)
     return lambda r: stencils.apply(m_st, level_grid, r)
 
 

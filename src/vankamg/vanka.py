@@ -21,6 +21,10 @@ the weighted inverses.  Applying the smoother is then one sparse product.
 In the interior both layouts reduce to translation-invariant stencils with
 exact rational coefficients, exposed by :func:`closed_form_stencil` and used
 as the oracle for assembly tests on periodic grids.
+
+:func:`assemble_sparse` turns any stencil into a CSR matrix by one rule:
+``sum_o c_o kron_k T(o_k)``, a Kronecker product of 1D shifts per offset
+(periodic shifts carry the wrapped diagonal).
 """
 
 from __future__ import annotations
@@ -273,11 +277,22 @@ def closed_form_stencil(layout: PatchLayout, h) -> Stencil:
 # dense/sparse assembly and export
 # ---------------------------------------------------------------------------
 
+def _shift(n: int, offset: int, periodic: bool) -> sp.csr_matrix:
+    """1D shift ``T(o)`` with ``(T u)_i = u_(i+o)``, wrapped on periodic grids."""
+    t = sp.eye(n, k=offset, format="csr")
+    if periodic and offset:
+        t = t + sp.eye(n, k=offset - n if offset > 0 else offset + n, format="csr")
+    return t
+
+
 def assemble_sparse(operator, grid: GridSpec = None) -> sp.csr_matrix:
     """Explicit sparse matrix of a stencil or Vanka operator.
 
-    For a stencil the grid must be given; its boundary mode decides between
-    Dirichlet truncation and periodic wrap-around.
+    A stencil becomes ``sum_o c_o kron_k T(o_k)`` on the given grid, with
+    ``T(o)`` the 1D shift by ``o`` along axis ``k`` (the first axis varies
+    slowest).  On Dirichlet grids ``T(o)`` is the truncated diagonal
+    ``eye(n, k=o)``; on periodic grids it also carries the wrapped diagonal
+    ``k = o - n`` (``o > 0``) or ``k = o + n`` (``o < 0``).
     """
     if isinstance(operator, VankaOperator):
         return operator.matrix
@@ -285,36 +300,19 @@ def assemble_sparse(operator, grid: GridSpec = None) -> sp.csr_matrix:
         raise ValueError("assembling a stencil requires a grid")
     if operator.dim != grid.dim:
         raise ValueError(f"stencil dim {operator.dim} != grid dim {grid.dim}")
-    n, dim = grid.n, grid.dim
+    n = grid.n
     periodic = grid.boundary == "periodic"
     if periodic and n <= 2 * operator.reach:
         raise ValueError(f"periodic wrap needs n > {2 * operator.reach}")
-    rows, cols, vals = [], [], []
+    mat = sp.csr_matrix((grid.npoints, grid.npoints))
     for offset, coef in operator.entries.items():
-        if periodic:
-            axes = [np.arange(n)] * dim
-            shifted = [(np.arange(n) + o) % n for o in offset]
-        else:
-            axes, shifted = [], []
-            ok = True
-            for o in offset:
-                lo, hi = max(0, -o), n - max(0, o)
-                if lo >= hi:
-                    ok = False
-                    break
-                axes.append(np.arange(lo, hi))
-                shifted.append(np.arange(lo + o, hi + o))
-            if not ok:
-                continue
-        dst = np.meshgrid(*axes, indexing="ij")
-        src = np.meshgrid(*shifted, indexing="ij")
-        rows.append(np.ravel_multi_index([d.reshape(-1) for d in dst], grid.shape))
-        cols.append(np.ravel_multi_index([s.reshape(-1) for s in src], grid.shape))
-        vals.append(np.full(rows[-1].size, float(coef)))
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.npoints, grid.npoints))
-    return mat.tocsr()
+        if max(abs(o) for o in offset) >= n:
+            continue  # shifts every Dirichlet neighbour off the grid
+        term = _shift(n, offset[0], periodic)
+        for o in offset[1:]:
+            term = sp.kron(term, _shift(n, o, periodic), format="csr")
+        mat = mat + float(coef) * term
+    return mat
 
 
 def assemble_dense(operator, grid: GridSpec = None) -> np.ndarray:

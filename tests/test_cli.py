@@ -252,6 +252,26 @@ def test_solve_too_coarse_mesh_names_flag(capsys):
     assert "--h 1/4" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["scan-omega", "--kind", "vanka-v", "--nu1", "-1", "--nu2", "2"], "nu1 = -1"),
+    (["eigfield", "--kind", "mass", "--nu1", "-1", "--nu2", "2"], "nu1 = -1"),
+    (["scan-omega", "--kind", "jacobi", "--nu", "-1"], "nu2 = -1"),
+    (["solve", "--kind", "vanka-e", "--h", "1/16", "--seed", "-1"], "--seed"),
+], ids=["scan-omega-nu1", "eigfield-nu1", "scan-omega-nu", "solve-seed"])
+def test_negative_counts_rejected(capsys, argv, flag):
+    err = _one_line_usage_error(capsys, argv)
+    assert flag in err
+
+
+@pytest.mark.parametrize("argv", [["table1"], ["eigfield", "--kind", "mass", "--samples", "8"]],
+                         ids=lambda argv: argv[0])
+def test_unwritable_out_path_rejected(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out.txt"
+    err = _one_line_usage_error(capsys, argv + ["--out", str(path)])
+    assert f"--out {path}" in err
+    assert not path.exists()
+
+
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out

@@ -30,8 +30,8 @@ from vankamg.solver import (
     run_convergence,
     transfer_ops,
 )
-from vankamg.stencils import GridSpec, laplacian_stencil, mass_stencil
-from vankamg.vanka import PatchLayout, assemble_sparse, build_vanka
+from vankamg.stencils import GridSpec, Stencil, laplacian_stencil, mass_stencil
+from vankamg.vanka import PatchLayout, assemble_sparse, build_vanka, closed_form_stencil
 
 
 def _smoother(kind, dim, omega=None):
@@ -109,9 +109,26 @@ def test_v_cycle_level_sizes():
     assert all(level.lu is None for level in hier.levels[:-1])
 
 
+def _vanka_stencil(kind):
+    return lambda dim, h: closed_form_stencil(PatchLayout(kind, dim), h)
+
+
+# Laplacian and mass in every dimension, the four closed-form Vanka stencils
+# (reach 2, so the periodic wrap reaches two points), and non-symmetric
+# stencils whose transposed assembly or wrap with the wrong sign would show
+_ASSEMBLY_CASES = [
+    *[pytest.param(laplacian_stencil, dim, id=f"laplacian-{dim}") for dim in (1, 2, 3)],
+    *[pytest.param(mass_stencil, dim, id=f"mass-{dim}") for dim in (1, 2, 3)],
+    *[pytest.param(_vanka_stencil(layout), dim, id=f"{kind}-{dim}")
+      for kind, layout in (("vanka-e", "element"), ("vanka-v", "vertex")) for dim in (1, 2)],
+    pytest.param(lambda dim, h: Stencil(1, {(-1,): 1, (2,): 3}), 1, id="skew-1"),
+    pytest.param(lambda dim, h: Stencil(2, {(-1, 2): 1, (2, 0): 3, (0, -1): 2}), 2,
+                 id="skew-2"),
+]
+
+
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("make", [laplacian_stencil, mass_stencil], ids=["laplacian", "mass"])
+@pytest.mark.parametrize("make, dim", _ASSEMBLY_CASES)
 def test_assembled_operator_matches_stencil_apply(make, dim, boundary):
     # every level applies its CSR matrix, so on the finest level the assembled
     # stencil must act exactly as the matrix-free stencil does
@@ -121,6 +138,19 @@ def test_assembled_operator_matches_stencil_apply(make, dim, boundary):
     want = stencils.apply(st, grid, u)
     got = assemble_sparse(st, grid) @ u
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_assembly_memory_stays_near_the_matrix():
+    # the 7-point 3D Laplacian at n = 63 holds 20.7 MiB of CSR arrays
+    st, grid = laplacian_stencil(3, 1 / 64), GridSpec(3, 63, 1 / 64)
+    tracemalloc.start()
+    try:
+        matrix = assemble_sparse(st, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert matrix.nnz == 7 * 63**3 - 6 * 63**2
+    assert peak < 64 << 20
 
 
 def test_coarse_factor_is_sparse_and_solves():
@@ -236,6 +266,21 @@ def test_smoother_applicators():
     hier_m = build_hierarchy(mass, GridSpec(2, 7, 1 / 8))
     want = stencils.apply(v.mass_stencil(2, 1 / 8), hier_m.fine.grid, r)
     assert np.allclose(hier_m.fine.m_apply(r), want, atol=0)
+    # on every smoothed level of a V-cycle, bit for bit the scale h^2/(2d)
+    # and the mass stencil at that level's h
+    rng = np.random.default_rng(8)
+    for kind, dim in (("jacobi", 2), ("mass", 2), ("mass3d", 3)):
+        spec = CycleSpec(_smoother(kind, dim), 1, 0, "v-cycle")
+        hier = build_hierarchy(spec, GridSpec(dim, 31, 1 / 32))
+        assert [level.grid.n for level in hier.levels] == [31, 15, 7]
+        for level in hier.levels[:-1]:
+            grid = level.grid
+            r = rng.standard_normal(grid.npoints)
+            if kind == "jacobi":
+                want = grid.h**2 / (2 * dim) * r
+            else:
+                want = stencils.apply(mass_stencil(dim, grid.h), grid, r)
+            assert np.array_equal(level.m_apply(r), want), (kind, grid.n)
 
 
 # ---------------------------------------------------------------------------
