@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -109,8 +109,13 @@ def exact_optimum(kind: SmootherKind, dim: int) -> tuple:
     return 2 / (t_min + t_max), (t_max - t_min) / (t_min + t_max)
 
 
+@lru_cache(maxsize=256)
 def smoother_m_stencil(kind: SmootherKind, dim: int, h=1) -> Stencil:
-    """The approximate inverse ``M`` defining ``S = I - omega M A``."""
+    """The approximate inverse ``M`` defining ``S = I - omega M A``.
+
+    Memoised per argument tuple, like ``laplacian_stencil``: two-grid factors,
+    omega scans and hierarchy levels share one exact stencil per ``h``.
+    """
     kind = _supported(kind, dim)
     if kind is SmootherKind.JACOBI:
         return delta_stencil(dim).scaled(Fraction(h) ** 2 / (2 * dim))
@@ -344,6 +349,7 @@ def transfer_symbols(dim: int, theta) -> np.ndarray:
     return symbol(_interpolation_stencil(dim), harmonics).real
 
 
+@lru_cache(maxsize=None)
 def _interpolation_stencil(dim: int) -> Stencil:
     """Linear interpolation as a stencil: symbol ``prod_k (1 + cos theta_k)/2``."""
     line = Stencil(1, {(-1,): Fraction(1, 4), (0,): Fraction(1, 2), (1,): Fraction(1, 4)})

@@ -18,9 +18,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import product
+from functools import cached_property, lru_cache
+from math import prod
 from numbers import Rational
+from types import MappingProxyType
 
 import numpy as np
 
@@ -95,8 +96,10 @@ class Stencil:
     """Finite-difference stencil with exact or floating coefficients.
 
     ``entries`` maps offset tuples of length ``dim`` to coefficients.  The
-    mapping is copied and normalised at construction; zero coefficients are
-    kept if explicitly given (they matter for sparsity-pattern tests).
+    mapping is copied, normalised and made read-only at construction, so
+    stencils shared by the memoised constructors and their cached arrays
+    cannot drift apart; zero coefficients are kept if explicitly given (they
+    matter for sparsity-pattern tests).
     """
 
     dim: int
@@ -113,7 +116,10 @@ class Stencil:
             if len(offset) != self.dim:
                 raise ValueError(f"offset {offset} does not match dim={self.dim}")
             clean[offset] = _exact(coef)
-        object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "entries", MappingProxyType(clean))
+
+    def __reduce__(self):
+        return Stencil, (self.dim, dict(self.entries))
 
     # -- queries -----------------------------------------------------------
 
@@ -137,6 +143,14 @@ class Stencil:
         offs = np.array(self.offsets, dtype=np.int64).reshape(len(self.entries), self.dim)
         coefs = np.array([float(self.entries[tuple(o)]) for o in offs])
         return offs, coefs
+
+    @cached_property
+    def _axis_factors(self):
+        """Per-axis 1D lines whose outer product is this stencil, or None.
+
+        Detected once, in exact arithmetic: see :func:`_rank_one_factors`.
+        """
+        return _rank_one_factors(self)
 
     # -- algebra -----------------------------------------------------------
 
@@ -184,12 +198,15 @@ def delta_stencil(dim: int) -> Stencil:
     return Stencil(dim, {(0,) * dim: Fraction(1)})
 
 
+@lru_cache(maxsize=256)
 def laplacian_stencil(dim: int, h) -> Stencil:
     """Second-order central-difference negative Laplacian.
 
     ``1/h**2 * [-1 2 -1]`` in 1D, the 5-point and 7-point versions in 2D/3D.
     Pass ``h`` as a Fraction (or a dyadic float, which converts exactly) to
-    keep the coefficients rational.
+    keep the coefficients rational.  Memoised per ``(dim, h)``: equal
+    arguments return the same object, so its cached arrays and axis factors
+    are computed once.
     """
     hh = Fraction(h) ** 2
     entries = {(0,) * dim: Fraction(2 * dim) / hh}
@@ -205,11 +222,12 @@ _MASS_1D = {(-1,): Fraction(1, 6), (0,): Fraction(4, 6), (1,): Fraction(1, 6)}
 
 
 def mass_stencil(dim: int, h) -> Stencil:
-    """Lumped Q1 mass-matrix stencil scaled to pair with the Laplacian.
+    """Consistent Q1 mass-matrix stencil scaled to pair with the Laplacian.
 
     Returns ``h/6 [1 4 1]`` in 1D, ``h^2/36 [[1,4,1],[4,16,4],[1,4,1]]`` in
-    2D, and the rank-3 tensor product ``h^2/216 [1 4 1]^(x3)`` in 3D.  The
-    3D variant is normalised so the product with the 7-point Laplacian
+    2D, and ``h^2/216 [1 4 1]^(x3)``, a rank-one tensor of order 3, in 3D.
+    ``[1 4 1]/6`` is the consistent mass; the lumped one would be diagonal.
+    The 3D variant is normalised so the product with the 7-point Laplacian
     symbol stays dimensionless.
     """
     hf = Fraction(h)
@@ -242,34 +260,138 @@ def tensor_product(a: Stencil, b: Stencil) -> Stencil:
 # application
 # ---------------------------------------------------------------------------
 
+def _rank_one_factors(stencil: Stencil):
+    """Factor an exact stencil as an outer product of 1D lines, or return None.
+
+    The line along axis ``k`` is the stencil restricted to the offsets that
+    agree with a pivot entry ``p`` off axis ``k``; lines after the first are
+    divided by ``p``.  The coefficient tensor is rank one exactly when every
+    nonzero entry equals the product of its lines and the two supports have
+    the same size.  The test runs in ``Fraction`` arithmetic, so stencils
+    with float coefficients return None.
+
+    Returns ``(scale, sweeps)``: ``sweeps`` holds ``(axis, line)`` pairs, each
+    ``line`` a tuple of ``(offset, float coefficient)`` with offset 0 first.
+    Each line is divided by its nearest off-centre coefficient, so the mass
+    lines become ``[1 4 1]`` and their neighbours are added without a
+    multiply or a temporary; an axis whose line is a lone centre coefficient
+    is not swept.  ``scale`` is the product of everything divided out.
+    """
+    if any(isinstance(c, float) for c in stencil.entries.values()):
+        return None
+    support = {o: c for o, c in stencil.entries.items() if c != 0}
+    if not support:
+        return None
+    pivot, p = next(iter(support.items()))
+    lines = [{o[axis]: c if axis == 0 else c / p for o, c in support.items()
+              if all(o[k] == pivot[k] for k in range(stencil.dim) if k != axis)}
+             for axis in range(stencil.dim)]
+    if prod(map(len, lines)) != len(support):
+        return None
+    if any(prod(line.get(o_k, 0) for line, o_k in zip(lines, o)) != c
+           for o, c in support.items()):
+        return None
+    scale = Fraction(1)
+    sweeps = []
+    for axis, line in enumerate(lines):
+        offsets = sorted(line, key=abs)
+        unit = line[next((o for o in offsets if o), 0)]
+        scale *= unit
+        if offsets != [0]:
+            sweeps.append((axis, tuple((o, float(line[o] / unit)) for o in offsets)))
+    return float(scale), tuple(sweeps)
+
+
+def _sweep(src: np.ndarray, dst: np.ndarray, axis: int, line, periodic: bool) -> None:
+    """``dst = `` the 1D stencil ``line`` applied to ``src`` along ``axis``."""
+    n = src.shape[axis]
+
+    def cut(lo, hi):
+        return (slice(None),) * axis + (slice(lo, hi),)
+
+    def add(d, s, c):
+        dst[d] += src[s] if c == 1.0 else c * src[s]
+
+    if line[0][0] == 0:
+        np.multiply(src, line[0][1], out=dst)
+        line = line[1:]
+    else:
+        dst.fill(0.0)
+    for o, c in line:
+        if periodic:
+            s = o % n
+            add(cut(0, n - s), cut(s, n), c)
+            add(cut(n - s, n), cut(0, s), c)
+        else:
+            lo, hi = max(0, -o), n - max(0, o)
+            if lo < hi:
+                add(cut(lo, hi), cut(lo + o, hi + o), c)
+
+
+def _apply_factored(factors, v: np.ndarray, periodic: bool) -> np.ndarray:
+    """Apply ``_rank_one_factors`` output to the grid array ``v``, axis by axis."""
+    scale, sweeps = factors
+    if not sweeps:
+        return scale * v
+    out = np.empty_like(v)
+    work = np.empty_like(v) if len(sweeps) > 1 else None
+    # alternate the two buffers so that the last sweep writes ``out``
+    dst = out if len(sweeps) % 2 else work
+    src = v
+    for axis, line in sweeps:
+        _sweep(src, dst, axis, line, periodic)
+        src, dst = dst, (work if dst is out else out)
+    if scale != 1.0:
+        out *= scale
+    return out
+
+
 def apply(stencil: Stencil, grid: GridSpec, u: np.ndarray) -> np.ndarray:
     """Apply a stencil to a flat grid function, honouring the boundary mode.
 
     Dirichlet mode treats out-of-range neighbours as zero; periodic mode
     wraps indices (oracle use).  The result is a new flat array; the input
     is never modified.
+
+    A stencil with exact coefficients whose tensor is rank one (the mass
+    stencils, the Jacobi scaling, any ``tensor_product`` of exact 1D lines)
+    is applied one axis at a time: one 1D sweep per axis through two work
+    buffers, 3 + 3 + 3 shifted terms for the 27-point 3D mass stencil
+    instead of 27.  Both the truncated and the wrapped sum factor over the
+    axes of the box grid, so the result equals the entry-by-entry sum up to
+    rounding.  Every other stencil is applied entry by entry.
     """
     if stencil.dim != grid.dim:
         raise ValueError(f"stencil dim {stencil.dim} != grid dim {grid.dim}")
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.npoints,):
         raise ValueError(f"expected flat array of length {grid.npoints}, got shape {u.shape}")
+    periodic = grid.boundary == "periodic"
+    if periodic and grid.n <= 2 * stencil.reach:
+        raise ValueError(f"periodic wrap needs n > {2 * stencil.reach}, got n={grid.n}")
     v = u.reshape(grid.shape)
+    factors = stencil._axis_factors
+    if factors is None:
+        return _apply_entries(stencil, v, periodic).reshape(-1)
+    return _apply_factored(factors, v, periodic).reshape(-1)
+
+
+def _apply_entries(stencil: Stencil, v: np.ndarray, periodic: bool) -> np.ndarray:
+    """Apply ``stencil`` to the grid array ``v`` one shifted term per entry."""
     out = np.zeros_like(v)
-    if grid.boundary == "periodic":
-        if grid.n <= 2 * stencil.reach:
-            raise ValueError(f"periodic wrap needs n > {2 * stencil.reach}, got n={grid.n}")
+    if periodic:
         for offset, coef in stencil.entries.items():
-            out += float(coef) * np.roll(v, tuple(-o for o in offset), axis=range(grid.dim))
-        return out.reshape(-1)
+            out += float(coef) * np.roll(v, tuple(-o for o in offset), axis=range(v.ndim))
+        return out
+    n = v.shape[0]
     for offset, coef in stencil.entries.items():
         dst, src = [], []
         for o in offset:
-            lo, hi = max(0, -o), grid.n - max(0, o)
+            lo, hi = max(0, -o), n - max(0, o)
             if lo >= hi:
                 break
             dst.append(slice(lo, hi))
             src.append(slice(lo + o, hi + o))
         else:
             out[tuple(dst)] += float(coef) * v[tuple(src)]
-    return out.reshape(-1)
+    return out

@@ -241,6 +241,18 @@ def test_oversized_samples_refused_before_allocating(capsys, argv):
     assert peak < 1 << 20
 
 
+def test_solve_refuses_oversized_coarse_lu(capsys):
+    tracemalloc.start()
+    try:
+        err = _one_line_usage_error(capsys, ["solve", "--kind", "mass3d", "--dim", "3",
+                                             "--h", "1/128"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "--h 1/128" in err and "--cycle v-cycle" in err and "budget" in err
+    assert peak < 1 << 20
+
+
 def test_solve_rejects_single_level_v_cycle(capsys):
     err = _one_line_usage_error(capsys, ["solve", "--kind", "jacobi", "--dim", "3",
                                          "--h", "1/8", "--cycle", "v-cycle"])

@@ -20,6 +20,7 @@ import vankamg as v
 from vankamg import solver, stencils
 from vankamg.lfa import SmootherKind, SmootherSpec, exact_optimum, smoother_symbol
 from vankamg.solver import (
+    COARSE_LU_BUDGET_BYTES,
     CycleSpec,
     Level,
     StagnationError,
@@ -167,6 +168,34 @@ def test_coarse_factor_is_sparse_and_solves():
     b = np.random.default_rng(5).standard_normal(coarse.grid.npoints)
     x = coarse.lu.solve(b)
     assert np.linalg.norm(b - coarse.matrix @ x) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 255), (3, 31)])
+def test_coarse_lu_estimate_matches_measured_fill(dim, n):
+    spec = CycleSpec(_smoother("jacobi", dim), 1, 0, "two-grid")
+    lu = build_hierarchy(spec, GridSpec(dim, n, 1 / (n + 1))).levels[-1].lu
+    fill = lu.L.nnz + lu.U.nnz
+    assert 0.8 < solver._coarse_lu_bytes(dim, (n - 1) // 2) / 12 / fill < 1.25
+
+
+def test_coarse_lu_budget_admits_h64_3d_and_h512_2d():
+    # two-grid coarse grids: 31^3 (fine h = 1/64) and 255^2 (fine h = 1/512)
+    assert solver._coarse_lu_bytes(3, 31) < COARSE_LU_BUDGET_BYTES
+    assert solver._coarse_lu_bytes(2, 255) < COARSE_LU_BUDGET_BYTES
+    # 63^3 (fine h = 1/128) would need about 30 GB
+    assert solver._coarse_lu_bytes(3, 63) > 25e9
+
+
+def test_oversized_coarse_lu_refused_before_assembly():
+    spec = CycleSpec(_smoother("mass3d", 3), 1, 0, "two-grid")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="--cycle v-cycle"):
+            build_hierarchy(spec, GridSpec(3, 127, 1 / 128))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_hierarchy_validation():

@@ -1,5 +1,6 @@
 """Stencil algebra, grid application and serialization."""
 
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from vankamg import (
     GridSpec,
+    SmootherSpec,
     Stencil,
     apply,
     delta_stencil,
@@ -15,6 +17,9 @@ from vankamg import (
     symbol,
     tensor_product,
 )
+from vankamg import solver, stencils
+from vankamg.lfa import exact_optimum
+from vankamg.vanka import PatchLayout, closed_form_stencil
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +181,147 @@ def test_apply_validates_shapes():
         apply(laplacian_stencil(1, 1), grid, np.zeros(6))
     with pytest.raises(ValueError, match="dim"):
         apply(laplacian_stencil(2, 1), grid, np.zeros(5))
+
+
+# ---------------------------------------------------------------------------
+# axis-by-axis application of rank-one stencils
+# ---------------------------------------------------------------------------
+
+def _line(entries):
+    return Stencil(1, {(o,): Fraction(c) for o, c in entries.items()})
+
+
+_ASYM_A = _line({-1: Fraction(1, 3), 0: Fraction(1, 2), 1: Fraction(1, 5)})
+_ASYM_B = _line({0: Fraction(2, 7), 1: Fraction(-1, 4)})
+_NO_CENTRE = _line({-1: 3, 1: -1})
+
+RANK_ONE = {
+    "mass1": mass_stencil(1, Fraction(1, 8)),
+    "mass2": mass_stencil(2, Fraction(1, 8)),
+    "mass3": mass_stencil(3, Fraction(1, 8)),
+    "unequal2": tensor_product(_line({-1: -1, 0: 2, 1: -1}), mass_stencil(1, 1)),
+    "unequal3": tensor_product(tensor_product(mass_stencil(1, 1), _ASYM_B),
+                               _line({-1: Fraction(1, 4), 0: Fraction(1, 2), 1: Fraction(1, 4)})),
+    "asym2": tensor_product(_ASYM_A, _ASYM_B),
+    "asym3": tensor_product(tensor_product(_ASYM_A, _ASYM_B), _NO_CENTRE),
+    "reach2": tensor_product(_line({-2: Fraction(1, 3), 0: 1, 1: Fraction(1, 5)}),
+                             _line({0: Fraction(2, 7), 2: Fraction(-1, 4)})),
+    "shift2": tensor_product(mass_stencil(1, 1), _line({1: Fraction(2, 3)})),
+    "jacobi3": delta_stencil(3).scaled(Fraction(1, 6)),
+}
+
+
+def _float_copy(st):
+    return Stencil(st.dim, {o: float(c) for o, c in st.entries.items()})
+
+
+NOT_RANK_ONE = {
+    "laplacian3": laplacian_stencil(3, 1),
+    "vanka-e2": closed_form_stencil(PatchLayout("element", 2), Fraction(1, 8)),
+    "vanka-v2": closed_form_stencil(PatchLayout("vertex", 2), Fraction(1, 8)),
+    "float-mass3": _float_copy(mass_stencil(3, Fraction(1, 8))),
+    "float-mass2": _float_copy(mass_stencil(2, Fraction(1, 8))),
+    "same-support-2x2": Stencil(2, {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 5}),
+    "diagonal-pair": Stencil(2, {(0, 0): 1, (1, 1): 1}),
+    "box-count-match": Stencil(2, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (2, 2): 1}),
+    "non-separable3": Stencil(3, {(0, 0, 0): 2, (1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1,
+                                  (1, 1, 1): 1}),
+}
+
+
+def _entry_by_entry(st, grid, u):
+    periodic = grid.boundary == "periodic"
+    return stencils._apply_entries(st, u.reshape(grid.shape), periodic).reshape(-1)
+
+
+def _grids(st):
+    # the smallest grid the stencil allows (periodic wrap needs n > 2 reach)
+    # and one with a wide interior
+    small = max(3, 2 * st.reach + 1)
+    yield GridSpec(st.dim, small, 1.0)
+    yield GridSpec(st.dim, 15, 1.0)
+    yield GridSpec(st.dim, small, 1.0, boundary="periodic")
+    yield GridSpec(st.dim, 16, 1.0, boundary="periodic")
+
+
+@pytest.mark.parametrize("name", sorted(RANK_ONE))
+def test_rank_one_stencils_apply_axis_by_axis(name):
+    st = RANK_ONE[name]
+    assert st._axis_factors is not None
+    rng = np.random.default_rng(21)
+    for grid in _grids(st):
+        u = rng.standard_normal(grid.npoints)
+        got, want = apply(st, grid, u), _entry_by_entry(st, grid, u)
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want), (name, grid)
+
+
+@pytest.mark.parametrize("name", sorted(NOT_RANK_ONE))
+def test_other_stencils_apply_entry_by_entry(name):
+    st = NOT_RANK_ONE[name]
+    assert st._axis_factors is None
+    rng = np.random.default_rng(22)
+    for grid in _grids(st):
+        u = rng.standard_normal(grid.npoints)
+        assert np.array_equal(apply(st, grid, u), _entry_by_entry(st, grid, u)), (name, grid)
+
+
+def test_rank_one_detection_ignores_explicit_zeros():
+    entries = dict(mass_stencil(2, 1).entries)
+    entries[(2, 0)] = Fraction(0)
+    padded = Stencil(2, entries)
+    assert padded._axis_factors == mass_stencil(2, 1)._axis_factors
+    assert Stencil(2, {(0, 0): Fraction(0)})._axis_factors is None
+
+
+def test_rank_one_detection_runs_once_per_stencil(monkeypatch):
+    calls = []
+    detect = stencils._rank_one_factors
+
+    def counting(st):
+        calls.append(st)
+        return detect(st)
+
+    monkeypatch.setattr(stencils, "_rank_one_factors", counting)
+    st = tensor_product(_ASYM_A, _ASYM_B)
+    grid = GridSpec(2, 9, 1.0)
+    for _ in range(3):
+        apply(st, grid, np.ones(grid.npoints))
+    assert calls == [st]
+
+
+@pytest.mark.parametrize("kind, dim", [("mass", 2), ("mass3d", 3)])
+def test_mass_smoother_takes_the_axis_route(monkeypatch, kind, dim):
+    sweeps = []
+    factored = stencils._apply_factored
+
+    def counting(factors, v, periodic):
+        sweeps.append(len(factors[1]))
+        return factored(factors, v, periodic)
+
+    monkeypatch.setattr(stencils, "_apply_factored", counting)
+    spec = SmootherSpec(kind, dim, float(exact_optimum(kind, dim)[0]))
+    grid = GridSpec(dim, 15, 1 / 16)
+    m_apply = solver._smoother_applicator(spec, grid, None)
+    r = np.random.default_rng(23).standard_normal(grid.npoints)
+    got = m_apply(r)
+    assert sweeps == [dim]
+    want = _entry_by_entry(spec.m_stencil(grid.h), grid, r)
+    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
+def test_stencil_entries_are_read_only_and_pickle():
+    st = mass_stencil(2, Fraction(1, 8))
+    with pytest.raises(TypeError):
+        st.entries[(0, 0)] = Fraction(1)
+    back = pickle.loads(pickle.dumps(st))
+    assert back == st and back._axis_factors == st._axis_factors
+
+
+def test_exact_stencil_constructors_are_memoised():
+    assert laplacian_stencil(3, Fraction(1, 64)) is laplacian_stencil(3, Fraction(1, 64))
+    spec = SmootherSpec("mass3d", 3, 1.0)
+    assert spec.m_stencil(1 / 32) is spec.m_stencil(1 / 32)
+    assert laplacian_stencil(2, Fraction(1, 10)) != laplacian_stencil(2, 0.1)
 
 
 # ---------------------------------------------------------------------------
