@@ -10,6 +10,9 @@ Subcommands reproduce the reference results and drive the solver:
 
 Exit status: 0 on success, 1 when a checked tolerance is violated, 2 on
 usage or configuration errors.  Output is deterministic for fixed flags.
+
+Only ``solve`` imports the solver, and with it scipy; the analysis
+subcommands run on numpy alone.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from math import ceil
 
 import numpy as np
 
-from . import lfa, solver
+from . import lfa
 from .lfa import FrequencyGrid, SmootherKind, SmootherSpec
 from .stencils import GridSpec
 
@@ -190,6 +193,8 @@ def cmd_eigfield(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from . import solver  # the only subcommand that needs scipy
+
     h = _parse_h(args.h)
     n = h.denominator - 1
     spec = _spec(args.kind, args.dim, args.omega)

@@ -41,8 +41,8 @@ from itertools import product
 
 import numpy as np
 
-from . import vanka
-from .stencils import Stencil, delta_stencil, laplacian_stencil, mass_stencil, tensor_product
+from .stencils import (PatchLayout, Stencil, closed_form_stencil, delta_stencil,
+                       laplacian_stencil, mass_stencil, tensor_product)
 
 __all__ = [
     "SmootherKind",
@@ -120,9 +120,9 @@ def smoother_m_stencil(kind: SmootherKind, dim: int, h=1) -> Stencil:
     if kind is SmootherKind.JACOBI:
         return delta_stencil(dim).scaled(Fraction(h) ** 2 / (2 * dim))
     if kind is SmootherKind.VANKA_ELEMENT:
-        return vanka.closed_form_stencil(vanka.PatchLayout("element", dim), h)
+        return closed_form_stencil(PatchLayout("element", dim), h)
     if kind is SmootherKind.VANKA_VERTEX:
-        return vanka.closed_form_stencil(vanka.PatchLayout("vertex", dim), h)
+        return closed_form_stencil(PatchLayout("vertex", dim), h)
     # mass kinds: the scaled Q1 mass stencil of the matching dimension
     return mass_stencil(dim, h)
 
@@ -221,6 +221,25 @@ class FrequencyGrid:
         pts = self._cartesian(self.low_1d)
         return pts[self.off_origin] if skip_origin else pts
 
+    @cached_property
+    def _symbols(self) -> dict:
+        return {}
+
+    def _low_symbols(self, stencil: Stencil) -> np.ndarray:
+        """``_harmonic_symbols(stencil, self)`` at the bases off the origin, read-only.
+
+        Computed once per stencil object and kept for the life of the grid:
+        the symbols do not depend on omega or the sweep counts, so a table
+        or an omega scan on one grid evaluates each stencil once.  The entry
+        holds the stencil, so its ``id`` cannot be reused while cached.
+        """
+        held = self._symbols.get(id(stencil))
+        if held is None:
+            values = _harmonic_symbols(stencil, self)[:, self.off_origin]
+            values.flags.writeable = False
+            held = self._symbols[id(stencil)] = (stencil, values)
+        return held[1]
+
 
 # ---------------------------------------------------------------------------
 # symbols
@@ -231,8 +250,8 @@ def symbol(stencil: Stencil, theta) -> np.ndarray:
 
     ``theta`` is a length-``dim`` sequence or an array of shape
     ``(..., dim)``; the result matches the leading shape.  The value is
-    complex in general and has vanishing imaginary part for symmetric
-    stencils.
+    complex in general; for a symmetric stencil (detected once per stencil)
+    the sine half cancels and is not computed, so the imaginary part is 0.
     """
     theta = np.asarray(theta, dtype=float)
     scalar = theta.ndim == 1
@@ -240,7 +259,9 @@ def symbol(stencil: Stencil, theta) -> np.ndarray:
     offsets, coefs = stencil._arrays
     phase = pts @ offsets.T
     # real cos and sin are vectorised; complex exp is several times slower
-    values = np.cos(phase) @ coefs + 1j * (np.sin(phase) @ coefs)
+    values = (np.cos(phase) @ coefs).astype(complex)
+    if not stencil.is_symmetric:
+        values.imag = np.sin(phase) @ coefs
     if scalar:
         return values[0]
     return values.reshape(theta.shape[:-1])
@@ -421,7 +442,7 @@ def two_grid_factor(spec: SmootherSpec, nu1: int, nu2: int,
         raise ValueError(f"frequency grid dim {grid.dim} != smoother dim {spec.dim}")
     if nu1 < 0 or nu2 < 0:
         raise ValueError("smoothing step counts must be nonnegative")
-    a, m, p = (_harmonic_symbols(st, grid)[:, grid.off_origin]
+    a, m, p = (grid._low_symbols(st)
                for st in (spec.a_stencil(), spec.m_stencil(), _interpolation_stencil(spec.dim)))
     return _rank_one_radius(float(spec.omega), nu1 + nu2, a, m, p)
 

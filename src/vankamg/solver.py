@@ -27,9 +27,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .lfa import SmootherKind, SmootherSpec
-from .stencils import GridSpec, laplacian_stencil
+from .stencils import GridSpec, PatchLayout, laplacian_stencil
 from . import stencils
-from .vanka import PatchLayout, build_vanka, assemble_sparse
+from .vanka import build_vanka, assemble_sparse
 
 __all__ = [
     "CycleSpec",

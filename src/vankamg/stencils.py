@@ -11,6 +11,11 @@ a grid with ``n`` points per dimension and spacing ``h`` represents the
 interior nodes ``(i_1+1)h, ..., (i_d+1)h`` with ``0 <= i_k < n``.  A periodic
 wrap-around mode exists solely as an oracle for dense-assembly tests, where
 every row of an operator must reduce to the same translation-invariant row.
+
+The interior rows of the additive Vanka smoothers are stencils too:
+:func:`closed_form_stencil` gives them exactly for each :class:`PatchLayout`.
+This module needs numpy only; the patch assembly itself lives in
+:mod:`vankamg.vanka`.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ __all__ = [
     "laplacian_stencil",
     "mass_stencil",
     "tensor_product",
+    "PatchLayout",
+    "closed_form_stencil",
     "apply",
 ]
 
@@ -132,9 +139,9 @@ class Stencil:
         """Largest absolute offset component; wrap-around needs n > 2*reach."""
         return max(abs(c) for o in self.entries for c in o)
 
-    @property
+    @cached_property
     def is_symmetric(self) -> bool:
-        """True when s[-o] == s[o] for every offset (exact comparison)."""
+        """True when s[-o] == s[o] for every offset (exact comparison, made once)."""
         return all(self.entries.get(tuple(-c for c in o)) == v
                    for o, v in self.entries.items())
 
@@ -254,6 +261,71 @@ def tensor_product(a: Stencil, b: Stencil) -> Stencil:
                 else float(ca) * float(cb)
             entries[key] = term if prior is None else prior + term
     return Stencil(a.dim + b.dim, entries)
+
+
+# ---------------------------------------------------------------------------
+# closed-form interior stencils of the additive Vanka smoothers
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PatchLayout:
+    """Which overlapping decomposition to use: ``element`` or ``vertex``."""
+
+    kind: str
+    dim: int
+
+    def __post_init__(self):
+        if self.kind not in ("element", "vertex"):
+            raise ValueError(f"unknown patch kind {self.kind!r}")
+        if self.dim not in (1, 2, 3):
+            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
+
+
+def _cross_entries(center, axis1, diag, axis2, dim):
+    entries = {(0,) * dim: center}
+    for axis in range(dim):
+        for sign in (-1, 1):
+            o = [0] * dim
+            o[axis] = sign
+            entries[tuple(o)] = axis1
+            o = [0] * dim
+            o[axis] = 2 * sign
+            entries[tuple(o)] = axis2
+    if dim == 2:
+        for sx in (-1, 1):
+            for sy in (-1, 1):
+                entries[(sx, sy)] = diag
+    return entries
+
+
+def closed_form_stencil(layout: PatchLayout, h) -> Stencil:
+    """Exact interior stencil of the additive Vanka operator.
+
+    These are the translation-invariant rows the assembled operator takes
+    away from the boundary (equivalently, everywhere on a periodic grid):
+
+    * element 1D: ``h^2/6 [1 4 1]``
+    * vertex 1D:  ``h^2/12 [1 4 10 4 1]``
+    * element 2D: ``h^2/96 [[1 4 1] [4 28 4] [1 4 1]]``
+    * vertex 2D:  ``h^2/240`` with centre 68, axis 8, diagonal 2, axis-2 1.
+    """
+    hh = Fraction(h) ** 2
+    kind, dim = layout.kind, layout.dim
+    if (kind, dim) == ("element", 1):
+        entries = {(-1,): Fraction(1, 6), (0,): Fraction(4, 6), (1,): Fraction(1, 6)}
+    elif (kind, dim) == ("vertex", 1):
+        entries = {(-2,): Fraction(1, 12), (-1,): Fraction(4, 12), (0,): Fraction(10, 12),
+                   (1,): Fraction(4, 12), (2,): Fraction(1, 12)}
+    elif (kind, dim) == ("element", 2):
+        line = ((-1, 1), (0, 4), (1, 1))
+        entries = {(ox, oy): Fraction(cx * cy, 96) for ox, cx in line for oy, cy in line}
+        entries[(0, 0)] = Fraction(28, 96)
+    elif (kind, dim) == ("vertex", 2):
+        entries = _cross_entries(Fraction(68, 240), Fraction(8, 240),
+                                 Fraction(2, 240), Fraction(1, 240), 2)
+    else:
+        raise NotImplementedError(f"no closed form for {kind} patches in dim {dim}")
+    return Stencil(dim, entries).scaled(hh)
 
 
 # ---------------------------------------------------------------------------

@@ -20,23 +20,26 @@ the weighted inverses.  Applying the smoother is then one sparse product.
 
 In the interior both layouts reduce to translation-invariant stencils with
 exact rational coefficients, exposed by :func:`closed_form_stencil` and used
-as the oracle for assembly tests on periodic grids.
+as the oracle for assembly tests on periodic grids.  That function and
+:class:`PatchLayout` are pure stencil data and live in
+:mod:`vankamg.stencils`, so the analysis never imports scipy; they are
+re-exported here.
 
 :func:`assemble_sparse` turns any stencil into a CSR matrix by one rule:
 ``sum_o c_o kron_k T(o_k)``, a Kronecker product of 1D shifts per offset
-(periodic shifts carry the wrapped diagonal).
+(periodic shifts carry the wrapped diagonal), written straight into the CSR
+arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
 
-from .stencils import GridSpec, Stencil
+from .stencils import GridSpec, PatchLayout, Stencil, closed_form_stencil
 
 __all__ = [
     "PatchLayout",
@@ -50,20 +53,6 @@ __all__ = [
 ]
 
 DENSE_CAP = 4096  # refuse to densify anything larger than this many unknowns
-
-
-@dataclass(frozen=True)
-class PatchLayout:
-    """Which overlapping decomposition to use: ``element`` or ``vertex``."""
-
-    kind: str
-    dim: int
-
-    def __post_init__(self):
-        if self.kind not in ("element", "vertex"):
-            raise ValueError(f"unknown patch kind {self.kind!r}")
-        if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
 
 
 @dataclass
@@ -221,69 +210,8 @@ def build_vanka(layout: PatchLayout, grid: GridSpec, operator) -> VankaOperator:
 
 
 # ---------------------------------------------------------------------------
-# closed-form interior stencils
-# ---------------------------------------------------------------------------
-
-def _cross_entries(center, axis1, diag, axis2, dim):
-    entries = {(0,) * dim: center}
-    for axis in range(dim):
-        for sign in (-1, 1):
-            o = [0] * dim
-            o[axis] = sign
-            entries[tuple(o)] = axis1
-            o = [0] * dim
-            o[axis] = 2 * sign
-            entries[tuple(o)] = axis2
-    if dim == 2:
-        for sx in (-1, 1):
-            for sy in (-1, 1):
-                entries[(sx, sy)] = diag
-    return entries
-
-
-def closed_form_stencil(layout: PatchLayout, h) -> Stencil:
-    """Exact interior stencil of the additive Vanka operator.
-
-    These are the translation-invariant rows the assembled operator takes
-    away from the boundary (equivalently, everywhere on a periodic grid):
-
-    * element 1D: ``h^2/6 [1 4 1]``
-    * vertex 1D:  ``h^2/12 [1 4 10 4 1]``
-    * element 2D: ``h^2/96 [[1 4 1] [4 28 4] [1 4 1]]``
-    * vertex 2D:  ``h^2/240`` with centre 68, axis 8, diagonal 2, axis-2 1.
-    """
-    hh = Fraction(h) ** 2
-    kind, dim = layout.kind, layout.dim
-    if (kind, dim) == ("element", 1):
-        entries = {(-1,): Fraction(1, 6), (0,): Fraction(4, 6), (1,): Fraction(1, 6)}
-    elif (kind, dim) == ("vertex", 1):
-        entries = {(-2,): Fraction(1, 12), (-1,): Fraction(4, 12), (0,): Fraction(10, 12),
-                   (1,): Fraction(4, 12), (2,): Fraction(1, 12)}
-    elif (kind, dim) == ("element", 2):
-        entries = {}
-        for (ox, cx) in ((-1, 1), (0, 4), (1, 1)):
-            for (oy, cy) in ((-1, 1), (0, 4), (1, 1)):
-                entries[(ox, oy)] = Fraction(cx * cy if (ox, oy) != (0, 0) else 28, 96)
-        entries[(0, 0)] = Fraction(28, 96)
-    elif (kind, dim) == ("vertex", 2):
-        entries = _cross_entries(Fraction(68, 240), Fraction(8, 240),
-                                 Fraction(2, 240), Fraction(1, 240), 2)
-    else:
-        raise NotImplementedError(f"no closed form for {kind} patches in dim {dim}")
-    return Stencil(dim, entries).scaled(hh)
-
-
-# ---------------------------------------------------------------------------
 # dense/sparse assembly and export
 # ---------------------------------------------------------------------------
-
-def _shift(n: int, offset: int, periodic: bool) -> sp.csr_matrix:
-    """1D shift ``T(o)`` with ``(T u)_i = u_(i+o)``, wrapped on periodic grids."""
-    t = sp.eye(n, k=offset, format="csr")
-    if periodic and offset:
-        t = t + sp.eye(n, k=offset - n if offset > 0 else offset + n, format="csr")
-    return t
-
 
 def assemble_sparse(operator, grid: GridSpec = None) -> sp.csr_matrix:
     """Explicit sparse matrix of a stencil or Vanka operator.
@@ -292,7 +220,17 @@ def assemble_sparse(operator, grid: GridSpec = None) -> sp.csr_matrix:
     ``T(o)`` the 1D shift by ``o`` along axis ``k`` (the first axis varies
     slowest).  On Dirichlet grids ``T(o)`` is the truncated diagonal
     ``eye(n, k=o)``; on periodic grids it also carries the wrapped diagonal
-    ``k = o - n`` (``o > 0``) or ``k = o + n`` (``o < 0``).
+    ``k = o - n`` (``o > 0``) or ``k = o + n`` (``o < 0``).  Zero
+    coefficients are not stored.
+
+    The CSR arrays are written in one pass, with no COO copy and no
+    per-term matrices: a row holds one entry per offset whose shifted point
+    lies on the grid, and each offset writes its column and coefficient into
+    the next free slot of every row it reaches.  Offsets go in ascending
+    flat order, so Dirichlet rows come out sorted; periodic rows, whose
+    wrapped columns are not, are sorted afterwards.  Distinct offsets never
+    reach the same column (Dirichlet points are unique, and the periodic
+    guard ``n > 2 reach`` keeps wrapped ones apart), so nothing is summed.
     """
     if isinstance(operator, VankaOperator):
         return operator.matrix
@@ -300,18 +238,38 @@ def assemble_sparse(operator, grid: GridSpec = None) -> sp.csr_matrix:
         raise ValueError("assembling a stencil requires a grid")
     if operator.dim != grid.dim:
         raise ValueError(f"stencil dim {operator.dim} != grid dim {grid.dim}")
-    n = grid.n
+    n, size = grid.n, grid.npoints
     periodic = grid.boundary == "periodic"
     if periodic and n <= 2 * operator.reach:
         raise ValueError(f"periodic wrap needs n > {2 * operator.reach}")
-    mat = sp.csr_matrix((grid.npoints, grid.npoints))
-    for offset, coef in operator.entries.items():
-        if max(abs(o) for o in offset) >= n:
-            continue  # shifts every Dirichlet neighbour off the grid
-        term = _shift(n, offset[0], periodic)
-        for o in offset[1:]:
-            term = sp.kron(term, _shift(n, o, periodic), format="csr")
-        mat = mat + float(coef) * term
+    strides = n ** np.arange(grid.dim - 1, -1, -1)
+    # an offset with a component of n or more shifts every Dirichlet point off the grid
+    terms = sorted((int(np.dot(o, strides)), o, float(c)) for o, c in operator.entries.items()
+                   if c != 0 and max(map(abs, o)) < n)
+
+    def rows(o):
+        """The box of grid points that offset ``o`` keeps on the grid."""
+        return tuple(slice(None) if periodic else slice(max(0, -k), n - max(0, k)) for k in o)
+
+    counts = np.zeros(grid.shape, dtype=np.int64)
+    for _, o, _ in terms:
+        counts[rows(o)] += 1
+    nnz = int(counts.sum())
+    index = np.int32 if max(nnz, size) < 2**31 else np.int64
+    indptr = np.zeros(size + 1, dtype=index)
+    np.cumsum(counts.reshape(-1), out=indptr[1:])
+    free = indptr[:-1].reshape(grid.shape).copy()
+    indices, data = np.empty(nnz, dtype=index), np.empty(nnz)
+    axis = np.arange(n)
+    for _, o, c in terms:
+        box = rows(o)
+        slot = free[box]
+        indices[slot] = sum(np.ix_(*[(axis[b] + k) % n * s for b, k, s in zip(box, o, strides)]))
+        data[slot] = c
+        slot += 1
+    mat = sp.csr_matrix((data, indices, indptr), shape=(size, size))
+    if periodic:
+        mat.sort_indices()
     return mat
 
 

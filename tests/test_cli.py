@@ -1,7 +1,11 @@
 """Command-line interface: payload shapes, tolerancing gates and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -288,3 +292,29 @@ def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "table1" in out and "scan-omega" in out
+
+
+# ---------------------------------------------------------------------------
+# the analysis subcommands need numpy only
+# ---------------------------------------------------------------------------
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+_ANALYSIS_ONLY = """
+import contextlib, io, sys
+from vankamg.cli import main
+for argv in (["table1"], ["table2"], ["eigfield", "--kind", "mass", "--nu", "2"],
+             ["scan-omega", "--kind", "vanka-v", "--nu", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_analysis_subcommands_never_load_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _ANALYSIS_ONLY], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.strip() == "[]"

@@ -35,8 +35,8 @@ from vankamg.lfa import (
     two_grid_factor,
     two_grid_symbol,
 )
-from vankamg.stencils import Stencil, delta_stencil, laplacian_stencil, mass_stencil
-from vankamg.vanka import PatchLayout, closed_form_stencil
+from vankamg.stencils import (PatchLayout, Stencil, closed_form_stencil, delta_stencil,
+                              laplacian_stencil, mass_stencil)
 
 ALL_PAIRS = [
     ("jacobi", 1), ("jacobi", 2), ("jacobi", 3),
@@ -461,6 +461,26 @@ def test_two_grid_spectrum_real_and_split_invariant(kind, dim):
     assert max(rho) - min(rho) < 1e-14
     oracle = [_oracle_factor(spec, nu1, nu2, grid) for nu1, nu2 in ((2, 0), (1, 1), (0, 2))]
     assert max(oracle) - min(oracle) < 1e-12
+
+
+def test_symbols_are_evaluated_once_per_frequency_grid(monkeypatch):
+    evaluated = []
+    harmonic_symbols = lfa._harmonic_symbols
+    monkeypatch.setattr(lfa, "_harmonic_symbols",
+                        lambda st, grid: evaluated.append(st) or harmonic_symbols(st, grid))
+    grid = FrequencyGrid(2, 16)
+    spec = _spec("vanka-e", 2)
+    rho = [two_grid_factor(spec, nu1, nu2, grid) for nu1, nu2 in NU_SPLITS]
+    assert len(evaluated) == 3                  # a, m and p
+    for omega in (0.6, 1.4):
+        two_grid_factor(_spec("vanka-e", 2, omega), 1, 0, grid)
+    assert len(evaluated) == 3
+    fresh = FrequencyGrid(2, 16)
+    assert [two_grid_factor(spec, nu1, nu2, fresh) for nu1, nu2 in NU_SPLITS] == rho
+    assert len(evaluated) == 6
+    held = grid._low_symbols(spec.a_stencil())
+    assert not held.flags.writeable
+    assert np.array_equal(held, harmonic_symbols(spec.a_stencil(), grid)[:, grid.off_origin])
 
 
 def test_harmonic_symbols_match_pointwise_evaluation():

@@ -19,7 +19,7 @@ from vankamg import (
 )
 from vankamg import solver, stencils
 from vankamg.lfa import exact_optimum
-from vankamg.vanka import PatchLayout, closed_form_stencil
+from vankamg.stencils import PatchLayout, closed_form_stencil
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +94,37 @@ def test_symbol_shapes_and_asymmetric_phase():
     vals = symbol(shift, theta)
     assert vals.shape == (4, 3)
     assert np.allclose(vals, np.exp(1j * theta[..., 0]), atol=1e-14)
+
+
+@pytest.mark.parametrize("stencil", [
+    laplacian_stencil(3, 1), mass_stencil(2, 1),
+    closed_form_stencil(PatchLayout("vertex", 2), 1),
+    Stencil(1, {(0,): Fraction(1), (1,): Fraction(1)}),
+    Stencil(2, {(0, 0): 1.5, (1, -1): -0.25, (-1, 1): -0.25, (2, 0): 0.5}),
+], ids=["laplacian3", "mass2", "vanka-v2", "one-sided", "float-one-sided"])
+def test_symbol_skips_the_sine_half_of_symmetric_stencils(monkeypatch, stencil):
+    theta = np.random.default_rng(5).uniform(-np.pi, np.pi, (40, stencil.dim))
+    offsets, coefs = stencil._arrays
+    phase = theta @ offsets.T
+    real, imag = np.cos(phase) @ coefs, np.sin(phase) @ coefs
+    sines = []
+    numpy_sin = np.sin
+    monkeypatch.setattr(np, "sin", lambda x: sines.append(x) or numpy_sin(x))
+    values = symbol(stencil, theta)
+    assert values.dtype == complex
+    assert np.array_equal(values.real, real)
+    if stencil.is_symmetric:
+        assert not sines and not values.imag.any()
+        assert np.abs(imag).max() < 1e-14
+    else:
+        assert np.array_equal(values.imag, imag)
+
+
+def test_symmetry_is_detected_once_per_stencil():
+    st = Stencil(2, {(0, 0): Fraction(4), (1, 0): Fraction(-1), (-1, 0): Fraction(-1)})
+    assert "is_symmetric" not in vars(st)
+    symbol(st, (0.3, 0.1))
+    assert vars(st)["is_symmetric"] is True
 
 
 def test_tensor_product_symbol_factorises():

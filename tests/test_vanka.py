@@ -13,6 +13,7 @@ The local-inverse oracles below are worked out by hand:
   neighbour-neighbour entry 1/48, times h^2.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -322,6 +323,69 @@ def test_assemble_sparse_periodic_row_sums():
     mat = assemble_sparse(laplacian_stencil(2, Fraction(1, 8)), grid)
     # every periodic row contains the full stencil, so row sums vanish
     assert np.abs(mat @ np.ones(grid.npoints)).max() <= 1e-12
+
+
+def _kron_sum(stencil, grid):
+    """``sum_o c_o kron_k T(o_k)`` added term by term to a CSR accumulator."""
+    n = grid.n
+    periodic = grid.boundary == "periodic"
+
+    def shift(o):
+        t = sp.eye(n, k=o, format="csr")
+        if periodic and o:
+            t = t + sp.eye(n, k=o - n if o > 0 else o + n, format="csr")
+        return t
+
+    mat = sp.csr_matrix((grid.npoints, grid.npoints))
+    for offset, coef in stencil.entries.items():
+        if max(abs(o) for o in offset) >= n:
+            continue
+        term = shift(offset[0])
+        for o in offset[1:]:
+            term = sp.kron(term, shift(o), format="csr")
+        mat = mat + float(coef) * term
+    return mat
+
+
+ASSEMBLY_STENCILS = {
+    **{f"laplacian{d}": laplacian_stencil(d, Fraction(1, 8)) for d in (1, 2, 3)},
+    **{f"mass{d}": mass_stencil(d, Fraction(1, 8)) for d in (1, 2, 3)},
+    **{f"{layout.kind}{layout.dim}": closed_form_stencil(layout, Fraction(1, 8))
+       for layout in ALL_LAYOUTS},
+    "explicit-zeros": Stencil(2, {(0, 0): 1, (1, 0): 0, (0, -2): Fraction(1, 3),
+                                  (2, 1): 0.25, (-1, -1): 0.0}),
+    "one-sided-float": Stencil(1, {(0,): 0.5, (2,): -1.25, (1,): 3}),
+    "off-grid-offset": Stencil(1, {(0,): 1, (3,): 2, (-1,): -1}),
+    "non-symmetric-3d": Stencil(3, {(0, 0, 0): 2, (1, 0, -1): Fraction(-1, 3),
+                                    (0, 1, 1): 0.75}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_STENCILS))
+def test_assemble_sparse_equals_the_kronecker_sum(name):
+    st = ASSEMBLY_STENCILS[name]
+    for boundary in ("dirichlet", "periodic"):
+        for n in sorted({3, 2 * st.reach + 1, 5, 8}):
+            if boundary == "periodic" and n <= 2 * st.reach:
+                continue
+            grid = GridSpec(st.dim, n, 1 / (n + 1), boundary)
+            got, want = assemble_sparse(st, grid), _kron_sum(st, grid)
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, part), getattr(want, part)), \
+                    (boundary, n, part)
+
+
+def test_assemble_sparse_peak_is_near_the_matrix():
+    grid = GridSpec(3, 31, 1 / 32)
+    st = mass_stencil(3, Fraction(1, 32))
+    tracemalloc.start()
+    try:
+        mat = assemble_sparse(st, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+    assert peak < 1.25 * held
 
 
 def test_dense_cap_enforced():
