@@ -18,8 +18,15 @@ and cycling the factors makes it similar to ``Pi Sigma Pi``, with
 ``Pi = I - w w^T``, ``w = sqrt(a)*p / |sqrt(a)*p|``, ``Sigma = diag(s^(nu1+nu2))``:
 the spectrum is real, depends on ``nu1 + nu2`` only, and its extreme roots of
 ``sum_k w_k^2/(sigma_k - lambda) = 0`` lie in ``[sigma_(K-1), sigma_(K)]`` and
-``[sigma_(1), sigma_(2)]`` by Cauchy interlacing.  ``two_grid_factor`` solves
-only those brackets; the dense route of ``two_grid_symbol`` is its oracle.
+``[sigma_(1), sigma_(2)]`` by Cauchy interlacing.  ``two_grid_factor`` wants
+only the largest modulus over all bases, so it bounds and prunes: the ends of
+each bracket bound its root's modulus from both sides, a few brackets with
+the largest bound from above are solved first, and a bracket is then dropped
+only when the sign of the secular function at ``±best`` (it increases
+between its poles) proves its root lies inside ``[-best, best]``.  The rest
+are solved; the result is the one solving every bracket gives.  In 1D the
+single bracket has a closed-form root.  The dense route of
+``two_grid_symbol`` is the oracle.
 
 For every supported smoother the product symbol ``M~ A~`` has a known exact
 range ``[t_min, t_max]`` on the high-frequency set, and the damping that
@@ -222,23 +229,42 @@ class FrequencyGrid:
         return pts[self.off_origin] if skip_origin else pts
 
     @cached_property
-    def _symbols(self) -> dict:
+    def _held(self) -> dict:
         return {}
+
+    def _hold(self, stencils: tuple, build) -> np.ndarray:
+        """``build()`` made read-only and kept for the life of the grid.
+
+        Keyed by the ``id`` of each stencil; the entry holds the stencils, so
+        no ``id`` can be reused while cached.  A ``build`` that raises keeps
+        nothing, so the next call raises again.
+        """
+        key = tuple(map(id, stencils))
+        held = self._held.get(key)
+        if held is None:
+            values = build()
+            values.flags.writeable = False
+            held = self._held[key] = (stencils, values)
+        return held[1]
 
     def _low_symbols(self, stencil: Stencil) -> np.ndarray:
         """``_harmonic_symbols(stencil, self)`` at the bases off the origin, read-only.
 
-        Computed once per stencil object and kept for the life of the grid:
-        the symbols do not depend on omega or the sweep counts, so a table
-        or an omega scan on one grid evaluates each stencil once.  The entry
-        holds the stencil, so its ``id`` cannot be reused while cached.
+        Computed once per stencil object: the symbols do not depend on omega
+        or the sweep counts, so a table or an omega scan on one grid
+        evaluates each stencil once.
         """
-        held = self._symbols.get(id(stencil))
-        if held is None:
-            values = _harmonic_symbols(stencil, self)[:, self.off_origin]
-            values.flags.writeable = False
-            held = self._symbols[id(stencil)] = (stencil, values)
-        return held[1]
+        return self._hold((stencil,),
+                          lambda: _harmonic_symbols(stencil, self)[:, self.off_origin])
+
+    def _weights(self, a_stencil: Stencil, p_stencil: Stencil) -> np.ndarray:
+        """``_secular_weights`` of the low symbols of ``a`` and ``p``, read-only.
+
+        Computed once per stencil pair, like ``_low_symbols``; a singular
+        coarse symbol raises on every call.
+        """
+        return self._hold((a_stencil, p_stencil), lambda: _secular_weights(
+            self._low_symbols(a_stencil), self._low_symbols(p_stencil)))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +460,10 @@ def two_grid_factor(spec: SmootherSpec, nu1: int, nu2: int,
     """Largest spectral radius of the error symbol over the sampled low region.
 
     Uses the rank-one structure of the block (module docstring) instead of
-    assembling it; ``max |eigvals|`` of ``_two_grid_stack`` is the oracle.
+    assembling it, and solves the secular equation only in brackets whose
+    root can set the maximum (``_rank_one_radius``); ``max |eigvals|`` of
+    ``_two_grid_stack`` is the oracle.  The symbols and the weights come from
+    the grid's cache, so an omega scan on one grid builds them once.
     """
     if grid is None:
         grid = FrequencyGrid(spec.dim)
@@ -442,38 +471,95 @@ def two_grid_factor(spec: SmootherSpec, nu1: int, nu2: int,
         raise ValueError(f"frequency grid dim {grid.dim} != smoother dim {spec.dim}")
     if nu1 < 0 or nu2 < 0:
         raise ValueError("smoothing step counts must be nonnegative")
-    a, m, p = (grid._low_symbols(st)
-               for st in (spec.a_stencil(), spec.m_stencil(), _interpolation_stencil(spec.dim)))
-    return _rank_one_radius(float(spec.omega), nu1 + nu2, a, m, p)
+    a_stencil, p_stencil = spec.a_stencil(), _interpolation_stencil(spec.dim)
+    return _rank_one_radius(float(spec.omega), nu1 + nu2, grid._low_symbols(a_stencil),
+                            grid._low_symbols(spec.m_stencil()),
+                            grid._weights(a_stencil, p_stencil))
 
 
-def _rank_one_radius(omega: float, nu: int, a, m, p) -> float:
-    """Largest ``rho(Pi Sigma Pi)`` over the columns of per-harmonic symbols.
+def _secular_weights(a, p) -> np.ndarray:
+    """``w2 = p^2 a / a_H`` per harmonic, shape ``(K, N)``; each column sums to 1.
 
-    ``a``, ``m``, ``p`` have shape ``(K, N)``.  The radius of a column is
-    ``max(|lambda_min|, |lambda_max|)``.  A bracket end of constant sign
-    bounds its root's modulus from below; brackets whose larger end cannot
-    beat the best such bound are not solved, which also covers every
-    bracket that has shrunk to a point (a repeated ``sigma``).
+    ``a_H = sum_k p_k^2 a_k`` is the Galerkin coarse symbol; raises where it
+    is singular.  Depends on neither omega nor the sweep counts.
     """
-    a_coarse = (p * p * a).sum(axis=0)
+    w2 = p * p
+    w2 *= a
+    a_coarse = w2.sum(axis=0)
     if np.any(np.abs(a_coarse) < 1e-13):
         raise ValueError("singular coarse symbol; theta = 0 must be excluded")
-    s = 1.0 - omega * m * a
-    # a negative base makes ``**`` take a far slower libm path
-    sigma = (np.abs(s) ** nu * (np.sign(s) if nu % 2 else 1.0)).T    # (N, K)
-    w2 = (p * p * a / a_coarse).T
-    ordered = np.sort(sigma, axis=1)
-    k = sigma.shape[1]
-    ends = sorted({(0, 1), (k - 2, k - 1)})                      # one pair in 1D
-    lo = np.concatenate([ordered[:, i] for i, _ in ends])
-    hi = np.concatenate([ordered[:, j] for _, j in ends])
-    rows = np.tile(np.arange(sigma.shape[0]), len(ends))
+    w2 /= a_coarse
+    return w2
+
+
+# brackets solved first, those with the largest upper bound on their root
+_FIRST_ROUND = 16
+
+
+def _rank_one_radius(omega: float, nu: int, a, m, w2) -> float:
+    """Largest ``rho(Pi Sigma Pi)`` over the columns of per-harmonic symbols.
+
+    ``a``, ``m`` and the weights ``w2`` (``_secular_weights``) have shape
+    ``(K, N)``.  The radius of a column is ``max(|lambda_min|, |lambda_max|)``,
+    the larger modulus of the roots in its two end brackets.  In 1D (``K = 2``)
+    there is one bracket and, as the weights sum to 1, its root is
+    ``w2[0] sigma[1] + w2[1] sigma[0]``.  Otherwise the maximum is found by
+    bound and prune, which gives the value of solving every bracket:
+
+    * a bracket of constant sign bounds its root's modulus from below by its
+      nearer end; the largest such bound starts ``best``;
+    * the ``_FIRST_ROUND`` brackets with the largest bound from above,
+      ``max(|lo|, |hi|)``, are solved and their roots raise ``best``;
+    * a bracket is dropped when its root provably lies in ``[-best, best]``:
+      its bound from above is at most ``best``, or on each side it reaches
+      past, ``±best`` lies strictly inside and ``f`` has the sign that puts
+      the root on the near side (``f`` increases between the poles, so
+      ``f(best) >= 0`` means root ``<= best`` and ``f(-best) <= 0`` means root
+      ``>= -best``).  A bracket with ``±best`` at an end is kept, as ``f`` has
+      a pole there.  The rest are solved in one call.
+    """
+    # the same rounding as 1 - omega m a; a negative base makes ``**`` take a
+    # far slower libm path, so the power is taken of |s|
+    s = m * omega
+    s *= a
+    np.subtract(1.0, s, out=s)
+    sigma = np.abs(s)
+    sigma **= nu
+    if nu % 2:
+        np.copysign(sigma, s, out=sigma)
+    del s                           # freed before the next (K, N) temporary
+    k, n = sigma.shape
+    if k == 2:
+        return float(np.abs(w2[0] * sigma[1] + w2[1] * sigma[0]).max())
+    ordered = np.sort(sigma, axis=0)
+    lo = np.concatenate((ordered[0], ordered[k - 2]))
+    hi = np.concatenate((ordered[1], ordered[k - 1]))
+    del ordered
+    sigma, w2 = sigma.T, w2.T         # (N, K) views; bracket b belongs to column b % n
+
+    def roots(brackets):
+        rows = brackets % n
+        return np.abs(_secular_roots(sigma[rows], w2[rows], lo[brackets], hi[brackets]))
+
+    upper = np.maximum(np.abs(lo), np.abs(hi))
     floor = np.where((lo > 0) | (hi < 0), np.minimum(np.abs(lo), np.abs(hi)), 0.0)
     best = float(floor.max())
-    open_ = np.maximum(np.abs(lo), np.abs(hi)) > best
-    roots = _secular_roots(sigma[rows[open_]], w2[rows[open_]], lo[open_], hi[open_])
-    return max(best, float(np.abs(roots).max(initial=0.0)))
+    open_ = np.flatnonzero(upper > best)
+    if open_.size > _FIRST_ROUND:
+        first = np.argpartition(upper[open_], -_FIRST_ROUND)[-_FIRST_ROUND:]
+        best = max(best, float(roots(open_[first]).max()))
+        open_ = np.delete(open_, first)
+        open_ = open_[upper[open_] > best]
+    kept = np.zeros(open_.size, dtype=bool)
+    for sign, end in ((1.0, hi), (-1.0, lo)):
+        x = sign * best
+        reach = sign * end[open_] > best
+        inside = np.flatnonzero(reach & (lo[open_] < x) & (x < hi[open_]))
+        rows = open_[inside] % n
+        f = (w2[rows] / (sigma[rows] - x)).sum(axis=1)
+        reach[inside] = sign * f < 0
+        kept |= reach
+    return max(best, float(roots(open_[kept]).max(initial=0.0)))
 
 
 _SECULAR_STEPS = 100
@@ -553,7 +639,11 @@ class EigenField:
     kappas: np.ndarray
     values: np.ndarray
     smoother_abs: np.ndarray
-    max_imag: float
+
+    @property
+    def max_imag(self) -> float:
+        """Largest imaginary part: 0, the values come from a symmetric form."""
+        return 0.0
 
     @property
     def max_value(self) -> float:
@@ -590,25 +680,41 @@ class EigenField:
 
 def eigenfield(spec: SmootherSpec, nu1: int, nu2: int,
                grid: FrequencyGrid = None) -> EigenField:
-    """Per-frequency two-grid eigenvalues for heatmap-style inspection."""
+    """Per-frequency two-grid eigenvalues for heatmap-style inspection.
+
+    The eigenvalues are those of the symmetric similar form ``Pi Sigma Pi``
+    (module docstring), by ``eigh``, so they are real by construction.  An
+    eigenvector ``y`` of that form maps to the eigenvector
+    ``x = diag(sqrt(a))^-1 S^nu2 Pi y`` of the error symbol ``E``, whose
+    dominant component attributes the eigenvalue to a harmonic.  A nonzero
+    eigenvalue has ``y`` in the range of ``Pi``, so ``Pi y = y`` and ``Pi`` is
+    not applied; a zero eigenvalue adds 0 to whichever slot it is given.
+    Where eigenvalues repeat, or two components of ``x`` tie, the attribution
+    is as arbitrary as the eigenvector basis ``eigh`` returns.
+    """
     if spec.dim != 2:
         raise ValueError("eigenvalue fields are produced for dim 2 only")
     if grid is None:
         grid = FrequencyGrid(2)
-    bases = grid.low_points(skip_origin=True)
-    e, s, _ = _two_grid_stack(spec, bases, nu1, nu2)
-    vals, vecs = np.linalg.eig(e)
-    max_imag = float(np.abs(vals.imag).max())
-    k = vals.shape[1]
-    attributed = np.zeros((bases.shape[0], k))
-    for i in range(bases.shape[0]):
-        order = np.argsort(-np.abs(vals[i]))
+    if nu1 < 0 or nu2 < 0:
+        raise ValueError("smoothing step counts must be nonnegative")
+    a_stencil = spec.a_stencil()
+    a = grid._low_symbols(a_stencil)
+    s = 1.0 - float(spec.omega) * grid._low_symbols(spec.m_stencil()) * a      # (K, N)
+    # w = sqrt(a) p / |sqrt(a) p| is the root of the weights, as a and p are >= 0
+    w = np.sqrt(grid._weights(a_stencil, _interpolation_stencil(2))).T
+    k = w.shape[1]
+    proj = np.eye(k) - w[:, :, None] * w[:, None, :]
+    vals, y = np.linalg.eigh(proj @ ((s ** (nu1 + nu2)).T[:, :, None] * proj))
+    vecs = ((s ** nu2) / np.sqrt(a)).T[:, :, None] * y
+    magnitudes = np.abs(vals)
+    attributed = np.zeros_like(magnitudes)
+    for i in range(magnitudes.shape[0]):
         free = list(range(k))
-        for j in order:
-            weights = np.abs(vecs[i][free, j])
-            slot = free.pop(int(weights.argmax()))
-            attributed[i, slot] = abs(vals[i][j])
-    return EigenField(bases, _kappas(2), attributed, np.abs(s[0]), max_imag)
+        for j in np.argsort(-magnitudes[i]):
+            slot = free.pop(int(np.abs(vecs[i][free, j]).argmax()))
+            attributed[i, slot] = magnitudes[i, j]
+    return EigenField(grid.low_points(), _kappas(2), attributed, np.abs(s[0]))
 
 
 # ---------------------------------------------------------------------------

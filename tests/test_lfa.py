@@ -401,7 +401,7 @@ def _rank_one_at(spec, base, nu, exact_zeros):
                (spec.a_stencil(), spec.m_stencil(), lfa._interpolation_stencil(spec.dim)))
     if exact_zeros:     # a harmonic with a component at pi has p = 0 exactly
         p = np.where(np.abs(p) < 1e-12, 0.0, p)
-    return lfa._rank_one_radius(spec.omega, nu, a, m, p)
+    return lfa._rank_one_radius(spec.omega, nu, a, m, lfa._secular_weights(a, p))
 
 
 DEFLATION_BASES = [
@@ -443,6 +443,115 @@ def test_secular_root_at_a_nearly_deflated_pole_ends_in_few_steps(monkeypatch, p
     w2 = np.array([[0.3, 0.3, 0.4, 1e-100]])
     lo, hi = sorted([0.25 * pole, pole])
     assert lfa._secular_roots(sigma, w2, np.array([lo]), np.array([hi]))[0] == pole
+
+
+def _every_bracket_factor(spec, nu, grid):
+    """Largest |root| over both end brackets of every base: no bound, no pruning."""
+    a, m, p = (grid._low_symbols(st) for st in
+               (spec.a_stencil(), spec.m_stencil(), lfa._interpolation_stencil(spec.dim)))
+    sigma = ((1.0 - spec.omega * m * a) ** nu).T
+    w2 = (p * p * a / (p * p * a).sum(axis=0)).T
+    ordered = np.sort(sigma, axis=1)
+    k, n = ordered.shape[1], ordered.shape[0]
+    lo = np.concatenate([ordered[:, 0], ordered[:, k - 2]])
+    hi = np.concatenate([ordered[:, 1], ordered[:, k - 1]])
+    rows = np.tile(np.arange(n), 2)
+    return float(np.abs(lfa._secular_roots(sigma[rows], w2[rows], lo, hi)).max())
+
+
+# an omega sweep on (0, 1.5]; with even nu every sigma is >= 0, so the lower
+# bound often comes from an end of the bracket that holds the maximum
+SWEEP_OMEGAS = [0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95, 1.1, 1.25, 1.4, 1.5]
+
+
+@pytest.mark.parametrize("kind,dim", ALL_PAIRS, ids=lambda p: str(p))
+def test_pruned_two_grid_factor_equals_every_bracket_solved(kind, dim):
+    optimum = float(exact_optimum(kind, dim)[0])
+    for samples in (16, 64):
+        grid = FrequencyGrid(dim, samples)
+        # a 3D solve of every bracket at 64 samples takes about 0.1 s
+        sweep = SWEEP_OMEGAS[::3] if dim == 3 and samples == 64 else SWEEP_OMEGAS
+        for omega in [optimum, *sweep]:
+            spec = _spec(kind, dim, omega)
+            for nu in range(1, 6):
+                got = two_grid_factor(spec, (nu + 1) // 2, nu // 2, grid)
+                want = _every_bracket_factor(spec, nu, grid)
+                assert abs(got - want) <= 1e-13 * max(1.0, want), (samples, omega, nu, got, want)
+        if dim == 3 and samples == 64:
+            continue        # 0.7 s per dense call; 32 samples are in the test above
+        for omega in (optimum, 0.35, 1.5):
+            spec = _spec(kind, dim, omega)
+            for nu in (1, 2):
+                got = two_grid_factor(spec, nu, 0, grid)
+                assert abs(got - _oracle_factor(spec, nu, 0, grid)) < 1e-12, (samples, omega, nu)
+
+
+@pytest.mark.parametrize("kind,dim", [("jacobi", 2), ("mass", 2), ("mass3d", 3)],
+                         ids=lambda p: str(p))
+def test_prune_alone_keeps_every_bracket_that_sets_the_maximum(monkeypatch, kind, dim):
+    # one bracket in the first round leaves nearly every decision to the prune
+    monkeypatch.setattr(lfa, "_FIRST_ROUND", 1)
+    grid = FrequencyGrid(dim, 16)
+    for omega in SWEEP_OMEGAS:
+        spec = _spec(kind, dim, omega)
+        for nu in range(1, 6):
+            got = two_grid_factor(spec, (nu + 1) // 2, nu // 2, grid)
+            want = _every_bracket_factor(spec, nu, grid)
+            assert abs(got - want) <= 1e-13 * max(1.0, want), (omega, nu, got, want)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_bracket_with_the_bound_at_an_end_is_solved(sign):
+    # the bound 0.5 is the near end of the bracket holding the maximum, where
+    # f has a pole: the bracket must be kept, not judged by f there
+    m = 1.0 - sign * np.array([[0.1], [0.2], [0.5], [0.9]])
+    w2 = np.full((4, 1), 0.25)
+    sigma = 1.0 - m[:, 0]
+    proj = np.eye(4) - np.outer(np.sqrt(w2[:, 0]), np.sqrt(w2[:, 0]))
+    want = np.abs(np.linalg.eigvalsh(proj @ np.diag(sigma) @ proj)).max()
+    assert want > 0.5 + 1e-3
+    assert abs(lfa._rank_one_radius(1.0, 1, np.ones((4, 1)), m, w2) - want) < 1e-14
+
+
+def test_one_dimensional_factor_is_the_closed_form():
+    # K = 2: the one root of w0/(s0 - x) + w1/(s1 - x) = 0 with w0 + w1 = 1
+    spec = _spec("vanka-e", 1, 0.95)
+    grid = FrequencyGrid(1, 64)
+    a, m, p = (grid._low_symbols(st) for st in
+               (spec.a_stencil(), spec.m_stencil(), lfa._interpolation_stencil(1)))
+    for nu in range(1, 6):
+        sigma = (1.0 - spec.omega * m * a) ** nu
+        w2 = p * p * a / (p * p * a).sum(axis=0)
+        want = np.abs(w2[0] * sigma[1] + w2[1] * sigma[0]).max()
+        assert abs(two_grid_factor(spec, nu, 0, grid) - want) < 1e-15
+        assert abs(two_grid_factor(spec, nu, 0, grid) - _oracle_factor(spec, nu, 0, grid)) < 1e-13
+
+
+def test_weights_are_built_once_per_frequency_grid(monkeypatch):
+    built = []
+    secular_weights = lfa._secular_weights
+    monkeypatch.setattr(lfa, "_secular_weights",
+                        lambda a, p: built.append(a.shape) or secular_weights(a, p))
+    grid = FrequencyGrid(3, 16)
+    for omega in (0.1 * k for k in range(1, 16)):          # as `scan-omega` does
+        for nu1, nu2 in ((1, 0), (1, 1)):
+            two_grid_factor(_spec("mass3d", 3, omega), nu1, nu2, grid)
+    assert len(built) == 1
+    two_grid_factor(_spec("mass3d", 3), 1, 0, FrequencyGrid(3, 16))
+    assert len(built) == 2
+    held = grid._weights(laplacian_stencil(3, 1), lfa._interpolation_stencil(3))
+    assert not held.flags.writeable
+    assert np.abs(held.sum(axis=0) - 1.0).max() < 1e-15
+    assert len(built) == 2
+
+
+def test_singular_weights_raise_on_every_call():
+    grid = FrequencyGrid(2, 8)
+    zero = Stencil(2, {(0, 0): Fraction(0)})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="singular"):
+            grid._weights(zero, lfa._interpolation_stencil(2))
+    assert (id(zero), id(lfa._interpolation_stencil(2))) not in grid._held
 
 
 @pytest.mark.parametrize("kind,dim", ALL_PAIRS, ids=lambda p: str(p))
@@ -535,6 +644,51 @@ def test_eigenfield_csv_format(tmp_path):
     assert len(first) == 7
     path = tmp_path / "field.csv"
     assert field.to_csv(path) == path.read_text()
+
+
+def test_eigenfield_is_real_where_a_smoother_symbol_vanishes():
+    # mass at omega* = 3/4 has s = 0 at some harmonics, where the error block
+    # has a defective double zero that the general eig splits into +-3e-9 i
+    grid = FrequencyGrid(2, 16)
+    spec = _spec("mass", 2)
+    field = v.eigenfield(spec, 1, 0, grid)
+    assert field.summary["all_real"] is True
+    assert field.summary["max_imag_part"] == 0.0
+    assert abs(field.max_value - two_grid_factor(spec, 1, 0, grid)) < 1e-12
+    e, _, _ = lfa._two_grid_stack(spec, grid.low_points(), 1, 0)
+    want = np.sort(np.abs(np.linalg.eigvals(e)), axis=1)
+    assert np.abs(np.sort(field.values, axis=1) - want).max() < 1e-8
+
+
+def _attributed_by_eig(spec, grid, nu1, nu2):
+    """The field by the general eig of the assembled blocks, and a mask of the
+    rows whose attribution does not hinge on a tie."""
+    e, _, _ = lfa._two_grid_stack(spec, grid.low_points(), nu1, nu2)
+    vals, vecs = np.linalg.eig(e)
+    out = np.zeros(vals.shape)
+    clear = np.ones(vals.shape[0], dtype=bool)
+    for i in range(vals.shape[0]):
+        mags = np.abs(vals[i])
+        clear[i] = np.diff(np.sort(mags)).min() > 1e-6
+        free = list(range(mags.size))
+        for j in np.argsort(-mags):
+            weights = np.sort(np.abs(vecs[i][free, j]))
+            clear[i] &= weights.size == 1 or weights[-1] - weights[-2] > 1e-6
+            slot = free.pop(int(np.abs(vecs[i][free, j]).argmax()))
+            out[i, slot] = mags[j]
+    return out, clear
+
+
+@pytest.mark.parametrize("kind", ["vanka-e", "vanka-v", "mass", "jacobi"])
+def test_eigenfield_attribution_matches_the_general_eig(kind):
+    grid = FrequencyGrid(2, 16)
+    for omega in (float(exact_optimum(kind, 2)[0]), 0.6, 1.3):
+        spec = _spec(kind, 2, omega)
+        for nu1, nu2 in ((1, 0), (2, 1), (1, 2)):
+            want, clear = _attributed_by_eig(spec, grid, nu1, nu2)
+            got = v.eigenfield(spec, nu1, nu2, grid).values
+            assert clear.sum() > 0.3 * clear.size
+            assert np.abs(got[clear] - want[clear]).max() < 1e-10, (omega, nu1, nu2)
 
 
 def test_eigenfield_rejects_other_dims():
