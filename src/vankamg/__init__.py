@@ -22,7 +22,8 @@ tables, eigenvalue fields, the solver and a damping scan.
 from importlib import import_module
 
 from .stencils import (GridSpec, PatchLayout, Stencil, apply, closed_form_stencil,
-                       delta_stencil, laplacian_stencil, mass_stencil, tensor_product)
+                       delta_stencil, galerkin_stencil, laplacian_stencil, mass_stencil,
+                       tensor_product)
 from .lfa import (EigenField, FrequencyGrid, OptimalDamping, SmootherKind,
                   SmootherSpec, TwoGridSymbol, eigenfield, exact_optimum,
                   optimal_omega, smoother_symbol, smoothing_factor,
@@ -43,7 +44,7 @@ _LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names
 
 __all__ = [
     "GridSpec", "Stencil", "apply", "delta_stencil", "laplacian_stencil",
-    "mass_stencil", "tensor_product",
+    "mass_stencil", "tensor_product", "galerkin_stencil",
     "PatchLayout", "VankaOperator", "assemble_dense", "assemble_sparse",
     "build_vanka", "closed_form_stencil", "export_triplets",
     "EigenField", "FrequencyGrid", "OptimalDamping", "SmootherKind",

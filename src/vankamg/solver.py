@@ -3,13 +3,18 @@
 The hierarchy uses grids with ``n = 2**k - 1`` interior points per dimension
 so that standard coarsening maps interior nodes onto interior nodes.  Every
 level holds one CSR operator: the finest is the assembled Laplacian stencil,
-coarser ones come from the Galerkin product ``A_H = 2**-dim P^T A P`` with
-linear interpolation ``P``.  The cycle restricts with full weighting
-``R = 2**-dim P^T``, so ``A_H = R A P``; this reproduces the coarse Laplacian
-exactly in 1D and keeps the discrete two-grid operator aligned with its
-Fourier symbol (the error operator is invariant under the common rescaling of
-``R`` and ``A_H``, so transposed-interpolation restriction yields the same
-cycle).  The coarsest level is solved by a sparse LU factorisation.
+coarser ones are the Galerkin operators ``A_H = 2**-dim P^T A P`` with linear
+interpolation ``P``.  Each is assembled from its exact stencil,
+``stencils.galerkin_stencil`` of the stencil one level up: on these grids
+every hat of ``P`` lies inside the box, so the triple product is that
+constant-coefficient stencil truncated at the Dirichlet boundary, the same
+matrix without the sparse product's temporaries.  The cycle restricts with
+full weighting ``R = 2**-dim P^T``, so ``A_H = R A P``; this reproduces the
+coarse Laplacian exactly in 1D and keeps the discrete two-grid operator
+aligned with its Fourier symbol (the error operator is invariant under the
+common rescaling of ``R`` and ``A_H``, so transposed-interpolation restriction
+yields the same cycle).  The coarsest level is solved by a sparse LU
+factorisation.
 
 ``measured_convergence_factor`` runs homogeneous cycles (``b = 0``) from a
 seeded random start, renormalising the iterate every cycle; the asymptotic
@@ -86,7 +91,11 @@ class CycleSpec:
 
 @dataclass
 class Level:
-    """One grid level: CSR operator, smoother applicator, transfer to the finer level."""
+    """One grid level: CSR operator, smoother applicator, transfer to the finer level.
+
+    ``m_apply(r)`` evaluates ``M r`` into a fresh array and leaves ``r`` alone:
+    :func:`relax` scales and updates its result in place.
+    """
 
     grid: GridSpec
     matrix: sp.csr_matrix
@@ -162,13 +171,17 @@ def _coarse_lu_bytes(dim: int, n: int) -> float:
 def build_hierarchy(spec: CycleSpec, fine_grid: GridSpec) -> Hierarchy:
     """Build grids, operators, smoothers and transfers for the requested cycle.
 
-    Every level holds one CSR operator: the assembled fine Laplacian and
-    Galerkin products below it.  Two-grid hierarchies have exactly two levels
-    and need ``n >= 7``; V-cycles coarsen until at most :data:`COARSEST_MAX`
-    points per dimension remain and need ``n >= 15``.  The coarsest level is
-    factorised by sparse LU (``scipy.sparse.linalg.splu``); a factor whose
-    ``_coarse_lu_bytes`` estimate exceeds :data:`COARSE_LU_BUDGET_BYTES`
-    is refused before any assembly.
+    Every level holds one CSR operator: the assembled fine Laplacian and the
+    Galerkin operators below it, each assembled from
+    ``stencils.galerkin_stencil`` of the stencil one level up (equal to
+    ``2**-dim P^T A P``, as every hat of ``P`` lies inside the grid); ``P``
+    itself is kept on the finer level for the cycle.  Two-grid hierarchies
+    have exactly two levels and need ``n >= 7``; V-cycles coarsen until at
+    most :data:`COARSEST_MAX` points per dimension remain and need
+    ``n >= 15``.  The coarsest level is factorised by sparse LU
+    (``scipy.sparse.linalg.splu``); a factor whose ``_coarse_lu_bytes``
+    estimate exceeds :data:`COARSE_LU_BUDGET_BYTES` is refused before any
+    assembly.
     """
     if fine_grid.boundary != "dirichlet":
         raise ValueError("the solver runs on Dirichlet grids")
@@ -192,18 +205,17 @@ def build_hierarchy(spec: CycleSpec, fine_grid: GridSpec) -> Hierarchy:
             f"{lu_bytes / 2**30:.0f} GiB, over the {COARSE_LU_BUDGET_BYTES / 2**30:.0f} GiB "
             "budget; a V-cycle (--cycle v-cycle) coarsens to n <= 7")
 
-    fine_matrix = assemble_sparse(laplacian_stencil(fine_grid.dim, fine_grid.h), fine_grid)
-    levels = [Level(fine_grid, fine_matrix)]
+    st = laplacian_stencil(fine_grid.dim, fine_grid.h)
+    levels = [Level(fine_grid, assemble_sparse(st, fine_grid))]
     while True:
         cur = levels[-1]
         stop = cur.grid.n <= COARSEST_MAX if spec.cycle == "v-cycle" else len(levels) == 2
         if stop:
             break
-        p = transfer_ops(cur.grid)
+        cur.prolong = transfer_ops(cur.grid)
         coarse_grid = GridSpec(cur.grid.dim, (cur.grid.n - 1) // 2, 2 * cur.grid.h)
-        coarse_matrix = ((p.T @ cur.matrix @ p) * 2.0 ** -cur.grid.dim).tocsr()
-        cur.prolong = p
-        levels.append(Level(coarse_grid, coarse_matrix))
+        st = stencils.galerkin_stencil(st)
+        levels.append(Level(coarse_grid, assemble_sparse(st, coarse_grid)))
 
     for level in levels[:-1]:
         level.m_apply = _smoother_applicator(spec.smoother, level.grid, level.matrix)
@@ -212,23 +224,48 @@ def build_hierarchy(spec: CycleSpec, fine_grid: GridSpec) -> Hierarchy:
     return Hierarchy(spec, levels)
 
 
-def relax(sm: SmootherSpec, level: Level, u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One sweep of ``u + omega M (b - A u)``."""
-    residual = b - level.matrix @ u
-    return u + float(sm.omega) * level.m_apply(residual)
+def _residual(level: Level, u: np.ndarray | None, b: np.ndarray) -> np.ndarray:
+    """``b - A u`` in a new array, or ``b`` itself for the zero iterate ``u = None``."""
+    if u is None:
+        return b
+    residual = level.matrix @ u
+    np.subtract(b, residual, out=residual)
+    return residual
 
 
-def _descend(hier: Hierarchy, idx: int, u: np.ndarray, b: np.ndarray) -> np.ndarray:
+def relax(sm: SmootherSpec, level: Level, u: np.ndarray | None, b: np.ndarray) -> np.ndarray:
+    """One sweep of ``u + omega M (b - A u)`` into a new array.
+
+    ``u = None`` stands for the zero iterate, whose sweep is ``omega M b``.
+    Neither ``u`` nor ``b`` is modified.
+    """
+    out = level.m_apply(_residual(level, u, b))
+    out *= float(sm.omega)
+    if u is not None:
+        out += u
+    return out
+
+
+def _descend(hier: Hierarchy, idx: int, u: np.ndarray | None, b: np.ndarray) -> np.ndarray:
+    """Cycle on level ``idx`` from ``u``; ``None`` is a coarse level's zero start.
+
+    Starting from zero skips the product ``A 0`` and the additions of zero;
+    in IEEE arithmetic ``b - 0 = b`` and ``0 + x = x``, so the result is the
+    one the explicit zero vector gives.  Every other step writes into an
+    array this cycle made, never into the caller's ``u`` or ``b``.
+    """
     level = hier.levels[idx]
     if level.lu is not None:
         return level.lu.solve(b)
     sm = hier.spec.smoother
     for _ in range(hier.spec.nu1):
         u = relax(sm, level, u, b)
-    residual = b - level.matrix @ u
-    coarse_b = (level.prolong.T @ residual) * 2.0 ** -level.grid.dim
-    coarse_u = _descend(hier, idx + 1, np.zeros_like(coarse_b), coarse_b)
-    u = u + level.prolong @ coarse_u
+    coarse_b = level.prolong.T @ _residual(level, u, b)
+    coarse_b *= 2.0 ** -level.grid.dim
+    correction = level.prolong @ _descend(hier, idx + 1, None, coarse_b)
+    if u is not None:
+        correction += u
+    u = correction
     for _ in range(hier.spec.nu2):
         u = relax(sm, level, u, b)
     return u

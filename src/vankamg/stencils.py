@@ -37,6 +37,7 @@ __all__ = [
     "laplacian_stencil",
     "mass_stencil",
     "tensor_product",
+    "galerkin_stencil",
     "PatchLayout",
     "closed_form_stencil",
     "apply",
@@ -261,6 +262,45 @@ def tensor_product(a: Stencil, b: Stencil) -> Stencil:
                 else float(ca) * float(cb)
             entries[key] = term if prior is None else prior + term
     return Stencil(a.dim + b.dim, entries)
+
+
+# ``hat * hat``: the 1D linear-interpolation hat ``[1/2 1 1/2]`` correlated with itself
+_HAT_HAT = {-2: Fraction(1, 4), -1: Fraction(1), 0: Fraction(3, 2), 1: Fraction(1),
+            2: Fraction(1, 4)}
+
+
+def galerkin_stencil(a: Stencil) -> Stencil:
+    """Stencil of the Galerkin coarse operator ``2**-dim P^T A P``.
+
+    ``P`` is linear interpolation from the grid of spacing ``2h`` (coarse
+    point ``J`` on fine point ``2J``) and ``A`` applies ``a``.  ``P`` is a
+    tensor product of 1D hats, so the coarse entry at offset ``J`` is
+
+        ``2**-dim sum_k a(k) prod_m H(2 J_m - k_m)``
+
+    with ``H = [1/4 1 3/2 1 1/4]`` on offsets ``-2..2``, the hat correlated
+    with itself.  Its symbol at ``2 theta`` is ``sum_k p_k^2 a~(theta_k)``
+    over the harmonics of ``theta``, the coarse symbol the two-grid analysis
+    uses.  The product over ``m`` is summed one axis at a time.  Exact
+    coefficients stay exact; float ones give float sums.
+
+    On a Dirichlet grid with ``n = 2**k - 1`` points every hat of ``P`` lies
+    inside the box, so the stencil assembled on the coarse grid is the
+    Galerkin matrix itself, entry for entry.
+    """
+    span = range(-((a.reach + 2) // 2), (a.reach + 2) // 2 + 1)
+    coefs = a.entries
+    for axis in range(a.dim):
+        summed = {}
+        for o, c in coefs.items():
+            for j in span:
+                weight = _HAT_HAT.get(2 * j - o[axis])
+                if weight is not None:
+                    key = o[:axis] + (j,) + o[axis + 1:]
+                    summed[key] = summed.get(key, 0) + c * weight
+        coefs = summed
+    scale = Fraction(1, 2**a.dim)
+    return Stencil(a.dim, {o: c * scale for o, c in coefs.items() if c != 0})
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,21 @@ def test_galerkin_coarse_symbol_identity():
         assert np.allclose(a_coarse @ vc, want * vc, atol=1e-12)
 
 
+@pytest.mark.parametrize("dim, samples", [(1, 64), (2, 64), (3, 16)])
+def test_galerkin_stencil_symbol_is_the_coarse_symbol(dim, samples):
+    # the solver's coarse stencil has the analysis' coarse symbol: at 2 theta
+    # it is sum_k p_k^2 A~(theta_k); both sides cancel as theta -> 0, where
+    # they drift apart by 3.3e-14 relative at worst
+    a = laplacian_stencil(dim, Fraction(1, 10))
+    coarse = v.galerkin_stencil(a)
+    bases = FrequencyGrid(dim, samples).low_points()
+    shifts = np.pi * lfa._kappas(dim)
+    want = np.array([np.sum(transfer_symbols(dim, theta) ** 2 * v.symbol(a, theta + shifts).real)
+                     for theta in bases])
+    got = v.symbol(coarse, 2 * bases).real
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
 # ---------------------------------------------------------------------------
 # two-grid symbols and convergence factors
 # ---------------------------------------------------------------------------
