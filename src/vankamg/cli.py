@@ -47,6 +47,7 @@ TABLE1_PAIRS = [("jacobi", 1), ("vanka-e", 1), ("vanka-v", 1),
 MU_TOLERANCE = 5e-3
 RHO_TOLERANCE = 1.5e-2
 OMEGA_SCAN_MAX = 1.5
+OMEGA_SCAN_POINTS = 10_000    # a finer scan is refused before any omega is listed
 
 
 class CliError(Exception):
@@ -211,7 +212,10 @@ def cmd_solve(args) -> int:
         hier = solver.build_hierarchy(cspec, GridSpec(args.dim, n, float(h)))
     except ValueError as exc:
         raise CliError(f"--h {args.h}: {exc}") from exc
-    run = solver.run_convergence(hier, cycles=args.cycles, seed=args.seed)
+    try:
+        run = solver.run_convergence(hier, cycles=args.cycles, seed=args.seed)
+    except solver.StagnationError as exc:
+        raise CliError(f"--nu1 {args.nu1} --nu2 {args.nu2}: {exc}") from exc
     lfa_rho = lfa.two_grid_factor(spec, args.nu1, args.nu2, fgrid)
     payload = {
         "spec": {"kind": args.kind, "dim": args.dim, "omega": spec.omega,
@@ -232,10 +236,13 @@ def cmd_solve(args) -> int:
 def cmd_scan_omega(args) -> int:
     spec_probe = _spec(args.kind, args.dim, None)  # validates the pair
     nu1, nu2 = _sweeps(args)
-    if args.step <= 0:
-        raise CliError("step must be positive")
-    count = int(OMEGA_SCAN_MAX / args.step + 1e-9)
-    omegas = [args.step * k for k in range(1, count + 1)]
+    if not args.step > 0:    # also refuses nan
+        raise CliError(f"--step must be positive, got {args.step}")
+    points = OMEGA_SCAN_MAX / args.step + 1e-9
+    if points >= OMEGA_SCAN_POINTS + 1:
+        raise CliError(f"--step {args.step} would scan {points:.3g} omegas, "
+                       f"over the cap of {OMEGA_SCAN_POINTS}")
+    omegas = [args.step * k for k in range(1, int(points) + 1)]
     if not omegas:
         sys.stderr.write(f"warning: step {args.step} exceeds {OMEGA_SCAN_MAX}; "
                          "scanning the single point omega = 1.5\n")

@@ -49,7 +49,7 @@ from itertools import product
 import numpy as np
 
 from .stencils import (PatchLayout, Stencil, closed_form_stencil, delta_stencil,
-                       laplacian_stencil, mass_stencil, tensor_product)
+                       laplacian_stencil, mass_stencil, restriction_stencil)
 
 __all__ = [
     "SmootherKind",
@@ -385,25 +385,16 @@ def transfer_symbols(dim: int, theta) -> np.ndarray:
     """Per-harmonic prolongation symbol ``p`` at a low frequency.
 
     One entry per harmonic ``theta + kappa*pi`` in the order of
-    ``kappa = (0,...,0), ..., (1,...,1)``.  Restriction is the scaled
-    transpose of prolongation, so its symbol equals ``p`` and the Galerkin
-    coarse symbol is ``sum_k p[k] A~(theta_k) p[k]``.
+    ``kappa = (0,...,0), ..., (1,...,1)``.  ``p`` is the symbol of the full
+    weighting ``restriction_stencil``: prolongation is its scaled transpose,
+    so both transfers have the symbol ``p`` and the Galerkin coarse symbol is
+    ``sum_k p[k] A~(theta_k) p[k]``.
     """
     theta = np.asarray(theta, dtype=float).reshape(dim)
     if np.any(theta < -np.pi / 2 - 1e-12) or np.any(theta >= np.pi / 2 - 1e-12):
         raise ValueError("transfer symbols are defined for theta in [-pi/2, pi/2)")
     harmonics = theta[None, :] + np.pi * _kappas(dim)
-    return symbol(_interpolation_stencil(dim), harmonics).real
-
-
-@lru_cache(maxsize=None)
-def _interpolation_stencil(dim: int) -> Stencil:
-    """Linear interpolation as a stencil: symbol ``prod_k (1 + cos theta_k)/2``."""
-    line = Stencil(1, {(-1,): Fraction(1, 4), (0,): Fraction(1, 2), (1,): Fraction(1, 4)})
-    out = line
-    for _ in range(dim - 1):
-        out = tensor_product(out, line)
-    return out
+    return symbol(restriction_stencil(dim), harmonics).real
 
 
 def _two_grid_stack(spec: SmootherSpec, bases: np.ndarray, nu1: int, nu2: int):
@@ -419,7 +410,7 @@ def _two_grid_stack(spec: SmootherSpec, bases: np.ndarray, nu1: int, nu2: int):
     kappas = _kappas(dim)
     harmonics = bases[None, :, :] + np.pi * kappas[:, None, :]   # (K, N, d)
     a, m, p = (symbol(st, harmonics).real                         # (K, N) each
-               for st in (spec.a_stencil(), spec.m_stencil(), _interpolation_stencil(dim)))
+               for st in (spec.a_stencil(), spec.m_stencil(), restriction_stencil(dim)))
     s = 1.0 - float(spec.omega) * m * a
     a_coarse = (p * p * a).sum(axis=0)                           # (N,)
     if np.any(np.abs(a_coarse) < 1e-13):
@@ -471,7 +462,7 @@ def two_grid_factor(spec: SmootherSpec, nu1: int, nu2: int,
         raise ValueError(f"frequency grid dim {grid.dim} != smoother dim {spec.dim}")
     if nu1 < 0 or nu2 < 0:
         raise ValueError("smoothing step counts must be nonnegative")
-    a_stencil, p_stencil = spec.a_stencil(), _interpolation_stencil(spec.dim)
+    a_stencil, p_stencil = spec.a_stencil(), restriction_stencil(spec.dim)
     return _rank_one_radius(float(spec.omega), nu1 + nu2, grid._low_symbols(a_stencil),
                             grid._low_symbols(spec.m_stencil()),
                             grid._weights(a_stencil, p_stencil))
@@ -702,7 +693,7 @@ def eigenfield(spec: SmootherSpec, nu1: int, nu2: int,
     a = grid._low_symbols(a_stencil)
     s = 1.0 - float(spec.omega) * grid._low_symbols(spec.m_stencil()) * a      # (K, N)
     # w = sqrt(a) p / |sqrt(a) p| is the root of the weights, as a and p are >= 0
-    w = np.sqrt(grid._weights(a_stencil, _interpolation_stencil(2))).T
+    w = np.sqrt(grid._weights(a_stencil, restriction_stencil(2))).T
     k = w.shape[1]
     proj = np.eye(k) - w[:, :, None] * w[:, None, :]
     vals, y = np.linalg.eigh(proj @ ((s ** (nu1 + nu2)).T[:, :, None] * proj))

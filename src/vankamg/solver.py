@@ -9,7 +9,8 @@ interpolation ``P``.  Each is assembled from its exact stencil,
 every hat of ``P`` lies inside the box, so the triple product is that
 constant-coefficient stencil truncated at the Dirichlet boundary, the same
 matrix without the sparse product's temporaries.  The cycle restricts with
-full weighting ``R = 2**-dim P^T``, so ``A_H = R A P``; this reproduces the
+the full weighting ``R = 2**-dim P^T`` of ``stencils.restriction_stencil``,
+from which ``P`` is built, so ``A_H = R A P``; this reproduces the
 coarse Laplacian exactly in 1D and keeps the discrete two-grid operator
 aligned with its Fourier symbol (the error operator is invariant under the
 common rescaling of ``R`` and ``A_H``, so transposed-interpolation restriction
@@ -32,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .lfa import SmootherKind, SmootherSpec
-from .stencils import GridSpec, PatchLayout, laplacian_stencil
+from .stencils import GridSpec, PatchLayout, laplacian_stencil, restriction_stencil
 from . import stencils
 from .vanka import build_vanka, assemble_sparse
 
@@ -115,19 +116,21 @@ class Hierarchy:
 
 
 def _p1_matrix(nc: int) -> sp.csr_matrix:
-    """1D linear interpolation from nc coarse to 2*nc + 1 fine interior points."""
+    """1D linear interpolation ``2 R^T`` from nc coarse to 2*nc + 1 fine interior points."""
     j = np.arange(nc)
-    # coarse point j sits on fine point 2j+1; its two fine neighbours get 1/2
-    rows = np.concatenate([2 * j + 1, 2 * j, 2 * j + 2])
-    vals = np.repeat([1.0, 0.5, 0.5], nc)
-    return sp.csr_matrix((vals, (rows, np.tile(j, 3))), shape=(2 * nc + 1, nc))
+    # coarse point j sits on fine point 2j+1 and gives 2 r(o) to fine point 2j+1+o
+    line = restriction_stencil(1).entries
+    rows = np.concatenate([2 * j + 1 + o for (o,) in line])
+    vals = np.repeat([2 * float(c) for c in line.values()], nc)
+    return sp.csr_matrix((vals, (rows, np.tile(j, len(line)))), shape=(2 * nc + 1, nc))
 
 
 def transfer_ops(fine_grid: GridSpec) -> sp.csr_matrix:
     """Prolongation ``P`` from the ``(n-1)/2`` grid to the ``n`` grid.
 
-    ``P`` is the tensor product of 1D linear interpolation; the full-weighting
-    restriction is ``2**-dim P^T`` and is applied as such, never stored.
+    ``P = 2**dim R^T`` for the full weighting ``R`` of
+    ``stencils.restriction_stencil``: the tensor product of 1D linear
+    interpolation.  The cycle restricts with ``2**-dim P^T``, never stored.
     """
     n = fine_grid.n
     if n < 3 or (n - 1) % 2:
@@ -147,9 +150,10 @@ def _smoother_applicator(sm: SmootherSpec, level_grid: GridSpec, operator):
     ``lfa.smoother_m_stencil`` at the level's ``h``, applied matrix-free by
     ``stencils.apply``.  Those stencils are rank one (the mass stencils are
     ``[1 4 1]`` per axis, Jacobi a scaled identity), so ``apply`` sweeps one
-    axis at a time.  On the 3D n = 63 grid that takes 2.7 ms, against
-    11 ms for the product with the assembled 27-point mass matrix, which
-    would also cost 1 s and 76 MiB to build.
+    axis at a time.  On the 3D n = 63 grid that takes 4.3 ms, against
+    9.7 ms for the product with the assembled 27-point mass matrix, which
+    would also take 0.31 s and an 81 MiB peak to build (best of 20 and 5
+    runs on a 2-CPU VM; peak by ``tracemalloc``).
     """
     kind = sm.kind
     if kind in (SmootherKind.VANKA_ELEMENT, SmootherKind.VANKA_VERTEX):
@@ -195,32 +199,29 @@ def build_hierarchy(spec: CycleSpec, fine_grid: GridSpec) -> Hierarchy:
     if n < min_n:
         raise ValueError(f"{spec.cycle} needs n >= {min_n} interior points "
                          f"per dimension, got n={n}")
-    coarse_n = (n - 1) // 2
-    while spec.cycle == "v-cycle" and coarse_n > COARSEST_MAX:
-        coarse_n = (coarse_n - 1) // 2
-    lu_bytes = _coarse_lu_bytes(fine_grid.dim, coarse_n)
+    # a two-grid cycle coarsens once, a V-cycle down to COARSEST_MAX points
+    grids = [fine_grid]
+    while len(grids) == 1 or spec.cycle == "v-cycle" and grids[-1].n > COARSEST_MAX:
+        g = grids[-1]
+        grids.append(GridSpec(g.dim, (g.n - 1) // 2, 2 * g.h))
+    coarsest = grids[-1]
+    lu_bytes = _coarse_lu_bytes(coarsest.dim, coarsest.n)
     if lu_bytes > COARSE_LU_BUDGET_BYTES:
         raise ValueError(
-            f"the coarse LU on {coarse_n}^{fine_grid.dim} unknowns needs about "
+            f"the coarse LU on {coarsest.n}^{coarsest.dim} unknowns needs about "
             f"{lu_bytes / 2**30:.0f} GiB, over the {COARSE_LU_BUDGET_BYTES / 2**30:.0f} GiB "
             "budget; a V-cycle (--cycle v-cycle) coarsens to n <= 7")
 
     st = laplacian_stencil(fine_grid.dim, fine_grid.h)
     levels = [Level(fine_grid, assemble_sparse(st, fine_grid))]
-    while True:
-        cur = levels[-1]
-        stop = cur.grid.n <= COARSEST_MAX if spec.cycle == "v-cycle" else len(levels) == 2
-        if stop:
-            break
-        cur.prolong = transfer_ops(cur.grid)
-        coarse_grid = GridSpec(cur.grid.dim, (cur.grid.n - 1) // 2, 2 * cur.grid.h)
+    for grid in grids[1:]:
+        levels[-1].prolong = transfer_ops(levels[-1].grid)
         st = stencils.galerkin_stencil(st)
-        levels.append(Level(coarse_grid, assemble_sparse(st, coarse_grid)))
+        levels.append(Level(grid, assemble_sparse(st, grid)))
 
     for level in levels[:-1]:
         level.m_apply = _smoother_applicator(spec.smoother, level.grid, level.matrix)
-    coarsest = levels[-1]
-    coarsest.lu = scipy.sparse.linalg.splu(coarsest.matrix.tocsc())
+    levels[-1].lu = scipy.sparse.linalg.splu(levels[-1].matrix.tocsc())
     return Hierarchy(spec, levels)
 
 

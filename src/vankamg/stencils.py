@@ -1,10 +1,9 @@
 """Constant-coefficient stencils on uniform grids.
 
 A stencil is a finite map from integer offsets to coefficients.  Coefficients
-are kept as exact rationals (`fractions.Fraction`) whenever they come from a
-closed-form expression, so that algebraic identities between operators can be
-checked without floating-point slack; float coefficients are accepted for
-derived or measured operators.
+are exact rationals (`fractions.Fraction`), so that algebraic identities
+between operators can be checked without floating-point slack; a finite float
+is accepted and converted exactly, a NaN or an infinity is rejected.
 
 Grids are uniform lattices on the unit cube with Dirichlet values eliminated:
 a grid with ``n`` points per dimension and spacing ``h`` represents the
@@ -23,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import prod
 from numbers import Rational
 from types import MappingProxyType
@@ -37,6 +36,7 @@ __all__ = [
     "laplacian_stencil",
     "mass_stencil",
     "tensor_product",
+    "restriction_stencil",
     "galerkin_stencil",
     "PatchLayout",
     "closed_form_stencil",
@@ -44,13 +44,14 @@ __all__ = [
 ]
 
 
-def _exact(value):
-    """Coerce ints and rationals to Fraction, leave floats alone."""
-    if isinstance(value, float):
-        return value
-    if isinstance(value, Rational):
+def _exact(value) -> Fraction:
+    """``value`` as an exact Fraction: rationals as they are, finite floats exactly."""
+    if not isinstance(value, (Rational, float)):
+        raise TypeError(f"stencil coefficient must be rational or float, got {type(value)!r}")
+    try:
         return Fraction(value)
-    raise TypeError(f"stencil coefficient must be rational or float, got {type(value)!r}")
+    except (ValueError, OverflowError) as exc:     # NaN, and +-inf
+        raise ValueError(f"stencil coefficient must be finite, got {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -101,13 +102,14 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Stencil:
-    """Finite-difference stencil with exact or floating coefficients.
+    """Finite-difference stencil with exact rational coefficients.
 
-    ``entries`` maps offset tuples of length ``dim`` to coefficients.  The
-    mapping is copied, normalised and made read-only at construction, so
-    stencils shared by the memoised constructors and their cached arrays
-    cannot drift apart; zero coefficients are kept if explicitly given (they
-    matter for sparsity-pattern tests).
+    ``entries`` maps offset tuples of length ``dim`` to coefficients, each
+    converted to a Fraction (a float exactly; NaN and infinities raise
+    ``ValueError``).  The mapping is copied, normalised and made read-only at
+    construction, so stencils shared by the memoised constructors and their
+    cached arrays cannot drift apart; zero coefficients are kept if
+    explicitly given (they matter for sparsity-pattern tests).
     """
 
     dim: int
@@ -177,24 +179,16 @@ class Stencil:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
-        """Serialize; rational coefficients become strings, floats stay numbers."""
-        entries = []
-        for o in self.offsets:
-            c = self.entries[o]
-            coef = str(c) if isinstance(c, Fraction) else c
-            entries.append({"offset": list(o), "coef": coef})
+        """Serialize; coefficients become exact ``"p/q"`` strings."""
+        entries = [{"offset": list(o), "coef": str(self.entries[o])} for o in self.offsets]
         return json.dumps({"dim": self.dim, "entries": entries},
                           sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "Stencil":
         data = json.loads(text)
-        entries = {}
-        for item in data["entries"]:
-            coef = item["coef"]
-            coef = Fraction(coef) if isinstance(coef, str) else float(coef)
-            entries[tuple(item["offset"])] = coef
-        return cls(int(data["dim"]), entries)
+        return cls(int(data["dim"]),
+                   {tuple(item["offset"]): Fraction(item["coef"]) for item in data["entries"]})
 
 
 # ---------------------------------------------------------------------------
@@ -226,81 +220,88 @@ def laplacian_stencil(dim: int, h) -> Stencil:
     return Stencil(dim, entries)
 
 
-_MASS_1D = {(-1,): Fraction(1, 6), (0,): Fraction(4, 6), (1,): Fraction(1, 6)}
+def _tensor_power(line: Stencil, dim: int) -> Stencil:
+    """``line`` tensored with itself ``dim`` times: the same 1D line on every axis."""
+    if dim not in (1, 2, 3):
+        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+    return reduce(tensor_product, [line] * dim)
 
 
 def mass_stencil(dim: int, h) -> Stencil:
     """Consistent Q1 mass-matrix stencil scaled to pair with the Laplacian.
 
     Returns ``h/6 [1 4 1]`` in 1D, ``h^2/36 [[1,4,1],[4,16,4],[1,4,1]]`` in
-    2D, and ``h^2/216 [1 4 1]^(x3)``, a rank-one tensor of order 3, in 3D.
-    ``[1 4 1]/6`` is the consistent mass; the lumped one would be diagonal.
-    The 3D variant is normalised so the product with the 7-point Laplacian
-    symbol stays dimensionless.
+    2D, and ``h^2/216 [1 4 1]^(x3)``, a rank-one tensor of order 3, in 3D:
+    the tensor power of ``[1 4 1]/6``, the consistent mass (the lumped one
+    would be diagonal).  The 3D variant keeps the ``h^2`` scale so the
+    product with the 7-point Laplacian symbol stays dimensionless.
     """
-    hf = Fraction(h)
-    if dim == 1:
-        return Stencil(1, _MASS_1D).scaled(hf)
-    if dim == 2:
-        base = tensor_product(Stencil(1, _MASS_1D), Stencil(1, _MASS_1D))
-        return base.scaled(hf**2)
-    if dim == 3:
-        base = tensor_product(tensor_product(Stencil(1, _MASS_1D), Stencil(1, _MASS_1D)),
-                              Stencil(1, _MASS_1D))
-        return base.scaled(hf**2)
-    raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+    line = Stencil(1, {(-1,): Fraction(1, 6), (0,): Fraction(4, 6), (1,): Fraction(1, 6)})
+    return _tensor_power(line, dim).scaled(Fraction(h) ** min(dim, 2))
 
 
 def tensor_product(a: Stencil, b: Stencil) -> Stencil:
-    """Outer product of stencils; symbols multiply accordingly."""
-    entries = {}
-    for oa, ca in a.entries.items():
-        for ob, cb in b.entries.items():
-            key = oa + ob
-            prior = entries.get(key)
-            term = ca * cb if not isinstance(ca, float) and not isinstance(cb, float) \
-                else float(ca) * float(cb)
-            entries[key] = term if prior is None else prior + term
-    return Stencil(a.dim + b.dim, entries)
+    """Outer product of stencils; symbols multiply accordingly.
+
+    The offsets of the product are the concatenations ``oa + ob``, all distinct.
+    """
+    return Stencil(a.dim + b.dim, {oa + ob: ca * cb for oa, ca in a.entries.items()
+                                   for ob, cb in b.entries.items()})
 
 
-# ``hat * hat``: the 1D linear-interpolation hat ``[1/2 1 1/2]`` correlated with itself
-_HAT_HAT = {-2: Fraction(1, 4), -1: Fraction(1), 0: Fraction(3, 2), 1: Fraction(1),
-            2: Fraction(1, 4)}
+@lru_cache(maxsize=None)
+def restriction_stencil(dim: int) -> Stencil:
+    """Full weighting ``R``: ``[1/4 1/2 1/4]`` on every axis, symbol ``prod (1 + cos)/2``.
+
+    The one grid transfer of the package.  Coarse point ``J`` sits on fine
+    point ``2J``; ``R`` averages the fine values around it, and linear
+    interpolation is ``P = 2**dim R^T``.  The analysis takes its transfer
+    symbol from this stencil, ``galerkin_stencil`` its weights and the
+    solver its prolongation.  Memoised, so the frequency-grid caches keyed
+    by stencil identity see one object per dimension.
+    """
+    line = Stencil(1, {(-1,): Fraction(1, 4), (0,): Fraction(1, 2), (1,): Fraction(1, 4)})
+    return _tensor_power(line, dim)
 
 
 def galerkin_stencil(a: Stencil) -> Stencil:
     """Stencil of the Galerkin coarse operator ``2**-dim P^T A P``.
 
-    ``P`` is linear interpolation from the grid of spacing ``2h`` (coarse
-    point ``J`` on fine point ``2J``) and ``A`` applies ``a``.  ``P`` is a
-    tensor product of 1D hats, so the coarse entry at offset ``J`` is
+    ``P = 2**dim R^T`` is linear interpolation from the grid of spacing
+    ``2h`` (coarse point ``J`` on fine point ``2J``), ``R`` the full
+    weighting of :func:`restriction_stencil`, and ``A`` applies ``a``.  The
+    coarse operator is ``2**dim R A R^T`` and ``R`` is a tensor product of
+    1D lines ``r``, so the coarse entry at offset ``J`` is
 
-        ``2**-dim sum_k a(k) prod_m H(2 J_m - k_m)``
+        ``sum_k a(k) prod_m W(2 J_m - k_m)``
 
-    with ``H = [1/4 1 3/2 1 1/4]`` on offsets ``-2..2``, the hat correlated
-    with itself.  Its symbol at ``2 theta`` is ``sum_k p_k^2 a~(theta_k)``
-    over the harmonics of ``theta``, the coarse symbol the two-grid analysis
-    uses.  The product over ``m`` is summed one axis at a time.  Exact
-    coefficients stay exact; float ones give float sums.
+    with ``W = 2 r * r = [1/8 1/2 3/4 1/2 1/8]`` on offsets ``-2..2``, the
+    line correlated with itself.  Its symbol at ``2 theta`` is
+    ``sum_k p_k^2 a~(theta_k)`` over the harmonics of ``theta``, the coarse
+    symbol the two-grid analysis uses.  The product over ``m`` is summed one
+    axis at a time, in exact arithmetic.
 
     On a Dirichlet grid with ``n = 2**k - 1`` points every hat of ``P`` lies
     inside the box, so the stencil assembled on the coarse grid is the
     Galerkin matrix itself, entry for entry.
     """
+    line = restriction_stencil(1).entries
+    weights = {}
+    for (i,), ri in line.items():
+        for (j,), rj in line.items():
+            weights[j - i] = weights.get(j - i, 0) + 2 * ri * rj
     span = range(-((a.reach + 2) // 2), (a.reach + 2) // 2 + 1)
     coefs = a.entries
     for axis in range(a.dim):
         summed = {}
         for o, c in coefs.items():
             for j in span:
-                weight = _HAT_HAT.get(2 * j - o[axis])
+                weight = weights.get(2 * j - o[axis])
                 if weight is not None:
                     key = o[:axis] + (j,) + o[axis + 1:]
                     summed[key] = summed.get(key, 0) + c * weight
         coefs = summed
-    scale = Fraction(1, 2**a.dim)
-    return Stencil(a.dim, {o: c * scale for o, c in coefs.items() if c != 0})
+    return Stencil(a.dim, {o: c for o, c in coefs.items() if c != 0})
 
 
 # ---------------------------------------------------------------------------
@@ -321,21 +322,20 @@ class PatchLayout:
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
 
 
-def _cross_entries(center, axis1, diag, axis2, dim):
-    entries = {(0,) * dim: center}
-    for axis in range(dim):
-        for sign in (-1, 1):
-            o = [0] * dim
-            o[axis] = sign
-            entries[tuple(o)] = axis1
-            o = [0] * dim
-            o[axis] = 2 * sign
-            entries[tuple(o)] = axis2
-    if dim == 2:
-        for sx in (-1, 1):
-            for sy in (-1, 1):
-                entries[(sx, sy)] = diag
-    return entries
+# (kind, dim) -> (denominator, numerators by offset): the interior row is
+# ``h^2/denominator`` times the numerators.  Entries with more than one term
+# are summed in this order by ``_apply_entries``.
+_CLOSED_FORMS = {
+    ("element", 1): (6, {(-1,): 1, (0,): 4, (1,): 1}),
+    ("vertex", 1): (12, {(-2,): 1, (-1,): 4, (0,): 10, (1,): 4, (2,): 1}),
+    ("element", 2): (96, {(-1, -1): 1, (-1, 0): 4, (-1, 1): 1,
+                          (0, -1): 4, (0, 0): 28, (0, 1): 4,
+                          (1, -1): 1, (1, 0): 4, (1, 1): 1}),
+    ("vertex", 2): (240, {(0, 0): 68,
+                          (-1, 0): 8, (-2, 0): 1, (1, 0): 8, (2, 0): 1,
+                          (0, -1): 8, (0, -2): 1, (0, 1): 8, (0, 2): 1,
+                          (-1, -1): 2, (-1, 1): 2, (1, -1): 2, (1, 1): 2}),
+}
 
 
 def closed_form_stencil(layout: PatchLayout, h) -> Stencil:
@@ -349,23 +349,12 @@ def closed_form_stencil(layout: PatchLayout, h) -> Stencil:
     * element 2D: ``h^2/96 [[1 4 1] [4 28 4] [1 4 1]]``
     * vertex 2D:  ``h^2/240`` with centre 68, axis 8, diagonal 2, axis-2 1.
     """
-    hh = Fraction(h) ** 2
-    kind, dim = layout.kind, layout.dim
-    if (kind, dim) == ("element", 1):
-        entries = {(-1,): Fraction(1, 6), (0,): Fraction(4, 6), (1,): Fraction(1, 6)}
-    elif (kind, dim) == ("vertex", 1):
-        entries = {(-2,): Fraction(1, 12), (-1,): Fraction(4, 12), (0,): Fraction(10, 12),
-                   (1,): Fraction(4, 12), (2,): Fraction(1, 12)}
-    elif (kind, dim) == ("element", 2):
-        line = ((-1, 1), (0, 4), (1, 1))
-        entries = {(ox, oy): Fraction(cx * cy, 96) for ox, cx in line for oy, cy in line}
-        entries[(0, 0)] = Fraction(28, 96)
-    elif (kind, dim) == ("vertex", 2):
-        entries = _cross_entries(Fraction(68, 240), Fraction(8, 240),
-                                 Fraction(2, 240), Fraction(1, 240), 2)
-    else:
-        raise NotImplementedError(f"no closed form for {kind} patches in dim {dim}")
-    return Stencil(dim, entries).scaled(hh)
+    key = (layout.kind, layout.dim)
+    if key not in _CLOSED_FORMS:
+        raise NotImplementedError(f"no closed form for {key[0]} patches in dim {key[1]}")
+    denominator, row = _CLOSED_FORMS[key]
+    return Stencil(layout.dim, {o: Fraction(c, denominator) for o, c in row.items()}
+                   ).scaled(Fraction(h) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +368,7 @@ def _rank_one_factors(stencil: Stencil):
     agree with a pivot entry ``p`` off axis ``k``; lines after the first are
     divided by ``p``.  The coefficient tensor is rank one exactly when every
     nonzero entry equals the product of its lines and the two supports have
-    the same size.  The test runs in ``Fraction`` arithmetic, so stencils
-    with float coefficients return None.
+    the same size.  The test runs in exact ``Fraction`` arithmetic.
 
     Returns ``(scale, sweeps)``: ``sweeps`` holds ``(axis, line)`` pairs, each
     ``line`` a tuple of ``(offset, float coefficient)`` with offset 0 first.
@@ -389,8 +377,6 @@ def _rank_one_factors(stencil: Stencil):
     multiply or a temporary; an axis whose line is a lone centre coefficient
     is not swept.  ``scale`` is the product of everything divided out.
     """
-    if any(isinstance(c, float) for c in stencil.entries.values()):
-        return None
     support = {o: c for o, c in stencil.entries.items() if c != 0}
     if not support:
         return None
@@ -465,11 +451,10 @@ def apply(stencil: Stencil, grid: GridSpec, u: np.ndarray) -> np.ndarray:
     wraps indices (oracle use).  The result is a new flat array; the input
     is never modified.
 
-    A stencil with exact coefficients whose tensor is rank one (the mass
-    stencils, the Jacobi scaling, any ``tensor_product`` of exact 1D lines)
-    is applied one axis at a time: one 1D sweep per axis through two work
-    buffers, 3 + 3 + 3 shifted terms for the 27-point 3D mass stencil
-    instead of 27.  Both the truncated and the wrapped sum factor over the
+    A stencil whose tensor is rank one (the mass stencils, the Jacobi
+    scaling, any ``tensor_product`` of 1D lines) is applied one axis at a
+    time: one 1D sweep per axis through two work buffers, 3 + 3 + 3 shifted
+    terms for the 27-point 3D mass stencil instead of 27.  Both the truncated and the wrapped sum factor over the
     axes of the box grid, so the result equals the entry-by-entry sum up to
     rounding.  Every other stencil is applied entry by entry.
     """

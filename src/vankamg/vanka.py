@@ -19,11 +19,10 @@ inverse (truncated slots padded with the identity) and one COO scatter of
 the weighted inverses.  Applying the smoother is then one sparse product.
 
 In the interior both layouts reduce to translation-invariant stencils with
-exact rational coefficients, exposed by :func:`closed_form_stencil` and used
-as the oracle for assembly tests on periodic grids.  That function and
-:class:`PatchLayout` are pure stencil data and live in
-:mod:`vankamg.stencils`, so the analysis never imports scipy; they are
-re-exported here.
+exact rational coefficients, given by :func:`vankamg.stencils.closed_form_stencil`
+and used as the oracle for assembly tests on periodic grids.  That function
+and :class:`~vankamg.stencils.PatchLayout` are pure stencil data and live in
+:mod:`vankamg.stencils`, so the analysis never imports scipy.
 
 :func:`assemble_sparse` turns any stencil into a CSR matrix by one rule:
 ``sum_o c_o kron_k T(o_k)``, a Kronecker product of 1D shifts per offset
@@ -39,14 +38,12 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sp
 
-from .stencils import GridSpec, PatchLayout, Stencil, closed_form_stencil
+from .stencils import GridSpec, PatchLayout, Stencil
 
 __all__ = [
-    "PatchLayout",
     "Patch",
     "VankaOperator",
     "build_vanka",
-    "closed_form_stencil",
     "assemble_sparse",
     "assemble_dense",
     "export_triplets",

@@ -14,8 +14,9 @@ import numpy as np
 import vankamg as v
 from vankamg import cli, lfa, solver
 from vankamg.lfa import FrequencyGrid, SmootherKind, SmootherSpec
-from vankamg.stencils import GridSpec, laplacian_stencil, mass_stencil
-from vankamg.vanka import PatchLayout, build_vanka, closed_form_stencil
+from vankamg.stencils import (GridSpec, PatchLayout, closed_form_stencil, laplacian_stencil,
+                              mass_stencil)
+from vankamg.vanka import build_vanka
 
 from conftest import record_criterion
 

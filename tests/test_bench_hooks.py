@@ -17,8 +17,8 @@ import pytest
 from vankamg import lfa
 from vankamg.lfa import FrequencyGrid, SmootherSpec, exact_optimum
 from vankamg.solver import CycleSpec, build_hierarchy
-from vankamg.stencils import GridSpec, laplacian_stencil
-from vankamg.vanka import PatchLayout, build_vanka
+from vankamg.stencils import GridSpec, PatchLayout, laplacian_stencil
+from vankamg.vanka import build_vanka
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 

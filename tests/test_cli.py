@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from vankamg import cli, lfa
 from vankamg.cli import main
 
 
@@ -195,6 +196,34 @@ def test_scan_omega_rejects_bad_step(capsys):
     assert "positive" in err
 
 
+@pytest.mark.parametrize("step", ["nan", "-0.0", "-inf"])
+def test_scan_omega_rejects_non_positive_step(capsys, step):
+    err = _one_line_usage_error(capsys, ["scan-omega", "--kind", "jacobi", f"--step={step}"])
+    assert "--step" in err and "positive" in err
+
+
+@pytest.mark.parametrize("step", ["1e-9", "5e-324"])
+def test_scan_omega_refuses_a_finer_scan_than_the_cap_before_listing_it(capsys, step):
+    tracemalloc.start()
+    try:
+        err = _one_line_usage_error(capsys, ["scan-omega", "--kind", "jacobi", f"--step={step}"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f"--step {float(step)}" in err and str(cli.OMEGA_SCAN_POINTS) in err
+    assert peak < 1 << 20
+
+
+def test_scan_omega_point_cap_admits_the_cap(capsys, monkeypatch):
+    monkeypatch.setattr(lfa, "two_grid_factor", lambda spec, nu1, nu2, grid: abs(spec.omega - 1))
+    step = cli.OMEGA_SCAN_MAX / cli.OMEGA_SCAN_POINTS
+    code, out, _ = _run(capsys, ["scan-omega", "--kind", "jacobi", "--step", repr(step)])
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == cli.OMEGA_SCAN_POINTS
+    _one_line_usage_error(capsys, ["scan-omega", "--kind", "jacobi",
+                                   "--step", repr(0.9999 * step)])
+
+
 # ---------------------------------------------------------------------------
 # parser behaviour
 # ---------------------------------------------------------------------------
@@ -215,6 +244,13 @@ def _one_line_usage_error(capsys, argv):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     return err
+
+
+def test_solve_stagnation_is_a_usage_error(capsys):
+    err = _one_line_usage_error(capsys, ["solve", "--kind", "vanka-e", "--dim", "1",
+                                         "--h", "1/8", "--nu1", "150", "--nu2", "150",
+                                         "--cycles", "5"])
+    assert "--nu1 150 --nu2 150" in err and "rounding level" in err
 
 
 def test_solve_rejects_single_cycle(capsys):

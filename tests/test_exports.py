@@ -33,10 +33,11 @@ assert "scipy" not in sys.modules
 build_hierarchy = vankamg.build_hierarchy
 assert "vankamg.solver" in sys.modules
 operator = vankamg.VankaOperator
-from vankamg import solver, vanka
+from vankamg import solver, stencils, vanka
 assert build_hierarchy is solver.build_hierarchy
 assert operator is vanka.VankaOperator
-assert vankamg.closed_form_stencil is vanka.closed_form_stencil
+assert vankamg.closed_form_stencil is stencils.closed_form_stencil
+assert not {"PatchLayout", "closed_form_stencil"} & set(vanka.__all__)
 print("ok")
 """
 

@@ -36,7 +36,7 @@ from vankamg.lfa import (
     two_grid_symbol,
 )
 from vankamg.stencils import (PatchLayout, Stencil, closed_form_stencil, delta_stencil,
-                              laplacian_stencil, mass_stencil)
+                              laplacian_stencil, mass_stencil, restriction_stencil)
 
 ALL_PAIRS = [
     ("jacobi", 1), ("jacobi", 2), ("jacobi", 3),
@@ -243,6 +243,18 @@ def test_transfer_symbol_values():
     assert np.allclose(p2, want, atol=1e-14)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_transfer_symbols_are_the_restriction_symbol(dim):
+    # the analysis' transfer is the stencil the solver builds P from, with the
+    # closed-form symbol prod_k (1 + cos theta_k)/2
+    shifts = np.pi * lfa._kappas(dim)
+    for theta in np.random.default_rng(7).uniform(-np.pi / 2, np.pi / 2, (20, dim)):
+        p = transfer_symbols(dim, theta)
+        assert np.array_equal(p, v.symbol(restriction_stencil(dim), theta + shifts).real)
+        assert np.allclose(p, np.prod((1 + np.cos(theta + shifts)) / 2, axis=1),
+                           rtol=0, atol=1e-15)
+
+
 def test_transfer_symbol_domain():
     transfer_symbols(1, (-np.pi / 2,))  # left edge included
     with pytest.raises(ValueError, match="theta"):
@@ -413,7 +425,7 @@ def _rank_one_at(spec, base, nu, exact_zeros):
     """The rank-one route at one base, symbols evaluated pointwise."""
     harmonics = np.asarray(base, dtype=float) + np.pi * lfa._kappas(spec.dim)
     a, m, p = (v.symbol(st, harmonics).real[:, None] for st in
-               (spec.a_stencil(), spec.m_stencil(), lfa._interpolation_stencil(spec.dim)))
+               (spec.a_stencil(), spec.m_stencil(), restriction_stencil(spec.dim)))
     if exact_zeros:     # a harmonic with a component at pi has p = 0 exactly
         p = np.where(np.abs(p) < 1e-12, 0.0, p)
     return lfa._rank_one_radius(spec.omega, nu, a, m, lfa._secular_weights(a, p))
@@ -463,7 +475,7 @@ def test_secular_root_at_a_nearly_deflated_pole_ends_in_few_steps(monkeypatch, p
 def _every_bracket_factor(spec, nu, grid):
     """Largest |root| over both end brackets of every base: no bound, no pruning."""
     a, m, p = (grid._low_symbols(st) for st in
-               (spec.a_stencil(), spec.m_stencil(), lfa._interpolation_stencil(spec.dim)))
+               (spec.a_stencil(), spec.m_stencil(), restriction_stencil(spec.dim)))
     sigma = ((1.0 - spec.omega * m * a) ** nu).T
     w2 = (p * p * a / (p * p * a).sum(axis=0)).T
     ordered = np.sort(sigma, axis=1)
@@ -533,7 +545,7 @@ def test_one_dimensional_factor_is_the_closed_form():
     spec = _spec("vanka-e", 1, 0.95)
     grid = FrequencyGrid(1, 64)
     a, m, p = (grid._low_symbols(st) for st in
-               (spec.a_stencil(), spec.m_stencil(), lfa._interpolation_stencil(1)))
+               (spec.a_stencil(), spec.m_stencil(), restriction_stencil(1)))
     for nu in range(1, 6):
         sigma = (1.0 - spec.omega * m * a) ** nu
         w2 = p * p * a / (p * p * a).sum(axis=0)
@@ -554,7 +566,7 @@ def test_weights_are_built_once_per_frequency_grid(monkeypatch):
     assert len(built) == 1
     two_grid_factor(_spec("mass3d", 3), 1, 0, FrequencyGrid(3, 16))
     assert len(built) == 2
-    held = grid._weights(laplacian_stencil(3, 1), lfa._interpolation_stencil(3))
+    held = grid._weights(laplacian_stencil(3, 1), restriction_stencil(3))
     assert not held.flags.writeable
     assert np.abs(held.sum(axis=0) - 1.0).max() < 1e-15
     assert len(built) == 2
@@ -565,8 +577,8 @@ def test_singular_weights_raise_on_every_call():
     zero = Stencil(2, {(0, 0): Fraction(0)})
     for _ in range(2):
         with pytest.raises(ValueError, match="singular"):
-            grid._weights(zero, lfa._interpolation_stencil(2))
-    assert (id(zero), id(lfa._interpolation_stencil(2))) not in grid._held
+            grid._weights(zero, restriction_stencil(2))
+    assert (id(zero), id(restriction_stencil(2))) not in grid._held
 
 
 @pytest.mark.parametrize("kind,dim", ALL_PAIRS, ids=lambda p: str(p))
@@ -613,7 +625,7 @@ def test_harmonic_symbols_match_pointwise_evaluation():
         bases = grid.low_points(skip_origin=False)
         harmonics = bases[None, :, :] + np.pi * lfa._kappas(dim)[:, None, :]
         for st in (lfa.smoother_m_stencil(kind, dim), laplacian_stencil(dim, 1),
-                   lfa._interpolation_stencil(dim)):
+                   restriction_stencil(dim)):
             want = v.symbol(st, harmonics).real
             assert np.abs(lfa._harmonic_symbols(st, grid) - want).max() < 1e-14
     # rows 1: are the high-frequency samples

@@ -31,8 +31,9 @@ from vankamg.solver import (
     run_convergence,
     transfer_ops,
 )
-from vankamg.stencils import GridSpec, Stencil, laplacian_stencil, mass_stencil
-from vankamg.vanka import PatchLayout, assemble_sparse, build_vanka, closed_form_stencil
+from vankamg.stencils import (GridSpec, PatchLayout, Stencil, closed_form_stencil,
+                              laplacian_stencil, mass_stencil, restriction_stencil)
+from vankamg.vanka import assemble_sparse, build_vanka
 
 
 def _smoother(kind, dim, omega=None):
@@ -70,6 +71,19 @@ def test_prolongation_tensor_2d():
     col = p.toarray()[:, 4].reshape(7, 7)  # coarse centre (1, 1)
     one_d = np.array([0, 0, 0.5, 1.0, 0.5, 0, 0])
     assert np.array_equal(col, np.outer(one_d, one_d))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 7), (1, 15), (2, 7), (2, 15), (3, 7)])
+def test_prolongation_is_the_scaled_transpose_of_the_restriction_stencil(dim, n):
+    # R is restriction_stencil applied on the fine grid and read at the fine
+    # points under the coarse ones (coarse j on fine 2j + 1 per axis)
+    fine = GridSpec(dim, n, 1 / (n + 1))
+    conv = assemble_sparse(restriction_stencil(dim), fine).toarray()
+    coarse_axis = 2 * np.arange((n - 1) // 2) + 1
+    under = np.ravel_multi_index(np.meshgrid(*[coarse_axis] * dim, indexing="ij"),
+                                 fine.shape).reshape(-1)
+    r = conv[under]
+    assert np.array_equal(transfer_ops(fine).toarray(), 2**dim * r.T)
 
 
 def test_transfer_requires_odd_refinable_n():

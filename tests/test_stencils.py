@@ -14,6 +14,7 @@ from vankamg import (
     delta_stencil,
     laplacian_stencil,
     mass_stencil,
+    restriction_stencil,
     symbol,
     tensor_product,
 )
@@ -144,6 +145,17 @@ def test_tensor_product_builds_2d_mass():
     assert tensor_product(one_d, one_d).scaled(h**2) == mass_stencil(2, h)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_restriction_stencil_is_full_weighting(dim):
+    st = restriction_stencil(dim)
+    assert st is restriction_stencil(dim)  # memoised: symbol caches key by identity
+    line = {-1: Fraction(1, 4), 0: Fraction(1, 2), 1: Fraction(1, 4)}
+    assert len(st.entries) == 3**dim
+    for offset, coef in st.entries.items():
+        assert coef == np.prod([line[o] for o in offset])
+    assert sum(st.entries.values()) == 1
+
+
 # ---------------------------------------------------------------------------
 # application
 # ---------------------------------------------------------------------------
@@ -226,6 +238,10 @@ _ASYM_A = _line({-1: Fraction(1, 3), 0: Fraction(1, 2), 1: Fraction(1, 5)})
 _ASYM_B = _line({0: Fraction(2, 7), 1: Fraction(-1, 4)})
 _NO_CENTRE = _line({-1: 3, 1: -1})
 
+def _float_copy(st):
+    return Stencil(st.dim, {o: float(c) for o, c in st.entries.items()})
+
+
 RANK_ONE = {
     "mass1": mass_stencil(1, Fraction(1, 8)),
     "mass2": mass_stencil(2, Fraction(1, 8)),
@@ -239,19 +255,15 @@ RANK_ONE = {
                              _line({0: Fraction(2, 7), 2: Fraction(-1, 4)})),
     "shift2": tensor_product(mass_stencil(1, 1), _line({1: Fraction(2, 3)})),
     "jacobi3": delta_stencil(3).scaled(Fraction(1, 6)),
+    # dyadic floats convert exactly, so the copy is the exact rank-one stencil
+    "float-restriction3": _float_copy(restriction_stencil(3)),
 }
-
-
-def _float_copy(st):
-    return Stencil(st.dim, {o: float(c) for o, c in st.entries.items()})
 
 
 NOT_RANK_ONE = {
     "laplacian3": laplacian_stencil(3, 1),
     "vanka-e2": closed_form_stencil(PatchLayout("element", 2), Fraction(1, 8)),
     "vanka-v2": closed_form_stencil(PatchLayout("vertex", 2), Fraction(1, 8)),
-    "float-mass3": _float_copy(mass_stencil(3, Fraction(1, 8))),
-    "float-mass2": _float_copy(mass_stencil(2, Fraction(1, 8))),
     "same-support-2x2": Stencil(2, {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 5}),
     "diagonal-pair": Stencil(2, {(0, 0): 1, (1, 1): 1}),
     "box-count-match": Stencil(2, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (2, 2): 1}),
@@ -373,12 +385,32 @@ def test_symmetry_flag():
 
 
 def test_json_roundtrip_exact():
-    st = Stencil(2, {(0, 0): Fraction(1, 3), (1, -2): 0.125, (-1, 0): Fraction(-7, 5)})
+    # 0.1 is not dyadic: its exact value survives as a ratio of integers
+    st = Stencil(2, {(0, 0): Fraction(1, 3), (1, -2): 0.125, (-1, 0): Fraction(-7, 5),
+                     (0, 1): 0.1})
     back = Stencil.from_json(st.to_json())
     assert back == st
-    assert isinstance(back.entries[(0, 0)], Fraction)
-    assert isinstance(back.entries[(1, -2)], float)
+    assert all(isinstance(c, Fraction) for c in back.entries.values())
+    assert back.entries[(0, 1)] == Fraction(0.1) != Fraction(1, 10)
     assert back.to_json() == st.to_json()
+
+
+def test_float_coefficients_convert_exactly():
+    floats = [0.125, 0.1, -1e-300, 1e300, 5e-324, 2.0**60 + 2.0**8]
+    st = Stencil(1, {(o,): c for o, c in enumerate(floats)})
+    for (o,), coef in st.entries.items():
+        assert isinstance(coef, Fraction) and coef == Fraction(floats[o])
+        assert float(coef) == floats[o]
+    assert np.array_equal(st._arrays[1], floats)
+    assert delta_stencil(1).scaled(0.5) == delta_stencil(1).scaled(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+def test_non_finite_coefficients_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Stencil(1, {(0,): 1, (1,): bad})
+    with pytest.raises(ValueError, match="finite"):
+        delta_stencil(2).scaled(bad)
 
 
 def test_gridspec_validation():
@@ -406,3 +438,8 @@ def test_stencil_validation():
         Stencil(2, {(1,): Fraction(1)})
     with pytest.raises(TypeError, match="coefficient"):
         Stencil(1, {(0,): "nope"})
+    for dim in (0, 4):
+        with pytest.raises(ValueError, match="dim"):
+            mass_stencil(dim, 1)
+        with pytest.raises(ValueError, match="dim"):
+            restriction_stencil(dim)
