@@ -14,8 +14,10 @@ from which ``P`` is built, so ``A_H = R A P``; this reproduces the
 coarse Laplacian exactly in 1D and keeps the discrete two-grid operator
 aligned with its Fourier symbol (the error operator is invariant under the
 common rescaling of ``R`` and ``A_H``, so transposed-interpolation restriction
-yields the same cycle).  The coarsest level is solved by a sparse LU
-factorisation.
+yields the same cycle).  Each level's stencil also builds its Vanka
+smoother.  The coarsest level is solved by a sparse LU factorisation.  The
+bytes of the build are estimated from the level stencils before anything is
+assembled, and a build over :data:`COARSE_LU_BUDGET_BYTES` is refused.
 
 ``measured_convergence_factor`` runs homogeneous cycles (``b = 0``) from a
 seeded random start, renormalising the iterate every cycle; the asymptotic
@@ -35,7 +37,7 @@ import scipy.sparse.linalg
 from .lfa import SmootherKind, SmootherSpec
 from .stencils import GridSpec, PatchLayout, laplacian_stencil, restriction_stencil
 from . import stencils
-from .vanka import build_vanka, assemble_sparse
+from .vanka import _csr_bytes, _smoother_bytes, assemble_sparse, build_vanka
 
 __all__ = [
     "CycleSpec",
@@ -54,8 +56,10 @@ __all__ = [
 COARSEST_MAX = 7          # stop V-cycle coarsening at n in {3, ..., 7}
 STAGNATION_RATIO = 1e-13  # per-cycle contraction at rounding level
 
-# cap on the estimated bytes of the coarsest sparse LU: a larger factor is
-# refused before anything is assembled (3D two-grid at h = 1/64 is accepted)
+# cap on the estimated bytes of a build: a coarsest sparse LU above it is
+# refused before anything is assembled (3D two-grid at h = 1/64 is accepted),
+# and so is a hierarchy whose level matrices, smoothers and largest Vanka
+# scatter add up to more (2D V-cycles up to h = 1/1024 are accepted)
 COARSE_LU_BUDGET_BYTES = 2**31
 
 # measured splu fill ``L.nnz + U.nnz`` of the Galerkin coarse operator,
@@ -142,27 +146,33 @@ def transfer_ops(fine_grid: GridSpec) -> sp.csr_matrix:
     return p
 
 
-def _smoother_applicator(sm: SmootherSpec, level_grid: GridSpec, operator):
-    """Return a callable evaluating ``M r`` for the level operator.
+def _smoother_applicator(sm: SmootherSpec, level_grid: GridSpec, stencil):
+    """Return a callable evaluating ``M r`` for the level operator ``stencil``.
 
-    Vanka smoothers are one CSR matrix built from the level's patches.  For
-    every other kind ``M`` is the stencil the analysis uses,
-    ``lfa.smoother_m_stencil`` at the level's ``h``, applied matrix-free by
-    ``stencils.apply``.  Those stencils are rank one (the mass stencils are
-    ``[1 4 1]`` per axis, Jacobi a scaled identity), so ``apply`` sweeps one
-    axis at a time.  On the 3D n = 63 grid that takes 4.3 ms, against
-    9.7 ms for the product with the assembled 27-point mass matrix, which
-    would also take 0.31 s and an 81 MiB peak to build (best of 20 and 5
-    runs on a 2-CPU VM; peak by ``tracemalloc``).
+    Vanka smoothers are one CSR matrix built by ``build_vanka`` from the
+    level's stencil: the few distinct patch blocks are filled from its exact
+    coefficients and inverted once, with no gather from the assembled level
+    matrix.  For every other kind ``M`` is the stencil the analysis uses,
+    ``lfa.smoother_m_stencil`` at the level's ``h`` (``stencil`` is not
+    read), applied matrix-free by ``stencils.apply``.  Those stencils are
+    rank one (the mass stencils are ``[1 4 1]`` per axis, Jacobi a scaled
+    identity), so ``apply`` sweeps one axis at a time.  On the 3D n = 63
+    grid that takes 4.3 ms, against 9.7 ms for the product with the
+    assembled 27-point mass matrix, which would also take 0.31 s and an
+    81 MiB peak to build (best of 20 and 5 runs on a 2-CPU VM; peak by
+    ``tracemalloc``).
     """
-    kind = sm.kind
-    if kind in (SmootherKind.VANKA_ELEMENT, SmootherKind.VANKA_VERTEX):
-        layout = PatchLayout("element" if kind is SmootherKind.VANKA_ELEMENT else "vertex",
-                             level_grid.dim)
-        op = build_vanka(layout, level_grid, operator)
-        return op.apply
+    layout = _vanka_layout(sm)
+    if layout is not None:
+        return build_vanka(layout, level_grid, stencil).apply
     m_st = sm.m_stencil(level_grid.h)
     return lambda r: stencils.apply(m_st, level_grid, r)
+
+
+def _vanka_layout(sm: SmootherSpec):
+    """The patch layout of a Vanka smoother, None for every other kind."""
+    kinds = {SmootherKind.VANKA_ELEMENT: "element", SmootherKind.VANKA_VERTEX: "vertex"}
+    return PatchLayout(kinds[sm.kind], sm.dim) if sm.kind in kinds else None
 
 
 def _coarse_lu_bytes(dim: int, n: int) -> float:
@@ -172,20 +182,31 @@ def _coarse_lu_bytes(dim: int, n: int) -> float:
     return _LU_BYTES_PER_NNZ * fill
 
 
-def build_hierarchy(spec: CycleSpec, fine_grid: GridSpec) -> Hierarchy:
-    """Build grids, operators, smoothers and transfers for the requested cycle.
+def _build_bytes(sm: SmootherSpec, grids, level_stencils) -> int:
+    """Estimated peak bytes of the level matrices and smoothers of a hierarchy.
 
-    Every level holds one CSR operator: the assembled fine Laplacian and the
-    Galerkin operators below it, each assembled from
-    ``stencils.galerkin_stencil`` of the stencil one level up (equal to
-    ``2**-dim P^T A P``, as every hat of ``P`` lies inside the grid); ``P``
-    itself is kept on the finer level for the cycle.  Two-grid hierarchies
-    have exactly two levels and need ``n >= 7``; V-cycles coarsen until at
-    most :data:`COARSEST_MAX` points per dimension remain and need
-    ``n >= 15``.  The coarsest level is factorised by sparse LU
-    (``scipy.sparse.linalg.splu``); a factor whose ``_coarse_lu_bytes``
-    estimate exceeds :data:`COARSE_LU_BUDGET_BYTES` is refused before any
-    assembly.
+    Every level CSR and every Vanka ``M`` stay held; on top of them comes the
+    largest Vanka scatter, which is freed before the next level's.
+    """
+    held = sum(_csr_bytes([o for o, c in st.entries.items() if c != 0], grid)
+               for grid, st in zip(grids, level_stencils))
+    layout = _vanka_layout(sm)
+    if layout is None:
+        return held
+    smoothers = [_smoother_bytes(layout, grid) for grid in grids[:-1]]
+    return held + sum(m for m, _ in smoothers) + max(scatter for _, scatter in smoothers)
+
+
+def _plan(spec: CycleSpec, fine_grid: GridSpec) -> tuple:
+    """Check a hierarchy request; return its level grids and stencils, finest first.
+
+    Two-grid hierarchies have exactly two levels and need ``n >= 7``;
+    V-cycles coarsen until at most :data:`COARSEST_MAX` points per dimension
+    remain and need ``n >= 15``.  The fine stencil is the Laplacian, each
+    coarser one ``stencils.galerkin_stencil`` of the one above.  Nothing is
+    assembled: a coarse LU whose ``_coarse_lu_bytes`` estimate exceeds
+    :data:`COARSE_LU_BUDGET_BYTES` is refused, and so is a build whose
+    ``_build_bytes`` estimate plus that factor exceeds it.
     """
     if fine_grid.boundary != "dirichlet":
         raise ValueError("the solver runs on Dirichlet grids")
@@ -201,26 +222,46 @@ def build_hierarchy(spec: CycleSpec, fine_grid: GridSpec) -> Hierarchy:
                          f"per dimension, got n={n}")
     # a two-grid cycle coarsens once, a V-cycle down to COARSEST_MAX points
     grids = [fine_grid]
+    level_stencils = [laplacian_stencil(fine_grid.dim, fine_grid.h)]
     while len(grids) == 1 or spec.cycle == "v-cycle" and grids[-1].n > COARSEST_MAX:
         g = grids[-1]
         grids.append(GridSpec(g.dim, (g.n - 1) // 2, 2 * g.h))
+        level_stencils.append(stencils.galerkin_stencil(level_stencils[-1]))
     coarsest = grids[-1]
+    budget = f"{COARSE_LU_BUDGET_BYTES / 2**30:.0f} GiB budget"
     lu_bytes = _coarse_lu_bytes(coarsest.dim, coarsest.n)
     if lu_bytes > COARSE_LU_BUDGET_BYTES:
         raise ValueError(
             f"the coarse LU on {coarsest.n}^{coarsest.dim} unknowns needs about "
-            f"{lu_bytes / 2**30:.0f} GiB, over the {COARSE_LU_BUDGET_BYTES / 2**30:.0f} GiB "
-            "budget; a V-cycle (--cycle v-cycle) coarsens to n <= 7")
+            f"{lu_bytes / 2**30:.0f} GiB, over the {budget}; "
+            "a V-cycle (--cycle v-cycle) coarsens to n <= 7")
+    build_bytes = _build_bytes(spec.smoother, grids, level_stencils) + lu_bytes
+    if build_bytes > COARSE_LU_BUDGET_BYTES:
+        raise ValueError(
+            f"building the {spec.cycle} hierarchy on {n}^{fine_grid.dim} unknowns "
+            f"needs about {build_bytes / 2**30:.1f} GiB, over the {budget}")
+    return grids, level_stencils
 
-    st = laplacian_stencil(fine_grid.dim, fine_grid.h)
-    levels = [Level(fine_grid, assemble_sparse(st, fine_grid))]
-    for grid in grids[1:]:
+
+def build_hierarchy(spec: CycleSpec, fine_grid: GridSpec) -> Hierarchy:
+    """Build grids, operators, smoothers and transfers for the requested cycle.
+
+    The levels are those of ``_plan``, which refuses a request before any
+    assembly.  Every level holds one CSR operator: the assembled fine
+    Laplacian and the Galerkin operators below it, each assembled from
+    ``stencils.galerkin_stencil`` of the stencil one level up (equal to
+    ``2**-dim P^T A P``, as every hat of ``P`` lies inside the grid); ``P``
+    itself is kept on the finer level for the cycle, and each level's
+    stencil builds its smoother.  The coarsest level is factorised by
+    sparse LU (``scipy.sparse.linalg.splu``).
+    """
+    grids, level_stencils = _plan(spec, fine_grid)
+    levels = [Level(fine_grid, assemble_sparse(level_stencils[0], fine_grid))]
+    for grid, st in zip(grids[1:], level_stencils[1:]):
         levels[-1].prolong = transfer_ops(levels[-1].grid)
-        st = stencils.galerkin_stencil(st)
         levels.append(Level(grid, assemble_sparse(st, grid)))
-
-    for level in levels[:-1]:
-        level.m_apply = _smoother_applicator(spec.smoother, level.grid, level.matrix)
+    for level, st in zip(levels[:-1], level_stencils):
+        level.m_apply = _smoother_applicator(spec.smoother, level.grid, st)
     levels[-1].lu = scipy.sparse.linalg.splu(levels[-1].matrix.tocsc())
     return Hierarchy(spec, levels)
 

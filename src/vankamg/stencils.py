@@ -186,9 +186,16 @@ class Stencil:
 
     @classmethod
     def from_json(cls, text: str) -> "Stencil":
+        """Parse ``to_json`` output; a JSON number goes through the constructor's checks.
+
+        ``"p/q"`` strings are read exactly; a number (including the
+        ``Infinity`` and ``NaN`` Python's ``json`` accepts) is converted like
+        any constructor argument, so a non-finite one raises ``ValueError``.
+        """
         data = json.loads(text)
         return cls(int(data["dim"]),
-                   {tuple(item["offset"]): Fraction(item["coef"]) for item in data["entries"]})
+                   {tuple(item["offset"]): Fraction(c) if isinstance(c := item["coef"], str) else c
+                    for item in data["entries"]})
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,17 @@ Two patch layouts are supported:
 * vertex-wise: one patch per interior unknown, covering the unknown and its
   ``2*dim`` axis neighbours (truncated near the boundary).
 
-:func:`build_vanka` assembles ``M`` as one CSR matrix in a single batched
-pass: a ``(P, k)`` patch index array from broadcast offsets, one gather of
-all ``(P, k, k)`` local blocks from the CSR system operator, one batched
-inverse (truncated slots padded with the identity) and one COO scatter of
-the weighted inverses.  Applying the smoother is then one sparse product.
+:func:`build_vanka` assembles ``M`` as one CSR matrix from the system
+stencil.  On a constant-coefficient operator every interior patch solves
+the same local problem and a truncated boundary patch one of a few others,
+so it builds a ``(P, k)`` patch index array from broadcast offsets, groups
+the patches by the layout offsets their sorted slots hold, fills each
+distinct block (truncated slots padded with the identity) from the exact
+stencil coefficients, inverts those few blocks in one batch and scatters
+the weighted inverses of every patch through COO.  Applying the smoother is
+then one sparse product.  The per-patch :attr:`VankaOperator.patches` view
+gathers every block from the assembled operator instead, an independent
+reference for the tests.
 
 In the interior both layouts reduce to translation-invariant stencils with
 exact rational coefficients, given by :func:`vankamg.stencils.closed_form_stencil`
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,6 +57,13 @@ __all__ = [
 ]
 
 DENSE_CAP = 4096  # refuse to densify anything larger than this many unknowns
+
+_CSR_BYTES_PER_NNZ = 12  # float64 value plus int32 column index
+
+# tracemalloc peak of the Vanka scatter per entry of its (P, k, k) stack
+# (weighted inverses, pair mask, row and column indices, COO-to-CSR copy),
+# measured on element and vertex patches at n = 255
+_SCATTER_BYTES_PER_ENTRY = 40
 
 
 @dataclass
@@ -68,15 +82,15 @@ class VankaOperator:
 
     Instances are built by :func:`build_vanka`.  ``matrix`` is the CSR
     smoother ``M``, ``weights`` the partition-of-unity entries ``1/m_j`` and
-    ``operator`` the CSR system operator whose principal submatrices are the
-    patch problems.
+    ``operator`` the system stencil whose assembled principal submatrices
+    are the patch problems.
     """
 
     layout: PatchLayout
     grid: GridSpec
     matrix: sp.csr_matrix
     weights: np.ndarray
-    operator: sp.csr_matrix
+    operator: Stencil
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Evaluate ``M r``."""
@@ -91,9 +105,12 @@ class VankaOperator:
 
         Keys are cell coordinates for element patches (``0..n`` per axis on
         Dirichlet grids) and centre coordinates for vertex patches.  Dofs
-        are in lexicographic lattice order.
+        are in lexicographic lattice order.  Every block is gathered from
+        the assembled operator and inverted on its own, independently of the
+        distinct blocks :func:`build_vanka` inverts.
         """
-        keys, index, blocks = _patch_blocks(self.layout, self.grid, self.operator)
+        matrix = assemble_sparse(self.operator, self.grid)
+        keys, index, blocks = _patch_blocks(self.layout, self.grid, matrix)
         inverses = np.linalg.inv(blocks)
         first = (index < 0).sum(axis=1)
         return [Patch(tuple(keys[p].tolist()), index[p, f:], blocks[p, f:, f:],
@@ -104,49 +121,55 @@ class VankaOperator:
 # construction
 # ---------------------------------------------------------------------------
 
+def _layout_offsets(layout: PatchLayout, grid: GridSpec) -> tuple:
+    """Slot offsets ``(k, dim)`` of one patch, patches per axis, key-to-lattice shift."""
+    n, dim = grid.n, grid.dim
+    periodic = grid.boundary == "periodic"
+    if layout.kind == "element":
+        # Dirichlet cells run 0..n and their corners are nodes 0..n+1, of
+        # which 1..n are interior; shift to the 0-based lattice
+        offsets = np.array(list(product((0, 1), repeat=dim)))
+        return offsets, n if periodic else n + 1, 0 if periodic else -1
+    unit = np.eye(dim, dtype=np.int64)
+    return np.concatenate([np.zeros((1, dim), dtype=np.int64), -unit, unit]), n, 0
+
+
 def _patch_index(layout: PatchLayout, grid: GridSpec) -> tuple:
-    """Patch keys ``(P, dim)`` and flat unknown indices ``(P, k)``.
+    """Patch keys ``(P, dim)``, flat unknown indices ``(P, k)`` and slot offsets ``(P, k)``.
 
     Keys are cell (element) or centre (vertex) coordinates in lexicographic
     order.  Truncated slots hold ``-1``; each index row is sorted ascending,
     so truncated slots come first and the unknowns follow in lexicographic
-    lattice order.
+    lattice order.  ``slots[p, i]`` is the row of the layout offsets that
+    sorted slot ``i`` of patch ``p`` holds, ``-1`` where it is truncated.
     """
     n, dim = grid.n, grid.dim
-    periodic = grid.boundary == "periodic"
-    if layout.kind == "element":
-        offsets = np.array(list(product((0, 1), repeat=dim)))
-        # Dirichlet cells run 0..n and their corners are nodes 0..n+1, of
-        # which 1..n are interior; shift to the 0-based lattice
-        extent = n if periodic else n + 1
-        shift = 0 if periodic else -1
-    else:
-        unit = np.eye(dim, dtype=np.int64)
-        offsets = np.concatenate([np.zeros((1, dim), dtype=np.int64), -unit, unit])
-        extent, shift = n, 0
+    offsets, extent, shift = _layout_offsets(layout, grid)
     keys = np.indices((extent,) * dim).reshape(dim, -1).T
     points = keys[:, None, :] + offsets + shift
-    if periodic:
+    if grid.boundary == "periodic":
         points %= n
         valid = np.ones(points.shape[:2], dtype=bool)
     else:
         valid = ((points >= 0) & (points < n)).all(axis=2)
     index = points @ (n ** np.arange(dim - 1, -1, -1))
     index[~valid] = -1
-    index.sort(axis=1)
-    # 32-bit indices halve the (P, k, k) gather and scatter index arrays
-    return keys, index.astype(np.int32 if grid.npoints < 2**31 else np.int64)
+    order = np.argsort(index, axis=1)
+    index = np.take_along_axis(index, order, axis=1)
+    slots = np.where(index < 0, -1, order)
+    # 32-bit indices halve the (P, k, k) scatter index arrays
+    return keys, index.astype(np.int32 if grid.npoints < 2**31 else np.int64), slots
 
 
 def _patch_blocks(layout: PatchLayout, grid: GridSpec, matrix: sp.csr_matrix):
     """Patch keys, index array and all local blocks, padded slots set to identity.
 
     Returns ``(keys, index, blocks)`` with ``blocks[p]`` the principal submatrix
-    of ``matrix`` on ``index[p]``; a truncated slot holds a unit diagonal
-    and no coupling, so the padded block inverts to the truncated inverse
-    bordered by the identity.
+    of ``matrix`` on ``index[p]``, gathered patch by patch; a truncated slot
+    holds a unit diagonal and no coupling, so the padded block inverts to the
+    truncated inverse bordered by the identity.
     """
-    keys, index = _patch_index(layout, grid)
+    keys, index, _ = _patch_index(layout, grid)
     count, k = index.shape
     padded = index < 0
     safe = np.where(padded, 0, index)
@@ -159,35 +182,87 @@ def _patch_blocks(layout: PatchLayout, grid: GridSpec, matrix: sp.csr_matrix):
     return keys, index, blocks
 
 
-def build_vanka(layout: PatchLayout, grid: GridSpec, operator) -> VankaOperator:
+def _distinct_blocks(layout: PatchLayout, grid: GridSpec, stencil: Stencil, slots):
+    """The padded local block of each distinct slot pattern, and each patch's pattern.
+
+    Patches whose sorted slots hold the same layout offsets (truncated slots
+    marked) solve the same local problem: entry ``(i, j)`` is the stencil
+    coefficient at the offset from slot ``i`` to slot ``j``, taken modulo
+    ``n`` on a periodic grid.  Coefficients are ``float(c)``, the values
+    :func:`assemble_sparse` stores, so each block equals the principal
+    submatrix of the assembled operator.  Returns ``(blocks, group)`` with
+    ``blocks[group[p]]`` the block of patch ``p``.
+    """
+    n, k = grid.n, slots.shape[1]
+    periodic = grid.boundary == "periodic"
+    offsets = _layout_offsets(layout, grid)[0].tolist()
+
+    def key(o):
+        return tuple(c % n for c in o) if periodic else tuple(o)
+
+    coefs = {key(o): float(c) for o, c in stencil.entries.items() if c != 0}
+    code = (slots + 1) @ (k + 1) ** np.arange(k)
+    _, first, group = np.unique(code, return_index=True, return_inverse=True)
+    blocks = np.zeros((len(first), k, k))
+    for block, pattern in zip(blocks, slots[first].tolist()):
+        for i, a in enumerate(pattern):
+            if a < 0:
+                block[i, i] = 1.0
+                continue
+            for j, b in enumerate(pattern):
+                if b >= 0:
+                    step = [ob - oa for oa, ob in zip(offsets[a], offsets[b])]
+                    block[i, j] = coefs.get(key(step), 0.0)
+    return blocks, group
+
+
+def _smoother_bytes(layout: PatchLayout, grid: GridSpec) -> tuple:
+    """Estimated bytes of ``M`` on a Dirichlet grid and peak bytes of the scatter building it.
+
+    ``M`` couples two unknowns when one patch holds both, so its offsets
+    are the differences of the layout's slot offsets; the scatter holds
+    :data:`_SCATTER_BYTES_PER_ENTRY` per entry of the ``(P, k, k)`` stack.
+    """
+    offsets, extent, _ = _layout_offsets(layout, grid)
+    held = _csr_bytes({tuple(b - a) for a in offsets for b in offsets}, grid)
+    return held, _SCATTER_BYTES_PER_ENTRY * extent**grid.dim * len(offsets)**2
+
+
+def build_vanka(layout: PatchLayout, grid: GridSpec, stencil: Stencil) -> VankaOperator:
     """Assemble the additive Vanka smoother ``M`` as one CSR matrix.
 
     Parameters
     ----------
     layout : PatchLayout
     grid : GridSpec
-    operator : Stencil or scipy sparse matrix
-        System operator whose principal submatrices define the patch solves.
-        A stencil is assembled on ``grid`` first.
+    stencil : Stencil
+        System operator on ``grid`` whose principal submatrices define the
+        patch solves.
 
     Notes
     -----
-    All local blocks are gathered and inverted in one batch; truncated
-    boundary patches are padded with identity slots, which invert exactly
-    and are dropped before the scatter.
+    A constant-coefficient operator gives every interior patch the same
+    local problem and the truncated boundary patches a few others (at most
+    ``3**dim`` on a Dirichlet grid), so only those distinct blocks are
+    filled, from the stencil, and inverted, in one small batch.  Truncated
+    slots are padded with the identity, which inverts exactly, and are
+    dropped before the scatter.
     """
     if layout.dim == 3:
         raise NotImplementedError("patch assembly is implemented for dim 1 and 2 only")
     if layout.dim != grid.dim:
         raise ValueError(f"layout dim {layout.dim} != grid dim {grid.dim}")
-    if isinstance(operator, Stencil):
-        matrix = assemble_sparse(operator, grid)
-    else:
-        matrix = sp.csr_matrix(operator)
-        if matrix.shape != (grid.npoints, grid.npoints):
-            raise ValueError("operator matrix does not match the grid")
+    if not isinstance(stencil, Stencil):
+        raise TypeError(f"the operator must be a Stencil, got {type(stencil).__name__}")
+    if stencil.dim != grid.dim:
+        raise ValueError(f"stencil dim {stencil.dim} != grid dim {grid.dim}")
+    if grid.boundary == "periodic" and grid.n <= 2 * stencil.reach:
+        raise ValueError(f"periodic wrap needs n > {2 * stencil.reach}")
 
-    _, index, blocks = _patch_blocks(layout, grid, matrix)
+    _, index, slots = _patch_index(layout, grid)
+    blocks, group = _distinct_blocks(layout, grid, stencil, slots)
+    local = np.linalg.inv(blocks)[group]
+    del slots, group  # lowers the peak memory of the scatter below
     valid = index >= 0
     counts = np.bincount(index[valid], minlength=grid.npoints)
     if counts.min() <= 0:
@@ -195,15 +270,13 @@ def build_vanka(layout: PatchLayout, grid: GridSpec, operator) -> VankaOperator:
     weights = 1.0 / counts
 
     count, k = index.shape
-    local = np.linalg.inv(blocks)
-    del blocks  # lowers the peak memory of the scatter below
     local *= weights[index][:, :, None]  # padded rows are dropped by ``pairs``
     pairs = valid[:, :, None] & valid[:, None, :]
     rows = np.broadcast_to(index[:, :, None], (count, k, k))[pairs]
     cols = np.broadcast_to(index[:, None, :], (count, k, k))[pairs]
     m = sp.coo_matrix((local[pairs], (rows, cols)),
                       shape=(grid.npoints, grid.npoints)).tocsr()
-    return VankaOperator(layout, grid, m, weights, matrix)
+    return VankaOperator(layout, grid, m, weights, stencil)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +341,16 @@ def assemble_sparse(operator, grid: GridSpec = None) -> sp.csr_matrix:
     if periodic:
         mat.sort_indices()
     return mat
+
+
+def _csr_bytes(offsets, grid: GridSpec) -> int:
+    """Bytes of the Dirichlet CSR matrix coupling each point to ``offsets``.
+
+    Counts the entries :func:`assemble_sparse` stores for a stencil with
+    these nonzero offsets: each keeps the points it does not shift off the grid.
+    """
+    nnz = sum(prod(max(grid.n - abs(c), 0) for c in o) for o in offsets)
+    return _CSR_BYTES_PER_NNZ * nnz + 4 * (grid.npoints + 1)
 
 
 def assemble_dense(operator, grid: GridSpec = None) -> np.ndarray:

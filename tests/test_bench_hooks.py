@@ -49,6 +49,22 @@ def test_vanka_counts_read_a_built_operator(tracing):
     assert tracer.counts["vanka.patches"] == 64   # (n + 1)**2 cells
 
 
+def test_traced_v_cycle_build_records_stencil_spans(tracing, monkeypatch):
+    # the hooks as ``Tracer.install`` sets them, undone by monkeypatch
+    tracer = tracing.Tracer()
+    for span_name, target, on_result, _ in tracing.HOOKS:
+        owner, attr = tracing._resolve(target)
+        monkeypatch.setattr(owner, attr, tracer._wrap(getattr(owner, attr), span_name, on_result))
+    mark = tracer.begin()
+    hier = build_hierarchy(CycleSpec(_spec("vanka-e", 2), 1, 0, "v-cycle"), GridSpec(2, 31, 1 / 32))
+    metrics = tracer.metrics(mark)
+    names = [span[0] for span in tracer.spans[mark:]]
+    assert names.count("vanka.build_stencil") == len(hier.levels) - 1 == 2
+    assert "vanka.build_matrix" not in names
+    assert metrics["vanka.build_stencil_s"] > 0 and metrics["vanka.build_matrix_s"] == 0
+    assert metrics["vanka.patches"] == 32**2 + 16**2   # (n + 1)**2 cells per level
+
+
 def test_hierarchy_counts_read_a_two_grid_hierarchy(tracing):
     spec = CycleSpec(_spec("vanka-e", 2), 1, 0, "two-grid")
     hier = build_hierarchy(spec, GridSpec(2, 7, 1 / 8))

@@ -293,6 +293,18 @@ def test_solve_refuses_oversized_coarse_lu(capsys):
     assert peak < 1 << 20
 
 
+def test_solve_refuses_an_oversized_vanka_v_cycle(capsys):
+    tracemalloc.start()
+    try:
+        err = _one_line_usage_error(capsys, ["solve", "--kind", "vanka-e", "--h", "1/4096",
+                                             "--cycle", "v-cycle"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "--h 1/4096" in err and "budget" in err
+    assert peak < 1 << 20
+
+
 def test_solve_rejects_single_level_v_cycle(capsys):
     err = _one_line_usage_error(capsys, ["solve", "--kind", "jacobi", "--dim", "3",
                                          "--h", "1/8", "--cycle", "v-cycle"])

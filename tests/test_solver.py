@@ -272,6 +272,52 @@ def test_oversized_coarse_lu_refused_before_assembly():
     assert peak < 1 << 20
 
 
+def _vanka_v_cycle(kind):
+    return CycleSpec(_smoother(kind, 2), 1, 0, "v-cycle")
+
+
+@pytest.mark.parametrize("kind", ["vanka-e", "vanka-v"])
+def test_build_estimate_matches_the_measured_peak(kind):
+    # within a factor 1.25 either way; at n = 255 it reads 1.13x (element)
+    # and 1.17x (vertex) the tracemalloc peak
+    spec, grid = _vanka_v_cycle(kind), GridSpec(2, 255, 1 / 256)
+    grids, level_stencils = solver._plan(spec, grid)
+    estimate = solver._build_bytes(spec.smoother, grids, level_stencils)
+    tracemalloc.start()
+    try:
+        build_hierarchy(spec, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.8 < estimate / peak < 1.25
+
+
+@pytest.mark.parametrize("kind", ["vanka-e", "vanka-v"])
+def test_oversized_vanka_v_cycle_refused_before_assembly(kind):
+    # h = 1/4096: the element scatter alone is 16 * 4096**2 entries of 40 B
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="GiB budget"):
+            build_hierarchy(_vanka_v_cycle(kind), GridSpec(2, 4095, 1 / 4096))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("kind, dim, n, cycle_type", [
+    ("vanka-e", 2, 1023, "v-cycle"), ("vanka-v", 2, 1023, "v-cycle"),
+    ("jacobi", 2, 1023, "v-cycle"), ("mass", 2, 1023, "v-cycle"),
+    # the benchmark's grids
+    ("vanka-e", 2, 255, "v-cycle"), ("vanka-e", 2, 255, "two-grid"), ("mass3d", 3, 63, "v-cycle"),
+])
+def test_build_budget_admits_2d_v_cycles_to_h1024_and_the_benchmark_grids(kind, dim, n,
+                                                                          cycle_type):
+    spec = CycleSpec(_smoother(kind, dim), 1, 0, cycle_type)
+    grids, level_stencils = solver._plan(spec, GridSpec(dim, n, 1 / (n + 1)))
+    assert grids[0].n == n and len(level_stencils) == len(grids)
+
+
 def test_hierarchy_validation():
     spec = CycleSpec(_smoother("vanka-e", 1), 1, 0, "two-grid")
     with pytest.raises(ValueError, match="2\\*\\*k - 1"):

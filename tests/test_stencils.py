@@ -395,6 +395,19 @@ def test_json_roundtrip_exact():
     assert back.to_json() == st.to_json()
 
 
+@pytest.mark.parametrize("coef", ["Infinity", "-Infinity", "NaN"])
+def test_json_non_finite_number_is_a_value_error(coef):
+    text = '{"dim":1,"entries":[{"offset":[0],"coef":%s}]}' % coef
+    with pytest.raises(ValueError, match="finite"):
+        Stencil.from_json(text)
+
+
+def test_json_numbers_convert_like_constructor_arguments():
+    st = Stencil.from_json('{"dim":1,"entries":[{"offset":[0],"coef":0.1},'
+                           '{"offset":[1],"coef":-3},{"offset":[2],"coef":"2/7"}]}')
+    assert st == Stencil(1, {(0,): 0.1, (1,): -3, (2,): Fraction(2, 7)})
+
+
 def test_float_coefficients_convert_exactly():
     floats = [0.125, 0.1, -1e-300, 1e300, 5e-324, 2.0**60 + 2.0**8]
     st = Stencil(1, {(o,): c for o, c in enumerate(floats)})

@@ -30,9 +30,14 @@ from vankamg import (
     closed_form_stencil,
     delta_stencil,
     export_triplets,
+    galerkin_stencil,
     laplacian_stencil,
     mass_stencil,
 )
+from vankamg import vanka
+from vankamg.lfa import SmootherSpec, exact_optimum
+from vankamg.solver import CycleSpec, build_hierarchy
+from vankamg.vanka import VankaOperator
 
 ALL_LAYOUTS = [PatchLayout(kind, dim) for kind in ("element", "vertex") for dim in (1, 2)]
 
@@ -282,12 +287,77 @@ def test_operator_spectrum_positive_dirichlet(layout):
     assert eigs.real.min() > 0
 
 
-def test_build_from_matrix_matches_stencil_route():
-    grid = GridSpec(2, 5, 1.0 / 6)
-    st = laplacian_stencil(2, Fraction(1, 6))
-    from_stencil = build_vanka(PatchLayout("vertex", 2), grid, st)
-    from_matrix = build_vanka(PatchLayout("vertex", 2), grid, assemble_sparse(st, grid))
-    assert np.abs(assemble_dense(from_stencil) - assemble_dense(from_matrix)).max() <= 1e-14
+def _patch_scatter(op):
+    """Oracle ``M``: each patch of the gathered ``patches`` view, weighted and
+    scattered through COO in patch order, the order :func:`build_vanka` uses."""
+    patches = op.patches
+    counts = np.bincount(np.concatenate([p.dofs for p in patches]), minlength=op.grid.npoints)
+    rows = np.concatenate([np.repeat(p.dofs, len(p.dofs)) for p in patches])
+    cols = np.concatenate([np.tile(p.dofs, len(p.dofs)) for p in patches])
+    vals = np.concatenate([(p.inverse * (1.0 / counts[p.dofs])[:, None]).ravel()
+                           for p in patches])
+    return sp.coo_matrix((vals, (rows, cols)), shape=op.matrix.shape).tocsr()
+
+
+def _assert_matches_patch_scatter(op):
+    want = _patch_scatter(op)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(op.matrix, part), getattr(want, part)), part
+
+
+VANKA_OPERATORS = {
+    "laplacian": laplacian_stencil,
+    "galerkin": lambda dim, h: galerkin_stencil(laplacian_stencil(dim, h / 2)),
+    "galerkin2": lambda dim, h: galerkin_stencil(galerkin_stencil(laplacian_stencil(dim, h / 4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VANKA_OPERATORS))
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("layout", ALL_LAYOUTS, ids=lambda la: f"{la.kind}-{la.dim}d")
+def test_matrix_equals_the_patch_scatter(layout, boundary, name):
+    # every periodic grid has seam patches whose wrapped unknowns sort
+    # before the others, so their slots hold the layout offsets reordered
+    # (at n = 3 a 1D vertex patch is the whole singular periodic operator)
+    for n in (4, 5, 7, 8) if boundary == "periodic" else (3, 5, 7, 15):
+        h = Fraction(1, n + 1)
+        grid = GridSpec(layout.dim, n, float(h), boundary)
+        _assert_matches_patch_scatter(build_vanka(layout, grid, VANKA_OPERATORS[name](layout.dim, h)))
+
+
+@pytest.mark.parametrize("name", sorted(VANKA_OPERATORS))
+@pytest.mark.parametrize("layout", ALL_LAYOUTS, ids=lambda la: f"{la.kind}-{la.dim}d")
+def test_dirichlet_build_inverts_one_block_per_boundary_arrangement(monkeypatch, layout, name):
+    batches = []
+    inv = np.linalg.inv
+
+    def counting(a):
+        batches.append(a.shape[0])
+        return inv(a)
+
+    monkeypatch.setattr(vanka.np.linalg, "inv", counting)
+    for n in (3, 7, 31):
+        h = Fraction(1, n + 1)
+        build_vanka(layout, GridSpec(layout.dim, n, float(h)), VANKA_OPERATORS[name](layout.dim, h))
+    assert batches == [3**layout.dim] * 3
+
+
+@pytest.mark.parametrize("cycle", ["two-grid", "v-cycle"])
+@pytest.mark.parametrize("kind", ["vanka-e", "vanka-v"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_every_hierarchy_smoother_equals_the_patch_scatter(dim, kind, cycle):
+    spec = CycleSpec(SmootherSpec(kind, dim, float(exact_optimum(kind, dim)[0])), 1, 0, cycle)
+    hier = build_hierarchy(spec, GridSpec(dim, 31, 1 / 32))
+    smoothed = hier.levels[:-1]
+    assert len(smoothed) == (1 if cycle == "two-grid" else 2)
+    for level in smoothed:
+        op = level.m_apply.__self__
+        assert isinstance(op, VankaOperator) and op.grid == level.grid
+        # the smoother's stencil is the one the level operator was assembled from
+        assembled = assemble_sparse(op.operator, level.grid)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(assembled, part), getattr(level.matrix, part))
+        _assert_matches_patch_scatter(op)
 
 
 def test_build_vanka_validation():
@@ -295,7 +365,7 @@ def test_build_vanka_validation():
         build_vanka(PatchLayout("vertex", 3), GridSpec(3, 5, 1.0), laplacian_stencil(3, 1))
     with pytest.raises(ValueError, match="dim"):
         build_vanka(PatchLayout("vertex", 1), GridSpec(2, 5, 1.0), laplacian_stencil(2, 1))
-    with pytest.raises(ValueError, match="does not match the grid"):
+    with pytest.raises(TypeError, match="Stencil"):
         build_vanka(PatchLayout("vertex", 1), GridSpec(1, 5, 1.0), sp.eye(4, format="csr"))
     with pytest.raises(ValueError, match="unknown patch kind"):
         PatchLayout("face", 2)
