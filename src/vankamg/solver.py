@@ -8,16 +8,18 @@ interpolation ``P``.  Each is assembled from its exact stencil,
 ``stencils.galerkin_stencil`` of the stencil one level up: on these grids
 every hat of ``P`` lies inside the box, so the triple product is that
 constant-coefficient stencil truncated at the Dirichlet boundary, the same
-matrix without the sparse product's temporaries.  The cycle restricts with
-the full weighting ``R = 2**-dim P^T`` of ``stencils.restriction_stencil``,
-from which ``P`` is built, so ``A_H = R A P``; this reproduces the
-coarse Laplacian exactly in 1D and keeps the discrete two-grid operator
-aligned with its Fourier symbol (the error operator is invariant under the
-common rescaling of ``R`` and ``A_H``, so transposed-interpolation restriction
-yields the same cycle).  Each level's stencil also builds its Vanka
-smoother.  The coarsest level is solved by a sparse LU factorisation.  The
-bytes of the build are estimated from the level stencils before anything is
-assembled, and a build over :data:`COARSE_LU_BUDGET_BYTES` is refused.
+matrix without the sparse product's temporaries.  Each level above the
+coarsest stores one transfer, the full weighting ``R = 2**-dim P^T`` of
+``stencils.restriction_stencil`` written straight into CSR; the cycle
+restricts with ``R`` and prolongs with ``2**dim R^T``, so ``A_H = R A P``.
+This reproduces the coarse Laplacian exactly in 1D and keeps the discrete
+two-grid operator aligned with its Fourier symbol (the error operator is
+invariant under the common rescaling of ``R`` and ``A_H``, so
+transposed-interpolation restriction yields the same cycle).  Each level's
+stencil also builds its Vanka smoother.  The coarsest level is solved by a
+sparse LU factorisation.  The bytes of the build are estimated from the
+level stencils before anything is assembled, and a build over
+:data:`COARSE_LU_BUDGET_BYTES` is refused.
 
 ``measured_convergence_factor`` runs homogeneous cycles (``b = 0``) from a
 seeded random start, renormalising the iterate every cycle; the asymptotic
@@ -37,7 +39,7 @@ import scipy.sparse.linalg
 from .lfa import SmootherKind, SmootherSpec
 from .stencils import GridSpec, PatchLayout, laplacian_stencil, restriction_stencil
 from . import stencils
-from .vanka import _csr_bytes, _smoother_bytes, assemble_sparse, build_vanka
+from .vanka import _CSR_BYTES_PER_NNZ, _csr_bytes, _smoother_bytes, assemble_sparse, build_vanka
 
 __all__ = [
     "CycleSpec",
@@ -96,16 +98,18 @@ class CycleSpec:
 
 @dataclass
 class Level:
-    """One grid level: CSR operator, smoother applicator, transfer to the finer level.
+    """One grid level: CSR operator, smoother applicator, transfer to the coarser level.
 
     ``m_apply(r)`` evaluates ``M r`` into a fresh array and leaves ``r`` alone:
-    :func:`relax` scales and updates its result in place.
+    :func:`relax` scales and updates its result in place.  ``restrict`` is
+    the full weighting ``R`` onto the next coarser level (``transfer_ops``);
+    the cycle prolongs with ``2**dim R^T``.
     """
 
     grid: GridSpec
     matrix: sp.csr_matrix
     m_apply: object = None
-    prolong: sp.csr_matrix | None = None   # from the next coarser level to here
+    restrict: sp.csr_matrix | None = None  # from here to the next coarser level
     lu: object = None                      # sparse LU (``splu``) on the coarsest
 
 
@@ -119,31 +123,31 @@ class Hierarchy:
         return self.levels[0]
 
 
-def _p1_matrix(nc: int) -> sp.csr_matrix:
-    """1D linear interpolation ``2 R^T`` from nc coarse to 2*nc + 1 fine interior points."""
-    j = np.arange(nc)
-    # coarse point j sits on fine point 2j+1 and gives 2 r(o) to fine point 2j+1+o
-    line = restriction_stencil(1).entries
-    rows = np.concatenate([2 * j + 1 + o for (o,) in line])
-    vals = np.repeat([2 * float(c) for c in line.values()], nc)
-    return sp.csr_matrix((vals, (rows, np.tile(j, len(line)))), shape=(2 * nc + 1, nc))
-
-
 def transfer_ops(fine_grid: GridSpec) -> sp.csr_matrix:
-    """Prolongation ``P`` from the ``(n-1)/2`` grid to the ``n`` grid.
+    """Full-weighting restriction ``R`` from the ``n`` grid to the ``(n-1)/2`` grid.
 
-    ``P = 2**dim R^T`` for the full weighting ``R`` of
-    ``stencils.restriction_stencil``: the tensor product of 1D linear
-    interpolation.  The cycle restricts with ``2**-dim P^T``, never stored.
+    ``R`` applies ``stencils.restriction_stencil`` at the fine points under
+    the coarse ones (coarse ``J`` on fine ``2J + 1`` per axis), so every row
+    keeps all ``3**dim`` weights and the CSR arrays are written directly:
+    ``indptr`` steps by ``3**dim``, each row's columns are its centre plus the
+    flat offsets in ascending order, and ``data`` repeats the weights.  The
+    cycle prolongs with linear interpolation ``P = 2**dim R^T``, never stored.
     """
-    n = fine_grid.n
+    n, dim = fine_grid.n, fine_grid.dim
     if n < 3 or (n - 1) % 2:
         raise ValueError(f"cannot coarsen n={n}")
-    p1 = _p1_matrix((n - 1) // 2)
-    p = p1
-    for _ in range(fine_grid.dim - 1):
-        p = sp.kron(p, p1, format="csr")
-    return p
+    strides = n ** np.arange(dim - 1, -1, -1)
+    weights = sorted((int(np.dot(o, strides)), float(c))
+                     for o, c in restriction_stencil(dim).entries.items())
+    rows = ((n - 1) // 2) ** dim
+    index = np.int32 if max(len(weights) * rows, fine_grid.npoints) < 2**31 else np.int64
+    axis = 2 * np.arange((n - 1) // 2, dtype=index) + 1
+    centre = sum(np.ix_(*[axis * int(s) for s in strides])).reshape(-1)
+    flat = np.array([f for f, _ in weights], dtype=index)
+    indptr = len(weights) * np.arange(rows + 1, dtype=index)
+    data = np.tile([c for _, c in weights], rows)
+    return sp.csr_matrix((data, (centre[:, None] + flat).reshape(-1), indptr),
+                         shape=(rows, fine_grid.npoints))
 
 
 def _smoother_applicator(sm: SmootherSpec, level_grid: GridSpec, stencil):
@@ -182,14 +186,22 @@ def _coarse_lu_bytes(dim: int, n: int) -> float:
     return _LU_BYTES_PER_NNZ * fill
 
 
-def _build_bytes(sm: SmootherSpec, grids, level_stencils) -> int:
-    """Estimated peak bytes of the level matrices and smoothers of a hierarchy.
+def _transfer_bytes(coarse: GridSpec) -> int:
+    """Bytes of the stored restriction onto ``coarse``: ``3**dim`` entries per row."""
+    rows = coarse.npoints
+    return _CSR_BYTES_PER_NNZ * 3**coarse.dim * rows + 4 * (rows + 1)
 
-    Every level CSR and every Vanka ``M`` stay held; on top of them comes the
-    largest Vanka scatter, which is freed before the next level's.
+
+def _build_bytes(sm: SmootherSpec, grids, level_stencils) -> int:
+    """Estimated peak bytes of the level matrices, transfers and smoothers of a hierarchy.
+
+    Every level CSR, every restriction and every Vanka ``M`` stay held; on
+    top of them comes the largest Vanka scatter, which is freed before the
+    next level's.
     """
     held = sum(_csr_bytes([o for o, c in st.entries.items() if c != 0], grid)
                for grid, st in zip(grids, level_stencils))
+    held += sum(_transfer_bytes(grid) for grid in grids[1:])
     layout = _vanka_layout(sm)
     if layout is None:
         return held
@@ -250,15 +262,16 @@ def build_hierarchy(spec: CycleSpec, fine_grid: GridSpec) -> Hierarchy:
     assembly.  Every level holds one CSR operator: the assembled fine
     Laplacian and the Galerkin operators below it, each assembled from
     ``stencils.galerkin_stencil`` of the stencil one level up (equal to
-    ``2**-dim P^T A P``, as every hat of ``P`` lies inside the grid); ``P``
-    itself is kept on the finer level for the cycle, and each level's
-    stencil builds its smoother.  The coarsest level is factorised by
-    sparse LU (``scipy.sparse.linalg.splu``).
+    ``2**-dim P^T A P``, as every hat of ``P`` lies inside the grid).  Every
+    level but the coarsest keeps the restriction ``R`` onto the next one,
+    from which the cycle also prolongs (``P = 2**dim R^T``, never stored),
+    and each level's stencil builds its smoother.  The coarsest level is
+    factorised by sparse LU (``scipy.sparse.linalg.splu``).
     """
     grids, level_stencils = _plan(spec, fine_grid)
     levels = [Level(fine_grid, assemble_sparse(level_stencils[0], fine_grid))]
     for grid, st in zip(grids[1:], level_stencils[1:]):
-        levels[-1].prolong = transfer_ops(levels[-1].grid)
+        levels[-1].restrict = transfer_ops(levels[-1].grid)
         levels.append(Level(grid, assemble_sparse(st, grid)))
     for level, st in zip(levels[:-1], level_stencils):
         level.m_apply = _smoother_applicator(spec.smoother, level.grid, st)
@@ -293,8 +306,12 @@ def _descend(hier: Hierarchy, idx: int, u: np.ndarray | None, b: np.ndarray) -> 
 
     Starting from zero skips the product ``A 0`` and the additions of zero;
     in IEEE arithmetic ``b - 0 = b`` and ``0 + x = x``, so the result is the
-    one the explicit zero vector gives.  Every other step writes into an
-    array this cycle made, never into the caller's ``u`` or ``b``.
+    one the explicit zero vector gives.  The residual is restricted by
+    ``R @ r`` and the coarse correction ``e`` prolonged by ``R^T @ (2**dim e)``;
+    scaling by a power of two is exact and both products sum in the order of
+    ``2**-dim P^T r`` and ``P e``, so they match those bit for bit.  Every
+    other step writes into an array this cycle made, never into the caller's
+    ``u`` or ``b``.
     """
     level = hier.levels[idx]
     if level.lu is not None:
@@ -302,9 +319,9 @@ def _descend(hier: Hierarchy, idx: int, u: np.ndarray | None, b: np.ndarray) -> 
     sm = hier.spec.smoother
     for _ in range(hier.spec.nu1):
         u = relax(sm, level, u, b)
-    coarse_b = level.prolong.T @ _residual(level, u, b)
-    coarse_b *= 2.0 ** -level.grid.dim
-    correction = level.prolong @ _descend(hier, idx + 1, None, coarse_b)
+    coarse = _descend(hier, idx + 1, None, level.restrict @ _residual(level, u, b))
+    coarse *= 2.0 ** level.grid.dim
+    correction = level.restrict.T @ coarse
     if u is not None:
         correction += u
     u = correction

@@ -65,6 +65,10 @@ _CSR_BYTES_PER_NNZ = 12  # float64 value plus int32 column index
 # measured on element and vertex patches at n = 255
 _SCATTER_BYTES_PER_ENTRY = 40
 
+# entries per slab of translated planes in ``assemble_sparse``: 384 KiB of
+# slab templates, small against any matrix whose build time counts
+_SLAB_ENTRIES = 1 << 15
+
 
 @dataclass
 class Patch:
@@ -258,6 +262,11 @@ def build_vanka(layout: PatchLayout, grid: GridSpec, stencil: Stencil) -> VankaO
         raise ValueError(f"stencil dim {stencil.dim} != grid dim {grid.dim}")
     if grid.boundary == "periodic" and grid.n <= 2 * stencil.reach:
         raise ValueError(f"periodic wrap needs n > {2 * stencil.reach}")
+    width = len(_layout_offsets(layout, grid)[0])
+    if grid.boundary == "periodic" and grid.npoints <= width:
+        # the patch would be the whole grid: for the Laplacian, the singular operator
+        raise ValueError(f"a periodic {layout.kind} patch of {width} points needs more than "
+                         f"{width} unknowns, got n={grid.n} in {grid.dim}D")
 
     _, index, slots = _patch_index(layout, grid)
     blocks, group = _distinct_blocks(layout, grid, stencil, slots)
@@ -293,14 +302,19 @@ def assemble_sparse(operator, grid: GridSpec = None) -> sp.csr_matrix:
     ``k = o - n`` (``o > 0``) or ``k = o + n`` (``o < 0``).  Zero
     coefficients are not stored.
 
-    The CSR arrays are written in one pass, with no COO copy and no
-    per-term matrices: a row holds one entry per offset whose shifted point
-    lies on the grid, and each offset writes its column and coefficient into
-    the next free slot of every row it reaches.  Offsets go in ascending
-    flat order, so Dirichlet rows come out sorted; periodic rows, whose
-    wrapped columns are not, are sorted afterwards.  Distinct offsets never
-    reach the same column (Dirichlet points are unique, and the periodic
-    guard ``n > 2 reach`` keeps wrapped ones apart), so nothing is summed.
+    The CSR arrays are written in place, with no COO copy, no per-term
+    matrices and no scatter.  A row holds the offsets whose shifted point
+    lies on the grid, in ascending flat order, so Dirichlet rows come out
+    sorted; periodic rows, whose wrapped columns are not, are sorted
+    afterwards.  Distinct offsets never reach the same column (Dirichlet
+    points are unique, and the periodic guard ``n > 2 reach`` keeps wrapped
+    ones apart), so nothing is summed.  Whether a shift keeps a point on the
+    grid, and which column it reaches, is a product and a sum over the axes,
+    so one plane of fixed first coordinate is worked out once.  Every plane
+    that no offset shifts off the grid or wraps along the first axis is
+    that plane translated by a multiple of the first stride: it is written
+    by one addition per slab of :data:`_SLAB_ENTRIES` entries, and only the
+    ``2 reach`` edge planes are selected entry by entry.
     """
     if isinstance(operator, VankaOperator):
         return operator.matrix
@@ -316,27 +330,49 @@ def assemble_sparse(operator, grid: GridSpec = None) -> sp.csr_matrix:
     # an offset with a component of n or more shifts every Dirichlet point off the grid
     terms = sorted((int(np.dot(o, strides)), o, float(c)) for o, c in operator.entries.items()
                    if c != 0 and max(map(abs, o)) < n)
-
-    def rows(o):
-        """The box of grid points that offset ``o`` keeps on the grid."""
-        return tuple(slice(None) if periodic else slice(max(0, -k), n - max(0, k)) for k in o)
-
-    counts = np.zeros(grid.shape, dtype=np.int64)
-    for _, o, _ in terms:
-        counts[rows(o)] += 1
-    nnz = int(counts.sum())
+    width = len(terms)
+    offsets = np.array([o for _, o, _ in terms], dtype=np.int64).reshape(width, grid.dim)
+    coefs = np.array([c for _, _, c in terms])
+    # per axis, point and term: the shifted coordinate, whether it is on the grid
+    shifted = np.arange(n)[:, None] + offsets.T[:, None, :]
+    on_grid = periodic | (shifted >= 0) & (shifted < n)
+    nnz = int(on_grid.sum(axis=1).prod(axis=0).sum())
     index = np.int32 if max(nnz, size) < 2**31 else np.int64
+    part = (shifted % n * strides[:, None, None]).astype(index)
+    # the plane of first coordinate 0 without its first-axis shift: the terms
+    # each of its rows keeps and their columns, (rows, terms)
+    keep, cols = np.ones((1, width), dtype=bool), np.zeros((1, width), dtype=index)
+    for k in range(1, grid.dim):
+        keep = (keep[:, None] & on_grid[k]).reshape(n**k, width)
+        cols = (cols[:, None] + part[k]).reshape(n**k, width)
+    plane = len(keep)
+    first, lead = offsets[:, 0], int(strides[0])
+    inner = range(-first.min(initial=0), n - first.max(initial=0))
+    edges = {x: keep & on_grid[0][x] for x in range(n) if x not in inner}
+
     indptr = np.zeros(size + 1, dtype=index)
-    np.cumsum(counts.reshape(-1), out=indptr[1:])
-    free = indptr[:-1].reshape(grid.shape).copy()
+    counts = indptr[1:].reshape(n, plane)
+    counts[inner.start:inner.stop] = keep.sum(axis=1)
+    for x, kept in edges.items():
+        counts[x] = kept.sum(axis=1)
+    np.cumsum(indptr, out=indptr)
     indices, data = np.empty(nnz, dtype=index), np.empty(nnz)
-    axis = np.arange(n)
-    for _, o, c in terms:
-        box = rows(o)
-        slot = free[box]
-        indices[slot] = sum(np.ix_(*[(axis[b] + k) % n * s for b, k, s in zip(box, o, strides)]))
-        data[slot] = c
-        slot += 1
+    for x, kept in edges.items():
+        rows = slice(indptr[x * plane], indptr[(x + 1) * plane])
+        indices[rows] = (cols + part[0][x])[kept]
+        data[rows] = np.broadcast_to(coefs, kept.shape)[kept]
+    if inner:
+        # a slab of whole inner planes, its first plane at first coordinate 0
+        per_plane = int(keep.sum())
+        step = min(max(1, _SLAB_ENTRIES // max(per_plane, 1)), len(inner))
+        slab_cols = (cols + (lead * first).astype(index))[keep] \
+            + lead * np.arange(step, dtype=index)[:, None]
+        slab_data = np.tile(np.broadcast_to(coefs, keep.shape)[keep], step)
+        for x in inner[::step]:
+            planes = min(step, inner.stop - x)
+            start, stop = indptr[x * plane], indptr[(x + planes) * plane]
+            np.add(slab_cols[:planes], x * lead, out=indices[start:stop].reshape(planes, per_plane))
+            data[start:stop] = slab_data[:stop - start]
     mat = sp.csr_matrix((data, indices, indptr), shape=(size, size))
     if periodic:
         mat.sort_indices()

@@ -318,7 +318,7 @@ VANKA_OPERATORS = {
 def test_matrix_equals_the_patch_scatter(layout, boundary, name):
     # every periodic grid has seam patches whose wrapped unknowns sort
     # before the others, so their slots hold the layout offsets reordered
-    # (at n = 3 a 1D vertex patch is the whole singular periodic operator)
+    # (at n = 3 a 1D vertex patch would be the whole singular periodic operator)
     for n in (4, 5, 7, 8) if boundary == "periodic" else (3, 5, 7, 15):
         h = Fraction(1, n + 1)
         grid = GridSpec(layout.dim, n, float(h), boundary)
@@ -369,6 +369,18 @@ def test_build_vanka_validation():
         build_vanka(PatchLayout("vertex", 1), GridSpec(1, 5, 1.0), sp.eye(4, format="csr"))
     with pytest.raises(ValueError, match="unknown patch kind"):
         PatchLayout("face", 2)
+
+
+def test_periodic_patch_covering_the_grid_is_refused():
+    # the vertex patch of the n = 3 periodic line is the whole grid: for the
+    # Laplacian its block is the singular periodic operator
+    line = GridSpec(1, 3, 0.25, "periodic")
+    for st in (laplacian_stencil(1, Fraction(1, 4)), mass_stencil(1, Fraction(1, 4))):
+        with pytest.raises(ValueError, match="patch of 3 points.*n=3"):
+            build_vanka(PatchLayout("vertex", 1), line, st)
+    smallest = GridSpec(1, 4, 0.25, "periodic")
+    op = build_vanka(PatchLayout("vertex", 1), smallest, laplacian_stencil(1, Fraction(1, 4)))
+    _assert_matches_patch_scatter(op)
 
 
 def test_apply_validates_length():
@@ -428,12 +440,14 @@ ASSEMBLY_STENCILS = {
     "off-grid-offset": Stencil(1, {(0,): 1, (3,): 2, (-1,): -1}),
     "non-symmetric-3d": Stencil(3, {(0, 0, 0): 2, (1, 0, -1): Fraction(-1, 3),
                                     (0, 1, 1): 0.75}),
+    "no-stored-entry": Stencil(2, {(0, 0): 0, (3, 0): 0}),
+    "galerkin3": galerkin_stencil(laplacian_stencil(3, Fraction(1, 16))),
+    "skew1": Stencil(1, {(-1,): 1, (2,): 3}),
+    "skew2": Stencil(2, {(-1, 2): 1, (2, 0): 3, (0, -1): 2}),
 }
 
 
-@pytest.mark.parametrize("name", sorted(ASSEMBLY_STENCILS))
-def test_assemble_sparse_equals_the_kronecker_sum(name):
-    st = ASSEMBLY_STENCILS[name]
+def _assert_equals_the_kronecker_sum(st):
     for boundary in ("dirichlet", "periodic"):
         for n in sorted({3, 2 * st.reach + 1, 5, 8}):
             if boundary == "periodic" and n <= 2 * st.reach:
@@ -441,8 +455,25 @@ def test_assemble_sparse_equals_the_kronecker_sum(name):
             grid = GridSpec(st.dim, n, 1 / (n + 1), boundary)
             got, want = assemble_sparse(st, grid), _kron_sum(st, grid)
             for part in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(got, part), getattr(want, part)), \
-                    (boundary, n, part)
+                got_part, want_part = getattr(got, part), getattr(want, part)
+                assert got_part.dtype == want_part.dtype, (boundary, n, part)
+                assert np.array_equal(got_part, want_part), (boundary, n, part)
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_STENCILS))
+def test_assemble_sparse_equals_the_kronecker_sum(name):
+    # byte for byte, dtypes included
+    _assert_equals_the_kronecker_sum(ASSEMBLY_STENCILS[name])
+
+
+@pytest.mark.parametrize("slab", [1, 50])
+@pytest.mark.parametrize("name", ["laplacian1", "laplacian2", "galerkin3", "skew2",
+                                  "off-grid-offset", "vertex2"])
+def test_assemble_sparse_slabs_change_no_byte(monkeypatch, name, slab):
+    # one translated plane per slab (1), and slabs of several planes with a
+    # shorter last one (50)
+    monkeypatch.setattr(vanka, "_SLAB_ENTRIES", slab)
+    _assert_equals_the_kronecker_sum(ASSEMBLY_STENCILS[name])
 
 
 def test_assemble_sparse_peak_is_near_the_matrix():
