@@ -61,7 +61,8 @@ STAGNATION_RATIO = 1e-13  # per-cycle contraction at rounding level
 # cap on the estimated bytes of a build: a coarsest sparse LU above it is
 # refused before anything is assembled (3D two-grid at h = 1/64 is accepted),
 # and so is a hierarchy whose level matrices, smoothers and largest Vanka
-# scatter add up to more (2D V-cycles up to h = 1/1024 are accepted)
+# translation add up to more (every 2D V-cycle up to h = 1/2048 is accepted,
+# the vertex Vanka one at 1.7 GiB; none at h = 1/4096)
 COARSE_LU_BUDGET_BYTES = 2**31
 
 # measured splu fill ``L.nnz + U.nnz`` of the Galerkin coarse operator,
@@ -154,9 +155,10 @@ def _smoother_applicator(sm: SmootherSpec, level_grid: GridSpec, stencil):
     """Return a callable evaluating ``M r`` for the level operator ``stencil``.
 
     Vanka smoothers are one CSR matrix built by ``build_vanka`` from the
-    level's stencil: the few distinct patch blocks are filled from its exact
-    coefficients and inverted once, with no gather from the assembled level
-    matrix.  For every other kind ``M`` is the stencil the analysis uses,
+    level's stencil: the patches of a template grid of at most 5 points per
+    axis are inverted and scattered, and every row of ``M`` is copied from
+    the template's, with no patch gathered from the assembled level matrix.
+    For every other kind ``M`` is the stencil the analysis uses,
     ``lfa.smoother_m_stencil`` at the level's ``h`` (``stencil`` is not
     read), applied matrix-free by ``stencils.apply``.  Those stencils are
     rank one (the mass stencils are ``[1 4 1]`` per axis, Jacobi a scaled
@@ -195,9 +197,9 @@ def _transfer_bytes(coarse: GridSpec) -> int:
 def _build_bytes(sm: SmootherSpec, grids, level_stencils) -> int:
     """Estimated peak bytes of the level matrices, transfers and smoothers of a hierarchy.
 
-    Every level CSR, every restriction and every Vanka ``M`` stay held; on
-    top of them comes the largest Vanka scatter, which is freed before the
-    next level's.
+    Every level CSR, every restriction and every Vanka ``M`` and its weights
+    stay held; on top of them come the temporaries of the largest Vanka
+    translation, which are freed before the next level's.
     """
     held = sum(_csr_bytes([o for o, c in st.entries.items() if c != 0], grid)
                for grid, st in zip(grids, level_stencils))
@@ -206,7 +208,7 @@ def _build_bytes(sm: SmootherSpec, grids, level_stencils) -> int:
     if layout is None:
         return held
     smoothers = [_smoother_bytes(layout, grid) for grid in grids[:-1]]
-    return held + sum(m for m, _ in smoothers) + max(scatter for _, scatter in smoothers)
+    return held + sum(m for m, _ in smoothers) + max(temp for _, temp in smoothers)
 
 
 def _plan(spec: CycleSpec, fine_grid: GridSpec) -> tuple:

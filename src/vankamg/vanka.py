@@ -13,16 +13,18 @@ Two patch layouts are supported:
   ``2*dim`` axis neighbours (truncated near the boundary).
 
 :func:`build_vanka` assembles ``M`` as one CSR matrix from the system
-stencil.  On a constant-coefficient operator every interior patch solves
-the same local problem and a truncated boundary patch one of a few others,
-so it builds a ``(P, k)`` patch index array from broadcast offsets, groups
-the patches by the layout offsets their sorted slots hold, fills each
-distinct block (truncated slots padded with the identity) from the exact
-stencil coefficients, inverts those few blocks in one batch and scatters
-the weighted inverses of every patch through COO.  Applying the smoother is
-then one sparse product.  The per-patch :attr:`VankaOperator.patches` view
-gathers every block from the assembled operator instead, an independent
-reference for the tests.
+stencil.  On a constant-coefficient operator a row of ``M`` depends only on
+where its point sits against the boundary, within the patch span ``s``
+(1 for element, 2 for vertex patches).  So the patches are built on a
+template grid of ``2 s + 1`` points per axis only: a ``(P, k)`` patch index
+array from broadcast offsets, the blocks gathered from the assembled
+template operator (truncated slots padded with the identity), one batched
+inverse and one COO scatter of the weighted inverses.  Every row of ``M``
+on the full grid is then copied from the template row in the same place,
+its columns translated, in a few passes over the entries.  Applying the
+smoother is one sparse product.  The per-patch
+:attr:`VankaOperator.patches` view gathers every block of the full grid
+from its assembled operator, an independent reference for the tests.
 
 In the interior both layouts reduce to translation-invariant stencils with
 exact rational coefficients, given by :func:`vankamg.stencils.closed_form_stencil`
@@ -59,11 +61,6 @@ __all__ = [
 DENSE_CAP = 4096  # refuse to densify anything larger than this many unknowns
 
 _CSR_BYTES_PER_NNZ = 12  # float64 value plus int32 column index
-
-# tracemalloc peak of the Vanka scatter per entry of its (P, k, k) stack
-# (weighted inverses, pair mask, row and column indices, COO-to-CSR copy),
-# measured on element and vertex patches at n = 255
-_SCATTER_BYTES_PER_ENTRY = 40
 
 # entries per slab of translated planes in ``assemble_sparse``: 384 KiB of
 # slab templates, small against any matrix whose build time counts
@@ -109,9 +106,9 @@ class VankaOperator:
 
         Keys are cell coordinates for element patches (``0..n`` per axis on
         Dirichlet grids) and centre coordinates for vertex patches.  Dofs
-        are in lexicographic lattice order.  Every block is gathered from
-        the assembled operator and inverted on its own, independently of the
-        distinct blocks :func:`build_vanka` inverts.
+        are in lexicographic lattice order.  Every block of the full grid is
+        gathered from the assembled operator and inverted on its own,
+        independently of the template grid :func:`build_vanka` inverts on.
         """
         matrix = assemble_sparse(self.operator, self.grid)
         keys, index, blocks = _patch_blocks(self.layout, self.grid, matrix)
@@ -139,13 +136,12 @@ def _layout_offsets(layout: PatchLayout, grid: GridSpec) -> tuple:
 
 
 def _patch_index(layout: PatchLayout, grid: GridSpec) -> tuple:
-    """Patch keys ``(P, dim)``, flat unknown indices ``(P, k)`` and slot offsets ``(P, k)``.
+    """Patch keys ``(P, dim)`` and flat unknown indices ``(P, k)``.
 
     Keys are cell (element) or centre (vertex) coordinates in lexicographic
     order.  Truncated slots hold ``-1``; each index row is sorted ascending,
     so truncated slots come first and the unknowns follow in lexicographic
-    lattice order.  ``slots[p, i]`` is the row of the layout offsets that
-    sorted slot ``i`` of patch ``p`` holds, ``-1`` where it is truncated.
+    lattice order.
     """
     n, dim = grid.n, grid.dim
     offsets, extent, shift = _layout_offsets(layout, grid)
@@ -158,11 +154,8 @@ def _patch_index(layout: PatchLayout, grid: GridSpec) -> tuple:
         valid = ((points >= 0) & (points < n)).all(axis=2)
     index = points @ (n ** np.arange(dim - 1, -1, -1))
     index[~valid] = -1
-    order = np.argsort(index, axis=1)
-    index = np.take_along_axis(index, order, axis=1)
-    slots = np.where(index < 0, -1, order)
-    # 32-bit indices halve the (P, k, k) scatter index arrays
-    return keys, index.astype(np.int32 if grid.npoints < 2**31 else np.int64), slots
+    index.sort(axis=1)
+    return keys, index
 
 
 def _patch_blocks(layout: PatchLayout, grid: GridSpec, matrix: sp.csr_matrix):
@@ -173,7 +166,7 @@ def _patch_blocks(layout: PatchLayout, grid: GridSpec, matrix: sp.csr_matrix):
     holds a unit diagonal and no coupling, so the padded block inverts to the
     truncated inverse bordered by the identity.
     """
-    keys, index, _ = _patch_index(layout, grid)
+    keys, index = _patch_index(layout, grid)
     count, k = index.shape
     padded = index < 0
     safe = np.where(padded, 0, index)
@@ -186,50 +179,79 @@ def _patch_blocks(layout: PatchLayout, grid: GridSpec, matrix: sp.csr_matrix):
     return keys, index, blocks
 
 
-def _distinct_blocks(layout: PatchLayout, grid: GridSpec, stencil: Stencil, slots):
-    """The padded local block of each distinct slot pattern, and each patch's pattern.
-
-    Patches whose sorted slots hold the same layout offsets (truncated slots
-    marked) solve the same local problem: entry ``(i, j)`` is the stencil
-    coefficient at the offset from slot ``i`` to slot ``j``, taken modulo
-    ``n`` on a periodic grid.  Coefficients are ``float(c)``, the values
-    :func:`assemble_sparse` stores, so each block equals the principal
-    submatrix of the assembled operator.  Returns ``(blocks, group)`` with
-    ``blocks[group[p]]`` the block of patch ``p``.
-    """
-    n, k = grid.n, slots.shape[1]
-    periodic = grid.boundary == "periodic"
-    offsets = _layout_offsets(layout, grid)[0].tolist()
-
-    def key(o):
-        return tuple(c % n for c in o) if periodic else tuple(o)
-
-    coefs = {key(o): float(c) for o, c in stencil.entries.items() if c != 0}
-    code = (slots + 1) @ (k + 1) ** np.arange(k)
-    _, first, group = np.unique(code, return_index=True, return_inverse=True)
-    blocks = np.zeros((len(first), k, k))
-    for block, pattern in zip(blocks, slots[first].tolist()):
-        for i, a in enumerate(pattern):
-            if a < 0:
-                block[i, i] = 1.0
-                continue
-            for j, b in enumerate(pattern):
-                if b >= 0:
-                    step = [ob - oa for oa, ob in zip(offsets[a], offsets[b])]
-                    block[i, j] = coefs.get(key(step), 0.0)
-    return blocks, group
-
-
 def _smoother_bytes(layout: PatchLayout, grid: GridSpec) -> tuple:
-    """Estimated bytes of ``M`` on a Dirichlet grid and peak bytes of the scatter building it.
+    """Estimated bytes of ``M`` on a Dirichlet grid and peak bytes of the translation building it.
 
     ``M`` couples two unknowns when one patch holds both, so its offsets
-    are the differences of the layout's slot offsets; the scatter holds
-    :data:`_SCATTER_BYTES_PER_ENTRY` per entry of the ``(P, k, k)`` stack.
+    are the differences of the layout's slot offsets; with it the operator
+    holds its weights.  On top of them :func:`_translate` holds a 4-byte
+    index per entry and 24 bytes per row.
     """
-    offsets, extent, _ = _layout_offsets(layout, grid)
-    held = _csr_bytes({tuple(b - a) for a in offsets for b in offsets}, grid)
-    return held, _SCATTER_BYTES_PER_ENTRY * extent**grid.dim * len(offsets)**2
+    offsets = _layout_offsets(layout, grid)[0]
+    coupled = {tuple(b - a) for a in offsets for b in offsets}
+    held = _csr_bytes(coupled, grid) + 8 * grid.npoints
+    return held, 4 * _nnz(coupled, grid) + 24 * grid.npoints
+
+
+def _scatter(layout: PatchLayout, grid: GridSpec, stencil: Stencil) -> tuple:
+    """``M`` and the weights on ``grid``, every patch's weighted inverse summed through COO.
+
+    Each local block is gathered from the assembled operator and all are
+    inverted in one batch.  Truncated slots are padded with the identity,
+    which inverts exactly, and are dropped before the scatter; the
+    COO-to-CSR conversion sums each row's duplicates in patch order.
+    """
+    _, index, blocks = _patch_blocks(layout, grid, assemble_sparse(stencil, grid))
+    local = np.linalg.inv(blocks)
+    valid = index >= 0
+    counts = np.bincount(index[valid], minlength=grid.npoints)
+    if counts.min() <= 0:
+        raise RuntimeError("patch layout left some unknowns uncovered")
+    weights = 1.0 / counts
+
+    count, k = index.shape
+    local *= weights[index][:, :, None]  # padded rows are dropped by ``pairs``
+    pairs = valid[:, :, None] & valid[:, None, :]
+    rows = np.broadcast_to(index[:, :, None], (count, k, k))[pairs]
+    cols = np.broadcast_to(index[:, None, :], (count, k, k))[pairs]
+    m = sp.coo_matrix((local[pairs], (rows, cols)),
+                      shape=(grid.npoints, grid.npoints)).tocsr()
+    return m, weights
+
+
+def _translate(m: sp.csr_matrix, weights, template: GridSpec, grid: GridSpec) -> tuple:
+    """``M`` and the weights on the Dirichlet ``grid``, copied from its template's.
+
+    The template has ``n_t = 2 s + 1`` points per axis.  Per axis, position
+    ``p`` of ``grid`` reads template position ``p`` when ``p < s``,
+    ``p - (n - n_t)`` when ``p >= n - s`` and ``s`` otherwise.  Each row
+    copies that template row with its columns moved by the same per-axis
+    offsets, which keeps them in order, and its weight.
+    """
+    n, n_t = grid.n, template.n
+    span = n_t // 2
+    p = np.arange(n)
+    t = np.where(p < span, p, np.where(p >= n - span, p - (n - n_t), span))
+    # per row of ``grid``: its template row and its column shift; per
+    # template column: its flat index on ``grid``
+    row = shift = base = np.zeros(1, dtype=np.int64)
+    for _ in range(grid.dim):
+        row = np.add.outer(row * n_t, t).ravel()
+        shift = np.add.outer(shift * n, p - t).ravel()
+        base = np.add.outer(base * n, np.arange(n_t)).ravel()
+    lengths = np.diff(m.indptr)[row]
+    nnz = int(lengths.sum())
+    index = np.int32 if max(nnz, grid.npoints) < 2**31 else np.int64
+    indptr = np.zeros(grid.npoints + 1, dtype=index)
+    np.cumsum(lengths, out=indptr[1:])
+    # entry ``j``, in row ``r``, copies template entry ``j - indptr[r] + m.indptr[row[r]]``
+    src = np.repeat(m.indptr[row] - indptr[:-1], lengths)
+    src += np.arange(nnz, dtype=index)
+    data = m.data[src]
+    indices = base.astype(index)[m.indices][src]
+    del src  # before the shift pass: the peak holds one index per entry beyond ``M``
+    indices += np.repeat(shift.astype(index), lengths)
+    return sp.csr_matrix((data, indices, indptr), shape=(grid.npoints,) * 2), weights[row]
 
 
 def build_vanka(layout: PatchLayout, grid: GridSpec, stencil: Stencil) -> VankaOperator:
@@ -245,12 +267,17 @@ def build_vanka(layout: PatchLayout, grid: GridSpec, stencil: Stencil) -> VankaO
 
     Notes
     -----
-    A constant-coefficient operator gives every interior patch the same
-    local problem and the truncated boundary patches a few others (at most
-    ``3**dim`` on a Dirichlet grid), so only those distinct blocks are
-    filled, from the stencil, and inverted, in one small batch.  Truncated
-    slots are padded with the identity, which inverts exactly, and are
-    dropped before the scatter.
+    Every patch holding a point lies within the patch span ``s`` of it
+    along each axis (1 for element, 2 for vertex patches), so on a
+    Dirichlet grid a row of ``M`` and its weight depend only on where the
+    point sits against the boundary.  The patch scatter therefore runs on a
+    template grid of ``2 s + 1`` points per axis, and :func:`_translate`
+    copies each row of the full matrix from the template row in the same
+    place.  The row keeps its template row's patches, truncation and COO
+    entry order, so its duplicates are summed in the same order and the
+    matrix is the one the scatter over every patch of the grid gives, byte
+    for byte.  Periodic grids (an oracle only) and grids of at most
+    ``2 s + 1`` points per axis are their own template.
     """
     if layout.dim == 3:
         raise NotImplementedError("patch assembly is implemented for dim 1 and 2 only")
@@ -262,29 +289,19 @@ def build_vanka(layout: PatchLayout, grid: GridSpec, stencil: Stencil) -> VankaO
         raise ValueError(f"stencil dim {stencil.dim} != grid dim {grid.dim}")
     if grid.boundary == "periodic" and grid.n <= 2 * stencil.reach:
         raise ValueError(f"periodic wrap needs n > {2 * stencil.reach}")
-    width = len(_layout_offsets(layout, grid)[0])
+    offsets = _layout_offsets(layout, grid)[0]
+    width = len(offsets)
     if grid.boundary == "periodic" and grid.npoints <= width:
         # the patch would be the whole grid: for the Laplacian, the singular operator
         raise ValueError(f"a periodic {layout.kind} patch of {width} points needs more than "
                          f"{width} unknowns, got n={grid.n} in {grid.dim}D")
 
-    _, index, slots = _patch_index(layout, grid)
-    blocks, group = _distinct_blocks(layout, grid, stencil, slots)
-    local = np.linalg.inv(blocks)[group]
-    del slots, group  # lowers the peak memory of the scatter below
-    valid = index >= 0
-    counts = np.bincount(index[valid], minlength=grid.npoints)
-    if counts.min() <= 0:
-        raise RuntimeError("patch layout left some unknowns uncovered")
-    weights = 1.0 / counts
-
-    count, k = index.shape
-    local *= weights[index][:, :, None]  # padded rows are dropped by ``pairs``
-    pairs = valid[:, :, None] & valid[:, None, :]
-    rows = np.broadcast_to(index[:, :, None], (count, k, k))[pairs]
-    cols = np.broadcast_to(index[:, None, :], (count, k, k))[pairs]
-    m = sp.coo_matrix((local[pairs], (rows, cols)),
-                      shape=(grid.npoints, grid.npoints)).tocsr()
+    span = int(np.ptp(offsets, axis=0).max())
+    if grid.boundary == "periodic" or grid.n <= 2 * span + 1:
+        m, weights = _scatter(layout, grid, stencil)
+    else:
+        template = GridSpec(grid.dim, 2 * span + 1, grid.h)
+        m, weights = _translate(*_scatter(layout, template, stencil), template, grid)
     return VankaOperator(layout, grid, m, weights, stencil)
 
 
@@ -379,14 +396,18 @@ def assemble_sparse(operator, grid: GridSpec = None) -> sp.csr_matrix:
     return mat
 
 
-def _csr_bytes(offsets, grid: GridSpec) -> int:
-    """Bytes of the Dirichlet CSR matrix coupling each point to ``offsets``.
+def _nnz(offsets, grid: GridSpec) -> int:
+    """Entries of the Dirichlet CSR matrix coupling each point to ``offsets``.
 
     Counts the entries :func:`assemble_sparse` stores for a stencil with
     these nonzero offsets: each keeps the points it does not shift off the grid.
     """
-    nnz = sum(prod(max(grid.n - abs(c), 0) for c in o) for o in offsets)
-    return _CSR_BYTES_PER_NNZ * nnz + 4 * (grid.npoints + 1)
+    return sum(prod(max(grid.n - abs(c), 0) for c in o) for o in offsets)
+
+
+def _csr_bytes(offsets, grid: GridSpec) -> int:
+    """Bytes of the Dirichlet CSR matrix coupling each point to ``offsets``."""
+    return _CSR_BYTES_PER_NNZ * _nnz(offsets, grid) + 4 * (grid.npoints + 1)
 
 
 def assemble_dense(operator, grid: GridSpec = None) -> np.ndarray:

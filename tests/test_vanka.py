@@ -288,27 +288,38 @@ def test_operator_spectrum_positive_dirichlet(layout):
 
 
 def _patch_scatter(op):
-    """Oracle ``M``: each patch of the gathered ``patches`` view, weighted and
-    scattered through COO in patch order, the order :func:`build_vanka` uses."""
+    """Oracle ``M`` and weights: each patch of the gathered ``patches`` view,
+    weighted and scattered through COO in patch order, the order
+    :func:`build_vanka` uses."""
     patches = op.patches
     counts = np.bincount(np.concatenate([p.dofs for p in patches]), minlength=op.grid.npoints)
     rows = np.concatenate([np.repeat(p.dofs, len(p.dofs)) for p in patches])
     cols = np.concatenate([np.tile(p.dofs, len(p.dofs)) for p in patches])
     vals = np.concatenate([(p.inverse * (1.0 / counts[p.dofs])[:, None]).ravel()
                            for p in patches])
-    return sp.coo_matrix((vals, (rows, cols)), shape=op.matrix.shape).tocsr()
+    return sp.coo_matrix((vals, (rows, cols)), shape=op.matrix.shape).tocsr(), 1.0 / counts
 
 
 def _assert_matches_patch_scatter(op):
-    want = _patch_scatter(op)
+    want, weights = _patch_scatter(op)
     for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(op.matrix, part), getattr(want, part)), part
+        got_part, want_part = getattr(op.matrix, part), getattr(want, part)
+        assert got_part.dtype == want_part.dtype, part
+        assert np.array_equal(got_part, want_part), part
+    assert op.weights.dtype == weights.dtype
+    assert op.weights.tobytes() == weights.tobytes()
 
 
 VANKA_OPERATORS = {
     "laplacian": laplacian_stencil,
+    "mass": mass_stencil,
     "galerkin": lambda dim, h: galerkin_stencil(laplacian_stencil(dim, h / 2)),
     "galerkin2": lambda dim, h: galerkin_stencil(galerkin_stencil(laplacian_stencil(dim, h / 4))),
+    "vertex-closed-form": lambda dim, h: closed_form_stencil(PatchLayout("vertex", dim), h),
+    # not symmetric, one entry of reach 2; diagonally dominant, so every block inverts
+    "skew": lambda dim, h: Stencil(dim, {(0,) * dim: 4, (-1,) + (0,) * (dim - 1): -1,
+                                         (1,) * dim: Fraction(-1, 2),
+                                         (0,) * (dim - 1) + (2,): Fraction(1, 3)}),
 }
 
 
@@ -316,18 +327,26 @@ VANKA_OPERATORS = {
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
 @pytest.mark.parametrize("layout", ALL_LAYOUTS, ids=lambda la: f"{la.kind}-{la.dim}d")
 def test_matrix_equals_the_patch_scatter(layout, boundary, name):
-    # every periodic grid has seam patches whose wrapped unknowns sort
-    # before the others, so their slots hold the layout offsets reordered
+    # the oracle gathers every patch of the grid, so it shares no step with
+    # the template build: Dirichlet grids up to 2s + 1 = 3 (element) or 5
+    # (vertex) points per axis are their own template, larger ones, even n
+    # included, are translated from it; periodic grids are their own template
     # (at n = 3 a 1D vertex patch would be the whole singular periodic operator)
-    for n in (4, 5, 7, 8) if boundary == "periodic" else (3, 5, 7, 15):
+    for n in (4, 5, 7, 8) if boundary == "periodic" else (3, 4, 5, 6, 7, 8, 9, 15, 16, 64):
         h = Fraction(1, n + 1)
+        st = VANKA_OPERATORS[name](layout.dim, h)
+        if boundary == "periodic" and n <= 2 * st.reach:
+            continue
         grid = GridSpec(layout.dim, n, float(h), boundary)
-        _assert_matches_patch_scatter(build_vanka(layout, grid, VANKA_OPERATORS[name](layout.dim, h)))
+        _assert_matches_patch_scatter(build_vanka(layout, grid, st))
 
 
 @pytest.mark.parametrize("name", sorted(VANKA_OPERATORS))
 @pytest.mark.parametrize("layout", ALL_LAYOUTS, ids=lambda la: f"{la.kind}-{la.dim}d")
 def test_dirichlet_build_inverts_one_block_per_boundary_arrangement(monkeypatch, layout, name):
+    # one batch per build, one block per patch of the template grid (2s + 1
+    # points per axis: 4 element cells or 5 vertex centres per axis),
+    # whatever the size of the grid
     batches = []
     inv = np.linalg.inv
 
@@ -336,10 +355,11 @@ def test_dirichlet_build_inverts_one_block_per_boundary_arrangement(monkeypatch,
         return inv(a)
 
     monkeypatch.setattr(vanka.np.linalg, "inv", counting)
-    for n in (3, 7, 31):
+    for n in (7, 31, 255):
         h = Fraction(1, n + 1)
         build_vanka(layout, GridSpec(layout.dim, n, float(h)), VANKA_OPERATORS[name](layout.dim, h))
-    assert batches == [3**layout.dim] * 3
+    per_axis = 4 if layout.kind == "element" else 5
+    assert batches == [per_axis**layout.dim] * 3
 
 
 @pytest.mark.parametrize("cycle", ["two-grid", "v-cycle"])
