@@ -13,7 +13,7 @@ import numpy as np
 from vankamg import (
     GridSpec,
     apply,
-    assemble_dense,
+    assemble_sparse,
     laplacian_stencil,
     mass_stencil,
     symbol,
@@ -50,7 +50,7 @@ for theta in ((0.0, 0.0), (np.pi / 2, 0.0), (np.pi, np.pi)):
 print("\n== circulant oracle: periodic eigenvalues are symbol samples ==")
 n = 16
 pgrid = GridSpec(1, n, float(h), boundary="periodic")
-dense = assemble_dense(laplacian_stencil(1, h), pgrid)
+dense = assemble_sparse(laplacian_stencil(1, h), pgrid).toarray()
 eigs = np.sort(np.linalg.eigvalsh(dense))
 thetas = 2 * np.pi * np.arange(n) / n
 sampled = np.sort(symbol(laplacian_stencil(1, h), thetas.reshape(-1, 1)).real)

@@ -13,7 +13,6 @@ import numpy as np
 from vankamg import (
     GridSpec,
     PatchLayout,
-    assemble_dense,
     assemble_sparse,
     build_vanka,
     closed_form_stencil,
@@ -44,8 +43,8 @@ print("\n== periodic assembly matches the closed-form stencil ==")
 pgrid = GridSpec(2, 8, float(h), boundary="periodic")
 for kind in ("element", "vertex"):
     layout = PatchLayout(kind, 2)
-    dense = assemble_dense(build_vanka(layout, pgrid, lap))
-    ref = assemble_dense(closed_form_stencil(layout, h), pgrid)
+    dense = build_vanka(layout, pgrid, lap).matrix.toarray()
+    ref = assemble_sparse(closed_form_stencil(layout, h), pgrid).toarray()
     dev = np.abs(dense - ref).max()
     centre = closed_form_stencil(layout, h).entries[(0, 0)]
     print(f"  {kind}: max deviation {dev:.2e}, centre coefficient {centre}")
@@ -53,7 +52,7 @@ for kind in ("element", "vertex"):
 print("\n== sparse triplet export (row col value, lexicographic) ==")
 op1 = build_vanka(PatchLayout("element", 1), GridSpec(1, 7, float(h)),
                   laplacian_stencil(1, h))
-text = export_triplets(assemble_sparse(op1))
+text = export_triplets(op1.matrix)
 for line in text.splitlines()[:4]:
     print(f"  {line}")
 print(f"  ... {len(text.splitlines())} triplets")

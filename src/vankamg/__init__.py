@@ -25,17 +25,15 @@ from .stencils import (GridSpec, PatchLayout, Stencil, apply, closed_form_stenci
                        delta_stencil, galerkin_stencil, laplacian_stencil, mass_stencil,
                        restriction_stencil, tensor_product)
 from .lfa import (EigenField, FrequencyGrid, OptimalDamping, SmootherKind,
-                  SmootherSpec, TwoGridSymbol, eigenfield, exact_optimum,
-                  optimal_omega, smoother_symbol, smoothing_factor,
-                  spectral_radius, symbol, transfer_symbols, two_grid_factor,
-                  two_grid_symbol)
+                  SmootherSpec, eigenfield, exact_optimum, optimal_omega,
+                  smoother_symbol, smoothing_factor, symbol, transfer_symbols,
+                  two_grid_factor)
 
 __version__ = "0.1.0"
 
 # names resolved on first access (PEP 562), by the module that defines them
 _LAZY = {
-    "vanka": ("VankaOperator", "assemble_dense", "assemble_sparse", "build_vanka",
-              "export_triplets"),
+    "vanka": ("VankaOperator", "assemble_sparse", "build_vanka", "export_triplets"),
     "solver": ("ConvergenceRun", "CycleSpec", "Hierarchy", "Level", "StagnationError",
                "build_hierarchy", "cycle", "measured_convergence_factor", "relax",
                "run_convergence", "transfer_ops"),
@@ -45,12 +43,12 @@ _LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names
 __all__ = [
     "GridSpec", "Stencil", "apply", "delta_stencil", "laplacian_stencil",
     "mass_stencil", "tensor_product", "restriction_stencil", "galerkin_stencil",
-    "PatchLayout", "VankaOperator", "assemble_dense", "assemble_sparse",
-    "build_vanka", "closed_form_stencil", "export_triplets",
+    "PatchLayout", "VankaOperator", "assemble_sparse", "build_vanka",
+    "closed_form_stencil", "export_triplets",
     "EigenField", "FrequencyGrid", "OptimalDamping", "SmootherKind",
-    "SmootherSpec", "TwoGridSymbol", "eigenfield", "exact_optimum",
-    "optimal_omega", "smoother_symbol", "smoothing_factor", "spectral_radius",
-    "symbol", "transfer_symbols", "two_grid_factor", "two_grid_symbol",
+    "SmootherSpec", "eigenfield", "exact_optimum", "optimal_omega",
+    "smoother_symbol", "smoothing_factor", "symbol", "transfer_symbols",
+    "two_grid_factor",
     "ConvergenceRun", "CycleSpec", "Hierarchy", "Level", "StagnationError",
     "build_hierarchy", "cycle", "measured_convergence_factor", "relax",
     "run_convergence", "transfer_ops",

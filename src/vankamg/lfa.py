@@ -25,8 +25,8 @@ the largest bound from above are solved first, and a bracket is then dropped
 only when the sign of the secular function at ``±best`` (it increases
 between its poles) proves its root lies inside ``[-best, best]``.  The rest
 are solved; the result is the one solving every bracket gives.  In 1D the
-single bracket has a closed-form root.  The dense route of
-``two_grid_symbol`` is the oracle.
+single bracket has a closed-form root.  ``eigvals`` of the dense blocks
+``_two_grid_stack`` assembles is the oracle.
 
 For every supported smoother the product symbol ``M~ A~`` has a known exact
 range ``[t_min, t_max]`` on the high-frequency set, and the damping that
@@ -45,6 +45,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
+import operator
 
 import numpy as np
 
@@ -56,17 +57,14 @@ __all__ = [
     "SmootherSpec",
     "FrequencyGrid",
     "OptimalDamping",
-    "TwoGridSymbol",
     "EigenField",
     "symbol",
     "smoother_symbol",
     "smoothing_factor",
     "optimal_omega",
     "transfer_symbols",
-    "two_grid_symbol",
     "two_grid_factor",
     "eigenfield",
-    "spectral_radius",
 ]
 
 DEFAULT_SAMPLES = 64
@@ -301,8 +299,11 @@ def _harmonic_symbols(stencil: Stencil, grid: FrequencyGrid) -> np.ndarray:
     the 1D table ``exp(i o theta_k)``.  Per axis the harmonics ``kappa = 0, 1``
     of the ``samples/2`` low values are the two halves of ``theta_1d``.  Row
     ``k`` is harmonic ``kappas[k]``; columns follow ``low_points(False)``, so
-    rows ``1:`` are exactly the high-frequency samples.
+    rows ``1:`` are exactly the high-frequency samples.  Every grid route of
+    the analysis starts here, so a grid of the wrong dimension raises here.
     """
+    if grid.dim != stencil.dim:
+        raise ValueError(f"frequency grid dim {grid.dim} != stencil dim {stencil.dim}")
     offsets, coefs = stencil._arrays
     low = offsets.min(axis=0)
     values = np.zeros(tuple(offsets.max(axis=0) - low + 1), dtype=complex)
@@ -327,8 +328,6 @@ def smoothing_factor(spec: SmootherSpec, grid: FrequencyGrid = None) -> float:
     """Largest ``|S~|`` over the sampled high-frequency region."""
     if grid is None:
         grid = FrequencyGrid(spec.dim)
-    if grid.dim != spec.dim:
-        raise ValueError(f"frequency grid dim {grid.dim} != smoother dim {spec.dim}")
     t = _product_symbol_high(spec.m_stencil(), spec.a_stencil(), grid)
     return float(np.abs(1.0 - float(spec.omega) * t).max())
 
@@ -397,6 +396,14 @@ def transfer_symbols(dim: int, theta) -> np.ndarray:
     return symbol(restriction_stencil(dim), harmonics).real
 
 
+def _sweeps(count) -> int:
+    """A smoothing sweep count as an ``int``; raises unless it is a nonnegative integer."""
+    count = operator.index(count)
+    if count < 0:
+        raise ValueError("smoothing step counts must be nonnegative")
+    return count
+
+
 def _two_grid_stack(spec: SmootherSpec, bases: np.ndarray, nu1: int, nu2: int):
     """Two-grid error symbols for a batch of base frequencies.
 
@@ -422,30 +429,6 @@ def _two_grid_stack(spec: SmootherSpec, bases: np.ndarray, nu1: int, nu2: int):
     return e, s, harmonics
 
 
-@dataclass(frozen=True)
-class TwoGridSymbol:
-    """The ``2^dim x 2^dim`` error symbol at one base frequency."""
-
-    theta: np.ndarray
-    harmonics: np.ndarray
-    matrix: np.ndarray
-
-    @property
-    def spectral_radius(self) -> float:
-        return spectral_radius(self.matrix)
-
-
-def two_grid_symbol(spec: SmootherSpec, theta, nu1: int, nu2: int) -> TwoGridSymbol:
-    """Error symbol ``S^nu2 (I - P (A_H)^-1 R A) S^nu1`` at one frequency.
-
-    Any base with a nonsingular Galerkin coarse symbol is accepted; bases
-    that differ by a harmonic shift produce similarity-equivalent blocks.
-    """
-    theta = np.asarray(theta, dtype=float).reshape(1, spec.dim)
-    e, _, harmonics = _two_grid_stack(spec, theta, nu1, nu2)
-    return TwoGridSymbol(theta[0], harmonics[:, 0, :], e[0])
-
-
 def two_grid_factor(spec: SmootherSpec, nu1: int, nu2: int,
                     grid: FrequencyGrid = None) -> float:
     """Largest spectral radius of the error symbol over the sampled low region.
@@ -458,12 +441,9 @@ def two_grid_factor(spec: SmootherSpec, nu1: int, nu2: int,
     """
     if grid is None:
         grid = FrequencyGrid(spec.dim)
-    if grid.dim != spec.dim:
-        raise ValueError(f"frequency grid dim {grid.dim} != smoother dim {spec.dim}")
-    if nu1 < 0 or nu2 < 0:
-        raise ValueError("smoothing step counts must be nonnegative")
+    nu = _sweeps(nu1) + _sweeps(nu2)
     a_stencil, p_stencil = spec.a_stencil(), restriction_stencil(spec.dim)
-    return _rank_one_radius(float(spec.omega), nu1 + nu2, grid._low_symbols(a_stencil),
+    return _rank_one_radius(float(spec.omega), nu, grid._low_symbols(a_stencil),
                             grid._low_symbols(spec.m_stencil()),
                             grid._weights(a_stencil, p_stencil))
 
@@ -687,8 +667,7 @@ def eigenfield(spec: SmootherSpec, nu1: int, nu2: int,
         raise ValueError("eigenvalue fields are produced for dim 2 only")
     if grid is None:
         grid = FrequencyGrid(2)
-    if nu1 < 0 or nu2 < 0:
-        raise ValueError("smoothing step counts must be nonnegative")
+    nu1, nu2 = _sweeps(nu1), _sweeps(nu2)
     a_stencil = spec.a_stencil()
     a = grid._low_symbols(a_stencil)
     s = 1.0 - float(spec.omega) * grid._low_symbols(spec.m_stencil()) * a      # (K, N)
@@ -707,11 +686,3 @@ def eigenfield(spec: SmootherSpec, nu1: int, nu2: int,
             attributed[i, slot] = magnitudes[i, j]
     return EigenField(grid.low_points(), _kappas(2), attributed, np.abs(s[0]))
 
-
-# ---------------------------------------------------------------------------
-# spectral radius
-# ---------------------------------------------------------------------------
-
-def spectral_radius(matrix: np.ndarray) -> float:
-    """Spectral radius of a small dense matrix, by the dense eigenvalue routine."""
-    return float(np.abs(np.linalg.eigvals(np.asarray(matrix))).max())

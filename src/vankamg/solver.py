@@ -36,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .lfa import SmootherKind, SmootherSpec
+from .lfa import SmootherKind, SmootherSpec, _sweeps
 from .stencils import GridSpec, PatchLayout, laplacian_stencil, restriction_stencil
 from . import stencils
 from .vanka import _CSR_BYTES_PER_NNZ, _csr_bytes, _smoother_bytes, assemble_sparse, build_vanka
@@ -91,7 +91,7 @@ class CycleSpec:
     cycle: str = "two-grid"
 
     def __post_init__(self):
-        if self.nu1 < 0 or self.nu2 < 0 or self.nu1 + self.nu2 < 1:
+        if _sweeps(self.nu1) + _sweeps(self.nu2) < 1:
             raise ValueError("need nonnegative sweep counts with nu1 + nu2 >= 1")
         if self.cycle not in ("two-grid", "v-cycle"):
             raise ValueError(f"unknown cycle type {self.cycle!r}")
@@ -363,10 +363,13 @@ def run_convergence(hier: Hierarchy, cycles: int = 50, tail: int = 10,
 
     The iterate is renormalised after every cycle, so the per-cycle ratio
     sequence is the quantity averaged and rounding-level underflow cannot
-    masquerade as convergence.
+    masquerade as convergence.  The factor averages the last ``tail`` ratios
+    (all of them if there are fewer).
     """
     if cycles < 2:
         raise ValueError("need at least 2 cycles")
+    if tail < 1:
+        raise ValueError(f"need tail >= 1, got {tail}")
     fine = hier.fine
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(fine.grid.npoints)

@@ -54,11 +54,8 @@ __all__ = [
     "VankaOperator",
     "build_vanka",
     "assemble_sparse",
-    "assemble_dense",
     "export_triplets",
 ]
-
-DENSE_CAP = 4096  # refuse to densify anything larger than this many unknowns
 
 _CSR_BYTES_PER_NNZ = 12  # float64 value plus int32 column index
 
@@ -283,12 +280,7 @@ def build_vanka(layout: PatchLayout, grid: GridSpec, stencil: Stencil) -> VankaO
         raise NotImplementedError("patch assembly is implemented for dim 1 and 2 only")
     if layout.dim != grid.dim:
         raise ValueError(f"layout dim {layout.dim} != grid dim {grid.dim}")
-    if not isinstance(stencil, Stencil):
-        raise TypeError(f"the operator must be a Stencil, got {type(stencil).__name__}")
-    if stencil.dim != grid.dim:
-        raise ValueError(f"stencil dim {stencil.dim} != grid dim {grid.dim}")
-    if grid.boundary == "periodic" and grid.n <= 2 * stencil.reach:
-        raise ValueError(f"periodic wrap needs n > {2 * stencil.reach}")
+    _check_stencil(stencil, grid)
     offsets = _layout_offsets(layout, grid)[0]
     width = len(offsets)
     if grid.boundary == "periodic" and grid.npoints <= width:
@@ -306,18 +298,29 @@ def build_vanka(layout: PatchLayout, grid: GridSpec, stencil: Stencil) -> VankaO
 
 
 # ---------------------------------------------------------------------------
-# dense/sparse assembly and export
+# sparse assembly and export
 # ---------------------------------------------------------------------------
 
-def assemble_sparse(operator, grid: GridSpec = None) -> sp.csr_matrix:
-    """Explicit sparse matrix of a stencil or Vanka operator.
+def _check_stencil(stencil: Stencil, grid: GridSpec) -> None:
+    """Raise unless ``stencil`` is a :class:`Stencil` that fits on ``grid``."""
+    if not isinstance(stencil, Stencil):
+        raise TypeError(f"the operator must be a Stencil, got {type(stencil).__name__}")
+    if stencil.dim != grid.dim:
+        raise ValueError(f"stencil dim {stencil.dim} != grid dim {grid.dim}")
+    if grid.boundary == "periodic" and grid.n <= 2 * stencil.reach:
+        raise ValueError(f"periodic wrap needs n > {2 * stencil.reach}")
 
-    A stencil becomes ``sum_o c_o kron_k T(o_k)`` on the given grid, with
-    ``T(o)`` the 1D shift by ``o`` along axis ``k`` (the first axis varies
-    slowest).  On Dirichlet grids ``T(o)`` is the truncated diagonal
-    ``eye(n, k=o)``; on periodic grids it also carries the wrapped diagonal
-    ``k = o - n`` (``o > 0``) or ``k = o + n`` (``o < 0``).  Zero
-    coefficients are not stored.
+
+def assemble_sparse(stencil: Stencil, grid: GridSpec) -> sp.csr_matrix:
+    """Explicit sparse matrix of a stencil on ``grid``.
+
+    The stencil becomes ``sum_o c_o kron_k T(o_k)``, with ``T(o)`` the 1D
+    shift by ``o`` along axis ``k`` (the first axis varies slowest).  On
+    Dirichlet grids ``T(o)`` is the truncated diagonal ``eye(n, k=o)``; on
+    periodic grids it also carries the wrapped diagonal ``k = o - n``
+    (``o > 0``) or ``k = o + n`` (``o < 0``).  Zero coefficients are not
+    stored.  Only stencils are assembled: a :class:`VankaOperator` already
+    holds its CSR matrix as ``matrix``.
 
     The CSR arrays are written in place, with no COO copy, no per-term
     matrices and no scatter.  A row holds the offsets whose shifted point
@@ -333,19 +336,12 @@ def assemble_sparse(operator, grid: GridSpec = None) -> sp.csr_matrix:
     by one addition per slab of :data:`_SLAB_ENTRIES` entries, and only the
     ``2 reach`` edge planes are selected entry by entry.
     """
-    if isinstance(operator, VankaOperator):
-        return operator.matrix
-    if grid is None:
-        raise ValueError("assembling a stencil requires a grid")
-    if operator.dim != grid.dim:
-        raise ValueError(f"stencil dim {operator.dim} != grid dim {grid.dim}")
+    _check_stencil(stencil, grid)
     n, size = grid.n, grid.npoints
     periodic = grid.boundary == "periodic"
-    if periodic and n <= 2 * operator.reach:
-        raise ValueError(f"periodic wrap needs n > {2 * operator.reach}")
     strides = n ** np.arange(grid.dim - 1, -1, -1)
     # an offset with a component of n or more shifts every Dirichlet point off the grid
-    terms = sorted((int(np.dot(o, strides)), o, float(c)) for o, c in operator.entries.items()
+    terms = sorted((int(np.dot(o, strides)), o, float(c)) for o, c in stencil.entries.items()
                    if c != 0 and max(map(abs, o)) < n)
     width = len(terms)
     offsets = np.array([o for _, o, _ in terms], dtype=np.int64).reshape(width, grid.dim)
@@ -408,17 +404,6 @@ def _nnz(offsets, grid: GridSpec) -> int:
 def _csr_bytes(offsets, grid: GridSpec) -> int:
     """Bytes of the Dirichlet CSR matrix coupling each point to ``offsets``."""
     return _CSR_BYTES_PER_NNZ * _nnz(offsets, grid) + 4 * (grid.npoints + 1)
-
-
-def assemble_dense(operator, grid: GridSpec = None) -> np.ndarray:
-    """Dense matrix of a stencil or Vanka operator, capped at :data:`DENSE_CAP` unknowns."""
-    if isinstance(operator, VankaOperator):
-        grid = operator.grid
-    elif grid is None:
-        raise ValueError("assembling a stencil requires a grid")
-    if grid.npoints > DENSE_CAP:
-        raise ValueError(f"refusing dense assembly beyond {DENSE_CAP} unknowns")
-    return assemble_sparse(operator, grid).toarray()
 
 
 def export_triplets(matrix, path=None) -> str:

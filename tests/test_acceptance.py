@@ -136,8 +136,8 @@ def test_criterion_06_assembled_stencil_equivalence():
         grid = GridSpec(dim, 8, float(h), boundary="periodic")
         for kind in ("element", "vertex"):
             layout = PatchLayout(kind, dim)
-            assembled = v.assemble_dense(build_vanka(layout, grid, laplacian_stencil(dim, h)))
-            closed = v.assemble_dense(closed_form_stencil(layout, h), grid)
+            assembled = build_vanka(layout, grid, laplacian_stencil(dim, h)).matrix.toarray()
+            closed = v.assemble_sparse(closed_form_stencil(layout, h), grid).toarray()
             worst = max(worst, float(np.abs(assembled - closed).max()))
     ok = worst <= 1e-12
     record_criterion(6, "periodic n=8 Vanka assembly equals closed-form stencils "
@@ -170,7 +170,7 @@ def test_criterion_08_circulant_symbol_oracle():
     worst = 0.0
     for st in stencils:
         grid = GridSpec(st.dim, n, float(h), boundary="periodic")
-        eigs = np.sort(np.linalg.eigvalsh(v.assemble_dense(st, grid)))
+        eigs = np.sort(np.linalg.eigvalsh(v.assemble_sparse(st, grid).toarray()))
         axis = 2 * np.pi * np.arange(n) / n
         mesh = np.stack(np.meshgrid(*([axis] * st.dim), indexing="ij"), axis=-1)
         sampled = np.sort(v.symbol(st, mesh.reshape(-1, st.dim)).real)

@@ -52,6 +52,21 @@ def test_solver_and_vanka_names_resolve_lazily():
     assert run.stdout.strip() == "ok"
 
 
+REMOVED = {
+    "vankamg": {"assemble_dense", "DENSE_CAP", "two_grid_symbol", "TwoGridSymbol",
+                "spectral_radius"},
+    "vankamg.lfa": {"two_grid_symbol", "TwoGridSymbol", "spectral_radius"},
+    "vankamg.vanka": {"assemble_dense", "DENSE_CAP"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED))
+def test_removed_names_are_gone(name):
+    module = importlib.import_module(name)
+    assert not REMOVED[name] & set(getattr(module, "__all__", ()))
+    assert not [attr for attr in REMOVED[name] if hasattr(module, attr)]
+
+
 def test_unknown_package_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         vankamg.no_such_name

@@ -30,10 +30,8 @@ from vankamg.lfa import (
     optimal_omega,
     smoother_symbol,
     smoothing_factor,
-    spectral_radius,
     transfer_symbols,
     two_grid_factor,
-    two_grid_symbol,
 )
 from vankamg.stencils import (PatchLayout, Stencil, closed_form_stencil, delta_stencil,
                               laplacian_stencil, mass_stencil, restriction_stencil)
@@ -132,7 +130,7 @@ def test_frequency_grid_memory_guard_refuses_without_allocating():
 def test_symbol_matches_circulant_eigenvalues(stencil, dim):
     n = 16
     grid = v.GridSpec(dim, n, 1.0, boundary="periodic")
-    dense = v.assemble_dense(stencil, grid)
+    dense = v.assemble_sparse(stencil, grid).toarray()
     eigs = np.sort(np.linalg.eigvalsh(dense))
     axis = 2 * np.pi * np.arange(n) / n
     mesh = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1)
@@ -298,8 +296,8 @@ def test_galerkin_coarse_symbol_identity():
     nc, nf = 8, 16
     p_mat = _periodic_interpolation(nc)
     r_mat = 0.5 * p_mat.T
-    a_fine = v.assemble_dense(laplacian_stencil(1, 1),
-                              v.GridSpec(1, nf, 1.0, boundary="periodic"))
+    a_fine = v.assemble_sparse(laplacian_stencil(1, 1),
+                               v.GridSpec(1, nf, 1.0, boundary="periodic")).toarray()
     a_coarse = r_mat @ a_fine @ p_mat
     a_st = laplacian_stencil(1, 1)
     for k in (1, 2, 3):
@@ -330,14 +328,21 @@ def test_galerkin_stencil_symbol_is_the_coarse_symbol(dim, samples):
 # two-grid symbols and convergence factors
 # ---------------------------------------------------------------------------
 
+def _block(spec, theta, nu1, nu2):
+    """The error block at one base and its harmonics, from the dense ``_two_grid_stack``."""
+    theta = np.asarray(theta, dtype=float).reshape(1, spec.dim)
+    e, _, harmonics = lfa._two_grid_stack(spec, theta, nu1, nu2)
+    return e[0], harmonics[:, 0, :]
+
+
 def test_two_grid_symbol_against_scalar_assembly():
     spec = _spec("vanka-e", 2)
     theta = np.array([0.3, -0.7])
     nu1, nu2 = 2, 1
-    tg = two_grid_symbol(spec, theta, nu1, nu2)
+    block, got_harmonics = _block(spec, theta, nu1, nu2)
     kappas = [(0, 0), (0, 1), (1, 0), (1, 1)]
     harmonics = [theta + np.pi * np.array(k) for k in kappas]
-    assert np.allclose(tg.harmonics, harmonics, atol=1e-14)
+    assert np.allclose(got_harmonics, harmonics, atol=1e-14)
     a = [v.symbol(spec.a_stencil(), t).real for t in harmonics]
     m = [v.symbol(spec.m_stencil(), t).real for t in harmonics]
     s = [1 - spec.omega * mm * aa for mm, aa in zip(m, a)]
@@ -348,28 +353,28 @@ def test_two_grid_symbol_against_scalar_assembly():
         for j in range(4):
             cgc = (1.0 if i == j else 0.0) - p[i] * p[j] * a[j] / a_h
             want[i, j] = s[i] ** nu2 * cgc * s[j] ** nu1
-    assert np.allclose(tg.matrix, want, atol=1e-13)
+    assert np.allclose(block, want, atol=1e-13)
 
 
 def test_two_grid_symbol_origin_rejected():
     with pytest.raises(ValueError, match="singular"):
-        two_grid_symbol(_spec("vanka-e", 2), (0.0, 0.0), 1, 0)
+        _block(_spec("vanka-e", 2), (0.0, 0.0), 1, 0)
 
 
 def test_two_grid_block_idempotent_without_smoothing():
     # nu1 = nu2 = 0 leaves the bare coarse-grid correction, a projection
     for spec, theta in ((_spec("vanka-e", 2), (0.3, -0.7)),
                         (_spec("jacobi", 1), (0.9,))):
-        e = two_grid_symbol(spec, theta, 0, 0).matrix
+        e = _block(spec, theta, 0, 0)[0]
         assert np.abs(e @ e - e).max() < 1e-12
 
 
 def test_two_grid_harmonic_shift_similarity():
     spec = _spec("vanka-v", 2)
     base = np.array([np.pi / 8, -np.pi / 4])
-    eig = np.sort_complex(np.linalg.eigvals(two_grid_symbol(spec, base, 1, 1).matrix))
+    eig = np.sort_complex(np.linalg.eigvals(_block(spec, base, 1, 1)[0]))
     shifted = np.sort_complex(np.linalg.eigvals(
-        two_grid_symbol(spec, base + np.array([np.pi, 0.0]), 1, 1).matrix))
+        _block(spec, base + np.array([np.pi, 0.0]), 1, 1)[0]))
     assert np.abs(eig - shifted).max() < 1e-10
 
 
@@ -394,6 +399,51 @@ def test_two_grid_factor_grid_dim_mismatch():
         two_grid_factor(_spec("jacobi", 2), 1, 0, FrequencyGrid(3))
     with pytest.raises(ValueError, match="nonnegative"):
         two_grid_factor(_spec("jacobi", 2), -1, 0)
+
+
+GRID_ROUTES = {
+    "smoothing_factor": lambda spec, grid: smoothing_factor(spec, grid),
+    "optimal_omega": lambda spec, grid: optimal_omega(spec.kind, spec.dim, grid),
+    "two_grid_factor": lambda spec, grid: two_grid_factor(spec, 1, 0, grid),
+    "eigenfield": lambda spec, grid: v.eigenfield(spec, 1, 0, grid),
+}
+# (kind, smoother dim, grid dim); eigenfield takes 2D smoothers only
+GRID_MISMATCHES = [(route, *case) for route in GRID_ROUTES
+                   for case in [("mass", 2, 1), ("mass", 2, 3), ("jacobi", 1, 2),
+                                ("mass3d", 3, 2)]
+                   if route != "eigenfield" or case[1] == 2]
+
+
+@pytest.mark.parametrize("route, kind, dim, grid_dim", GRID_MISMATCHES)
+def test_every_grid_route_rejects_a_grid_of_another_dim(route, kind, dim, grid_dim):
+    grid = FrequencyGrid(grid_dim, 8)
+    with pytest.raises(ValueError, match=f"^frequency grid dim {grid_dim} != "):
+        GRID_ROUTES[route](_spec(kind, dim), grid)
+    # the refused call cached nothing on the grid, which still serves its own dim
+    spec = _spec("jacobi", grid_dim)
+    assert GRID_ROUTES["two_grid_factor"](spec, grid) == two_grid_factor(
+        spec, 1, 0, FrequencyGrid(grid_dim, 8))
+
+
+@pytest.mark.parametrize("nu1, nu2", [(0.5, 0), (1, 1.0), ("1", 0), (None, 1)])
+def test_sweep_counts_must_be_integers(nu1, nu2):
+    spec = _spec("vanka-e", 2)
+    with pytest.raises(TypeError):
+        two_grid_factor(spec, nu1, nu2)
+    with pytest.raises(TypeError):
+        v.eigenfield(spec, nu1, nu2, FrequencyGrid(2, 8))
+
+
+def test_sweep_counts_accept_integer_types():
+    spec, grid = _spec("vanka-e", 2), FrequencyGrid(2, 16)
+    want = two_grid_factor(spec, 1, 1, grid)
+    assert two_grid_factor(spec, np.int64(1), np.int32(1), grid) == want
+    field = v.eigenfield(spec, np.int64(1), 1, grid)
+    assert np.array_equal(field.values, v.eigenfield(spec, 1, 1, grid).values)
+    with pytest.raises(ValueError, match="nonnegative"):
+        v.eigenfield(spec, 0, -1, grid)
+    with pytest.raises(ValueError, match="nonnegative"):
+        two_grid_factor(spec, np.int64(-2), 0, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +506,7 @@ def test_rank_one_radius_single_base_deflation(kind, base, exact_zeros):
     for omega in (float(exact_optimum(kind, dim)[0]), 0.6, 1.4):
         spec = _spec(kind, dim, omega)
         for nu1, nu2 in NU_SPLITS:
-            want = two_grid_symbol(spec, base, nu1, nu2).spectral_radius
+            want = float(np.abs(np.linalg.eigvals(_block(spec, base, nu1, nu2)[0])).max())
             got = _rank_one_at(spec, base, nu1 + nu2, exact_zeros)
             assert abs(got - want) < 1e-12, (omega, nu1, nu2, got, want)
 
@@ -721,16 +771,3 @@ def test_eigenfield_attribution_matches_the_general_eig(kind):
 def test_eigenfield_rejects_other_dims():
     with pytest.raises(ValueError, match="dim 2"):
         v.eigenfield(_spec("vanka-e", 1), 1, 0)
-
-
-# ---------------------------------------------------------------------------
-# spectral radius
-# ---------------------------------------------------------------------------
-
-def test_spectral_radius_eig():
-    # a rotation by 90 degrees scaled by 2: eigenvalues +-2i
-    assert abs(spectral_radius(np.array([[0.0, -2.0], [2.0, 0.0]])) - 2.0) < 1e-15
-    assert abs(spectral_radius(np.diag([0.5, -3.0, 1.0])) - 3.0) < 1e-15
-    assert spectral_radius(np.zeros((3, 3))) == 0.0
-    with pytest.raises(ValueError, match="square"):
-        spectral_radius(np.zeros((2, 3)))

@@ -136,7 +136,8 @@ def test_galerkin_coarse_operator_1d_exact():
     # 1D Galerkin coarsening reproduces the native coarse Laplacian exactly
     native = laplacian_stencil(1, Fraction(1, 4))
     assert stencils.galerkin_stencil(laplacian_stencil(1, Fraction(1, 8))) == native
-    assert np.array_equal(coarse.matrix.toarray(), v.assemble_dense(native, coarse.grid))
+    assert np.array_equal(coarse.matrix.toarray(),
+                          assemble_sparse(native, coarse.grid).toarray())
 
 
 def test_galerkin_coarse_operator_2d_nine_point():
@@ -409,6 +410,15 @@ def test_cycle_spec_validation():
         CycleSpec(sm, 0, 0)
     with pytest.raises(ValueError, match="cycle"):
         CycleSpec(sm, 1, 0, "w-cycle")
+    with pytest.raises(ValueError, match="nonnegative"):
+        CycleSpec(sm, 2, -1)
+    CycleSpec(sm, np.int64(1), np.int32(0))  # numpy integers are sweep counts too
+
+
+@pytest.mark.parametrize("nu1, nu2", [(1.0, 0), (0, 0.5), ("1", 0), (1, None)])
+def test_cycle_spec_refuses_non_integer_sweeps(nu1, nu2):
+    with pytest.raises(TypeError):
+        CycleSpec(_smoother("vanka-e", 2), nu1, nu2)
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +655,10 @@ def test_run_convergence_ratio_history():
     assert abs(run.factor - np.exp(np.mean(np.log(tail)))) < 1e-14
     with pytest.raises(ValueError, match="at least 2"):
         run_convergence(hier, cycles=1)
+    # a tail of 0 would average every ratio, a negative one drop the first ones
+    for tail in (0, -2):
+        with pytest.raises(ValueError, match="tail >= 1"):
+            run_convergence(hier, cycles=20, tail=tail)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from vankamg import (
     GridSpec,
     PatchLayout,
     Stencil,
-    assemble_dense,
     assemble_sparse,
     build_vanka,
     closed_form_stencil,
@@ -180,8 +179,8 @@ def test_assembled_periodic_matches_closed_form(layout):
     h = Fraction(1, 8)
     grid = GridSpec(layout.dim, n, float(h), boundary="periodic")
     op = build_vanka(layout, grid, laplacian_stencil(layout.dim, h))
-    want = assemble_dense(closed_form_stencil(layout, h), grid)
-    assert np.abs(assemble_dense(op) - want).max() <= 1e-12
+    want = assemble_sparse(closed_form_stencil(layout, h), grid).toarray()
+    assert np.abs(op.matrix.toarray() - want).max() <= 1e-12
 
 
 def test_mass_identities_exact():
@@ -199,7 +198,7 @@ def test_interior_row_matches_closed_form_dirichlet():
     h = Fraction(1, 8)
     grid = GridSpec(2, 7, float(h))
     op = build_vanka(PatchLayout("element", 2), grid, laplacian_stencil(2, h))
-    dense = assemble_dense(op)
+    dense = op.matrix.toarray()
     center = grid.ravel_index((3, 3))
     want = np.zeros(grid.npoints)
     for offset, coef in closed_form_stencil(PatchLayout("element", 2), h).entries.items():
@@ -227,7 +226,7 @@ def test_apply_matches_dense_and_sequential(layout):
     rng = np.random.default_rng(7)
     r = rng.standard_normal(grid.npoints)
     batched = op.apply(r)
-    assert np.allclose(batched, assemble_dense(op) @ r, atol=1e-12)
+    assert np.allclose(batched, op.matrix.toarray() @ r, atol=1e-12)
     assert np.allclose(batched, _patchwise_apply(op, r, op.patches), atol=1e-13)
 
 
@@ -267,7 +266,7 @@ def test_matrix_equals_patch_sum(layout, boundary):
 def test_operator_symmetric_positive_definite_periodic(layout):
     grid = GridSpec(layout.dim, 8, 0.125, boundary="periodic")
     op = build_vanka(layout, grid, laplacian_stencil(layout.dim, Fraction(1, 8)))
-    dense = assemble_dense(op)
+    dense = op.matrix.toarray()
     assert np.abs(dense - dense.T).max() <= 1e-14
     assert np.linalg.eigvalsh(dense).min() > 0
 
@@ -279,7 +278,7 @@ def test_operator_spectrum_positive_dirichlet(layout):
     n = 7 if layout.dim == 1 else 5
     grid = GridSpec(layout.dim, n, 1.0 / (n + 1))
     op = build_vanka(layout, grid, laplacian_stencil(layout.dim, Fraction(1, n + 1)))
-    dense = assemble_dense(op)
+    dense = op.matrix.toarray()
     if layout.kind == "element":
         assert np.abs(dense - dense.T).max() <= 1e-14  # uniform weights
     eigs = np.linalg.eigvals(dense)
@@ -416,7 +415,7 @@ def test_apply_validates_length():
 
 def test_assemble_dense_dirichlet_laplacian():
     grid = GridSpec(1, 3, 1.0)
-    dense = assemble_dense(laplacian_stencil(1, 1), grid)
+    dense = assemble_sparse(laplacian_stencil(1, 1), grid).toarray()
     assert np.array_equal(dense, [[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
 
 
@@ -509,15 +508,14 @@ def test_assemble_sparse_peak_is_near_the_matrix():
     assert peak < 1.25 * held
 
 
-def test_dense_cap_enforced():
-    big = GridSpec(2, 65, 1.0 / 66)
-    with pytest.raises(ValueError, match="4096"):
-        assemble_dense(laplacian_stencil(2, Fraction(1, 66)), big)
-    op = build_vanka(PatchLayout("vertex", 2), big, laplacian_stencil(2, Fraction(1, 66)))
-    with pytest.raises(ValueError, match="4096"):
-        assemble_dense(op)
-    # the smoother is stored sparse, so sparse assembly needs no cap
-    assert assemble_sparse(op) is op.matrix
+def test_assemble_sparse_takes_stencils_only():
+    # a Vanka operator's matrix is its ``matrix``; it is not re-assembled
+    grid = GridSpec(2, 7, 1 / 8)
+    op = build_vanka(PatchLayout("vertex", 2), grid, laplacian_stencil(2, Fraction(1, 8)))
+    with pytest.raises(TypeError, match="VankaOperator"):
+        assemble_sparse(op, grid)
+    with pytest.raises(TypeError, match="csr_matrix"):
+        assemble_sparse(op.matrix, grid)
 
 
 def test_export_triplets_roundtrip(tmp_path):
