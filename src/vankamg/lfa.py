@@ -141,6 +141,7 @@ class SmootherSpec:
     omega: float
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", operator.index(self.dim))
         object.__setattr__(self, "kind", _supported(self.kind, self.dim))
         if not 0 < float(self.omega) <= 2:
             raise ValueError(f"damping must lie in (0, 2], got {self.omega}")
@@ -166,6 +167,8 @@ class FrequencyGrid:
     samples_per_dim: int = DEFAULT_SAMPLES
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", operator.index(self.dim))
+        object.__setattr__(self, "samples_per_dim", operator.index(self.samples_per_dim))
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if self.samples_per_dim < 4 or self.samples_per_dim % 2:

@@ -2,16 +2,18 @@
 
 The hierarchy uses grids with ``n = 2**k - 1`` interior points per dimension
 so that standard coarsening maps interior nodes onto interior nodes.  Every
-level holds one CSR operator: the finest is the assembled Laplacian stencil,
-coarser ones are the Galerkin operators ``A_H = 2**-dim P^T A P`` with linear
-interpolation ``P``.  Each is assembled from its exact stencil,
+level holds one operator in diagonal (DIA) storage: the finest is the
+assembled Laplacian stencil, coarser ones are the Galerkin operators
+``A_H = 2**-dim P^T A P`` with linear interpolation ``P``.  Each is
+assembled from its exact stencil,
 ``stencils.galerkin_stencil`` of the stencil one level up: on these grids
 every hat of ``P`` lies inside the box, so the triple product is that
 constant-coefficient stencil truncated at the Dirichlet boundary, the same
 matrix without the sparse product's temporaries.  Each level above the
 coarsest stores one transfer, the full weighting ``R = 2**-dim P^T`` of
 ``stencils.restriction_stencil`` written straight into CSR; the cycle
-restricts with ``R`` and prolongs with ``2**dim R^T``, so ``A_H = R A P``.
+restricts with ``R`` and prolongs with ``2**dim R^T`` through the stored
+view ``R^T``, so ``A_H = R A P``.
 This reproduces the coarse Laplacian exactly in 1D and keeps the discrete
 two-grid operator aligned with its Fourier symbol (the error operator is
 invariant under the common rescaling of ``R`` and ``A_H``, so
@@ -19,7 +21,8 @@ transposed-interpolation restriction yields the same cycle).  Each level's
 stencil also builds its Vanka smoother.  The coarsest level is solved by a
 sparse LU factorisation.  The bytes of the build are estimated from the
 level stencils before anything is assembled, and a build over
-:data:`COARSE_LU_BUDGET_BYTES` is refused.
+:data:`BUILD_BUDGET_BYTES` is refused.  :meth:`Hierarchy.report` lists
+what each level holds.
 
 ``measured_convergence_factor`` runs homogeneous cycles (``b = 0``) from a
 seeded random start, renormalising the iterate every cycle; the asymptotic
@@ -39,7 +42,7 @@ import scipy.sparse.linalg
 from .lfa import SmootherKind, SmootherSpec, _sweeps
 from .stencils import GridSpec, PatchLayout, laplacian_stencil, restriction_stencil
 from . import stencils
-from .vanka import _CSR_BYTES_PER_NNZ, _csr_bytes, _smoother_bytes, assemble_sparse, build_vanka
+from .vanka import VankaOperator, _dia_bytes, _smoother_bytes, assemble_sparse, build_vanka
 
 __all__ = [
     "CycleSpec",
@@ -60,10 +63,10 @@ STAGNATION_RATIO = 1e-13  # per-cycle contraction at rounding level
 
 # cap on the estimated bytes of a build: a coarsest sparse LU above it is
 # refused before anything is assembled (3D two-grid at h = 1/64 is accepted),
-# and so is a hierarchy whose level matrices, smoothers and largest Vanka
-# translation add up to more (every 2D V-cycle up to h = 1/2048 is accepted,
-# the vertex Vanka one at 1.7 GiB; none at h = 1/4096)
-COARSE_LU_BUDGET_BYTES = 2**31
+# and so is a hierarchy whose level matrices, transfers and smoothers add up
+# to more (every 2D V-cycle up to h = 1/2048 is accepted, the vertex Vanka
+# one at 1.0 GiB; no Vanka V-cycle at h = 1/4096)
+BUILD_BUDGET_BYTES = 2**31
 
 # measured splu fill ``L.nnz + U.nnz`` of the Galerkin coarse operator,
 # (coarse unknowns, fill) twice per dimension; the estimate is the power law
@@ -75,6 +78,7 @@ _LU_FILL = {
     3: ((3375, 1.16e6), (29791, 57.7e6)),
 }
 _LU_BYTES_PER_NNZ = 12    # float64 value plus int32 row index
+_CSR_BYTES_PER_NNZ = 12   # float64 value plus int32 column index
 
 
 class StagnationError(RuntimeError):
@@ -99,19 +103,28 @@ class CycleSpec:
 
 @dataclass
 class Level:
-    """One grid level: CSR operator, smoother applicator, transfer to the coarser level.
+    """One grid level: DIA operator, smoother applicator, transfers to the coarser level.
 
     ``m_apply(r)`` evaluates ``M r`` into a fresh array and leaves ``r`` alone:
-    :func:`relax` scales and updates its result in place.  ``restrict`` is
-    the full weighting ``R`` onto the next coarser level (``transfer_ops``);
-    the cycle prolongs with ``2**dim R^T``.
+    :func:`relax` scales and updates its result in place; on a Vanka level
+    it is the bound ``apply`` of the level's :class:`~vankamg.vanka.VankaOperator`.
+    ``restrict`` is the full weighting ``R`` onto the next coarser level
+    (``transfer_ops``) and ``prolong`` the view ``R^T``, a CSC matrix on
+    ``R``'s arrays; the cycle prolongs with ``2**dim R^T``.
     """
 
     grid: GridSpec
-    matrix: sp.csr_matrix
+    matrix: sp.dia_matrix
     m_apply: object = None
     restrict: sp.csr_matrix | None = None  # from here to the next coarser level
+    prolong: sp.csc_matrix | None = None   # ``restrict.T``, sharing its arrays
     lu: object = None                      # sparse LU (``splu``) on the coarsest
+
+
+def _stored_bytes(matrix) -> int:
+    """Bytes of the arrays a DIA or CSR matrix stores; 0 for None."""
+    return sum(getattr(matrix, part).nbytes for part in ("data", "offsets", "indices", "indptr")
+               if hasattr(matrix, part))
 
 
 @dataclass
@@ -122,6 +135,30 @@ class Hierarchy:
     @property
     def fine(self) -> Level:
         return self.levels[0]
+
+    def report(self) -> list:
+        """One dict per level, finest first: what the level holds.
+
+        ``n`` and ``unknowns`` size the grid; ``diagonals`` and
+        ``operator_bytes`` describe the level matrix, ``smoother_bytes`` a
+        Vanka ``M`` with its weights (0 for the smoothers applied as
+        stencils) and ``transfer_bytes`` the restriction (the prolongation
+        shares its arrays).  The coarsest level adds ``lu_nnz``, the
+        entries ``L.nnz + U.nnz`` of its sparse LU.  Everything is read
+        from the built levels when called.
+        """
+        rows = []
+        for level in self.levels:
+            op = getattr(level.m_apply, "__self__", None)
+            rows.append({"n": level.grid.n, "unknowns": level.grid.npoints,
+                         "diagonals": len(level.matrix.offsets),
+                         "operator_bytes": _stored_bytes(level.matrix),
+                         "smoother_bytes": _stored_bytes(op.matrix) + op.weights.nbytes
+                         if isinstance(op, VankaOperator) else 0,
+                         "transfer_bytes": _stored_bytes(level.restrict)})
+            if level.lu is not None:
+                rows[-1]["lu_nnz"] = level.lu.L.nnz + level.lu.U.nnz
+        return rows
 
 
 def transfer_ops(fine_grid: GridSpec) -> sp.csr_matrix:
@@ -154,10 +191,11 @@ def transfer_ops(fine_grid: GridSpec) -> sp.csr_matrix:
 def _smoother_applicator(sm: SmootherSpec, level_grid: GridSpec, stencil):
     """Return a callable evaluating ``M r`` for the level operator ``stencil``.
 
-    Vanka smoothers are one CSR matrix built by ``build_vanka`` from the
-    level's stencil: the patches of a template grid of at most 5 points per
-    axis are inverted and scattered, and every row of ``M`` is copied from
-    the template's, with no patch gathered from the assembled level matrix.
+    Vanka smoothers are one matrix in diagonal (DIA) storage built by
+    ``build_vanka`` from the level's stencil: the patches of a template grid
+    of at most 5 points per axis are inverted and scattered, and every
+    diagonal of ``M`` is read from the template's, with no patch gathered
+    from the assembled level matrix.
     For every other kind ``M`` is the stencil the analysis uses,
     ``lfa.smoother_m_stencil`` at the level's ``h`` (``stencil`` is not
     read), applied matrix-free by ``stencils.apply``.  Those stencils are
@@ -197,18 +235,16 @@ def _transfer_bytes(coarse: GridSpec) -> int:
 def _build_bytes(sm: SmootherSpec, grids, level_stencils) -> int:
     """Estimated peak bytes of the level matrices, transfers and smoothers of a hierarchy.
 
-    Every level CSR, every restriction and every Vanka ``M`` and its weights
-    stay held; on top of them come the temporaries of the largest Vanka
-    translation, which are freed before the next level's.
+    Every level matrix, every restriction and every Vanka ``M`` and its
+    weights stay held; nothing built on the way is of a grid's size.
     """
-    held = sum(_csr_bytes([o for o, c in st.entries.items() if c != 0], grid)
+    held = sum(_dia_bytes([o for o, c in st.entries.items() if c != 0], grid)
                for grid, st in zip(grids, level_stencils))
     held += sum(_transfer_bytes(grid) for grid in grids[1:])
     layout = _vanka_layout(sm)
-    if layout is None:
-        return held
-    smoothers = [_smoother_bytes(layout, grid) for grid in grids[:-1]]
-    return held + sum(m for m, _ in smoothers) + max(temp for _, temp in smoothers)
+    if layout is not None:
+        held += sum(_smoother_bytes(layout, grid) for grid in grids[:-1])
+    return held
 
 
 def _plan(spec: CycleSpec, fine_grid: GridSpec) -> tuple:
@@ -219,7 +255,7 @@ def _plan(spec: CycleSpec, fine_grid: GridSpec) -> tuple:
     remain and need ``n >= 15``.  The fine stencil is the Laplacian, each
     coarser one ``stencils.galerkin_stencil`` of the one above.  Nothing is
     assembled: a coarse LU whose ``_coarse_lu_bytes`` estimate exceeds
-    :data:`COARSE_LU_BUDGET_BYTES` is refused, and so is a build whose
+    :data:`BUILD_BUDGET_BYTES` is refused, and so is a build whose
     ``_build_bytes`` estimate plus that factor exceeds it.
     """
     if fine_grid.boundary != "dirichlet":
@@ -242,15 +278,15 @@ def _plan(spec: CycleSpec, fine_grid: GridSpec) -> tuple:
         grids.append(GridSpec(g.dim, (g.n - 1) // 2, 2 * g.h))
         level_stencils.append(stencils.galerkin_stencil(level_stencils[-1]))
     coarsest = grids[-1]
-    budget = f"{COARSE_LU_BUDGET_BYTES / 2**30:.0f} GiB budget"
+    budget = f"{BUILD_BUDGET_BYTES / 2**30:.0f} GiB budget"
     lu_bytes = _coarse_lu_bytes(coarsest.dim, coarsest.n)
-    if lu_bytes > COARSE_LU_BUDGET_BYTES:
+    if lu_bytes > BUILD_BUDGET_BYTES:
         raise ValueError(
             f"the coarse LU on {coarsest.n}^{coarsest.dim} unknowns needs about "
             f"{lu_bytes / 2**30:.0f} GiB, over the {budget}; "
             "a V-cycle (--cycle v-cycle) coarsens to n <= 7")
     build_bytes = _build_bytes(spec.smoother, grids, level_stencils) + lu_bytes
-    if build_bytes > COARSE_LU_BUDGET_BYTES:
+    if build_bytes > BUILD_BUDGET_BYTES:
         raise ValueError(
             f"building the {spec.cycle} hierarchy on {n}^{fine_grid.dim} unknowns "
             f"needs about {build_bytes / 2**30:.1f} GiB, over the {budget}")
@@ -261,19 +297,21 @@ def build_hierarchy(spec: CycleSpec, fine_grid: GridSpec) -> Hierarchy:
     """Build grids, operators, smoothers and transfers for the requested cycle.
 
     The levels are those of ``_plan``, which refuses a request before any
-    assembly.  Every level holds one CSR operator: the assembled fine
-    Laplacian and the Galerkin operators below it, each assembled from
-    ``stencils.galerkin_stencil`` of the stencil one level up (equal to
-    ``2**-dim P^T A P``, as every hat of ``P`` lies inside the grid).  Every
-    level but the coarsest keeps the restriction ``R`` onto the next one,
-    from which the cycle also prolongs (``P = 2**dim R^T``, never stored),
-    and each level's stencil builds its smoother.  The coarsest level is
-    factorised by sparse LU (``scipy.sparse.linalg.splu``).
+    assembly.  Every level holds one operator in diagonal (DIA) storage:
+    the assembled fine Laplacian and the Galerkin operators below it, each
+    assembled from ``stencils.galerkin_stencil`` of the stencil one level up
+    (equal to ``2**-dim P^T A P``, as every hat of ``P`` lies inside the
+    grid).  Every level but the coarsest keeps the restriction ``R`` onto
+    the next one and its transpose view, from which the cycle prolongs
+    (``P = 2**dim R^T``, never stored), and each level's stencil builds its
+    smoother.  The coarsest level is factorised by sparse LU
+    (``scipy.sparse.linalg.splu``).
     """
     grids, level_stencils = _plan(spec, fine_grid)
     levels = [Level(fine_grid, assemble_sparse(level_stencils[0], fine_grid))]
     for grid, st in zip(grids[1:], level_stencils[1:]):
         levels[-1].restrict = transfer_ops(levels[-1].grid)
+        levels[-1].prolong = levels[-1].restrict.T
         levels.append(Level(grid, assemble_sparse(st, grid)))
     for level, st in zip(levels[:-1], level_stencils):
         level.m_apply = _smoother_applicator(spec.smoother, level.grid, st)
@@ -309,7 +347,8 @@ def _descend(hier: Hierarchy, idx: int, u: np.ndarray | None, b: np.ndarray) -> 
     Starting from zero skips the product ``A 0`` and the additions of zero;
     in IEEE arithmetic ``b - 0 = b`` and ``0 + x = x``, so the result is the
     one the explicit zero vector gives.  The residual is restricted by
-    ``R @ r`` and the coarse correction ``e`` prolonged by ``R^T @ (2**dim e)``;
+    ``R @ r`` and the coarse correction ``e`` prolonged by ``R^T @ (2**dim e)``
+    through the stored view ``R^T``;
     scaling by a power of two is exact and both products sum in the order of
     ``2**-dim P^T r`` and ``P e``, so they match those bit for bit.  Every
     other step writes into an array this cycle made, never into the caller's
@@ -323,7 +362,7 @@ def _descend(hier: Hierarchy, idx: int, u: np.ndarray | None, b: np.ndarray) -> 
         u = relax(sm, level, u, b)
     coarse = _descend(hier, idx + 1, None, level.restrict @ _residual(level, u, b))
     coarse *= 2.0 ** level.grid.dim
-    correction = level.restrict.T @ coarse
+    correction = level.prolong @ coarse
     if u is not None:
         correction += u
     u = correction

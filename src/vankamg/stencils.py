@@ -20,6 +20,7 @@ This module needs numpy only; the patch assembly itself lives in
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -78,6 +79,8 @@ class GridSpec:
     boundary: str = "dirichlet"
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", operator.index(self.dim))
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if self.n < 3:

@@ -12,17 +12,17 @@ Two patch layouts are supported:
 * vertex-wise: one patch per interior unknown, covering the unknown and its
   ``2*dim`` axis neighbours (truncated near the boundary).
 
-:func:`build_vanka` assembles ``M`` as one CSR matrix from the system
-stencil.  On a constant-coefficient operator a row of ``M`` depends only on
-where its point sits against the boundary, within the patch span ``s``
-(1 for element, 2 for vertex patches).  So the patches are built on a
-template grid of ``2 s + 1`` points per axis only: a ``(P, k)`` patch index
-array from broadcast offsets, the blocks gathered from the assembled
-template operator (truncated slots padded with the identity), one batched
-inverse and one COO scatter of the weighted inverses.  Every row of ``M``
-on the full grid is then copied from the template row in the same place,
-its columns translated, in a few passes over the entries.  Applying the
-smoother is one sparse product.  The per-patch
+:func:`build_vanka` assembles ``M`` as one matrix in diagonal (DIA)
+storage from the system stencil.  On a constant-coefficient operator a row
+of ``M`` depends only on where its point sits against the boundary, within
+the patch span ``s`` (1 for element, 2 for vertex patches).  So the patches
+are built on a template grid of ``2 s + 1`` points per axis only: a
+``(P, k)`` patch index array from broadcast offsets, the blocks gathered
+from the assembled template operator (truncated slots padded with the
+identity), one batched inverse and one COO scatter of the weighted
+inverses.  Each diagonal of ``M`` on the full grid (9 for element, 13 for
+vertex patches in 2D) is then gathered from the template's, axis by axis.
+Applying the smoother is one sparse product.  The per-patch
 :attr:`VankaOperator.patches` view gathers every block of the full grid
 from its assembled operator, an independent reference for the tests.
 
@@ -32,17 +32,16 @@ and used as the oracle for assembly tests on periodic grids.  That function
 and :class:`~vankamg.stencils.PatchLayout` are pure stencil data and live in
 :mod:`vankamg.stencils`, so the analysis never imports scipy.
 
-:func:`assemble_sparse` turns any stencil into a CSR matrix by one rule:
+:func:`assemble_sparse` turns any stencil into a DIA matrix by one rule:
 ``sum_o c_o kron_k T(o_k)``, a Kronecker product of 1D shifts per offset
-(periodic shifts carry the wrapped diagonal), written straight into the CSR
-arrays.
+(periodic shifts carry the wrapped diagonal), written straight into its
+diagonals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import prod
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,12 +55,6 @@ __all__ = [
     "assemble_sparse",
     "export_triplets",
 ]
-
-_CSR_BYTES_PER_NNZ = 12  # float64 value plus int32 column index
-
-# entries per slab of translated planes in ``assemble_sparse``: 384 KiB of
-# slab templates, small against any matrix whose build time counts
-_SLAB_ENTRIES = 1 << 15
 
 
 @dataclass
@@ -78,15 +71,15 @@ class Patch:
 class VankaOperator:
     """Assembled additive Vanka operator for one grid and layout.
 
-    Instances are built by :func:`build_vanka`.  ``matrix`` is the CSR
-    smoother ``M``, ``weights`` the partition-of-unity entries ``1/m_j`` and
-    ``operator`` the system stencil whose assembled principal submatrices
-    are the patch problems.
+    Instances are built by :func:`build_vanka`.  ``matrix`` is the smoother
+    ``M`` in diagonal (DIA) storage, ``weights`` the partition-of-unity
+    entries ``1/m_j`` and ``operator`` the system stencil whose assembled
+    principal submatrices are the patch problems.
     """
 
     layout: PatchLayout
     grid: GridSpec
-    matrix: sp.csr_matrix
+    matrix: sp.dia_matrix
     weights: np.ndarray
     operator: Stencil
 
@@ -155,13 +148,13 @@ def _patch_index(layout: PatchLayout, grid: GridSpec) -> tuple:
     return keys, index
 
 
-def _patch_blocks(layout: PatchLayout, grid: GridSpec, matrix: sp.csr_matrix):
+def _patch_blocks(layout: PatchLayout, grid: GridSpec, matrix: sp.dia_matrix):
     """Patch keys, index array and all local blocks, padded slots set to identity.
 
     Returns ``(keys, index, blocks)`` with ``blocks[p]`` the principal submatrix
-    of ``matrix`` on ``index[p]``, gathered patch by patch; a truncated slot
-    holds a unit diagonal and no coupling, so the padded block inverts to the
-    truncated inverse bordered by the identity.
+    of ``matrix`` on ``index[p]``, gathered patch by patch from its CSR form;
+    a truncated slot holds a unit diagonal and no coupling, so the padded
+    block inverts to the truncated inverse bordered by the identity.
     """
     keys, index = _patch_index(layout, grid)
     count, k = index.shape
@@ -169,25 +162,29 @@ def _patch_blocks(layout: PatchLayout, grid: GridSpec, matrix: sp.csr_matrix):
     safe = np.where(padded, 0, index)
     rows = np.broadcast_to(safe[:, :, None], (count, k, k)).reshape(-1)
     cols = np.broadcast_to(safe[:, None, :], (count, k, k)).reshape(-1)
-    blocks = np.asarray(matrix[rows, cols]).reshape(count, k, k)
+    blocks = np.asarray(matrix.tocsr()[rows, cols]).reshape(count, k, k)
     blocks[padded[:, :, None] | padded[:, None, :]] = 0.0
     p, slot = np.nonzero(padded)
     blocks[p, slot, slot] = 1.0
     return keys, index, blocks
 
 
-def _smoother_bytes(layout: PatchLayout, grid: GridSpec) -> tuple:
-    """Estimated bytes of ``M`` on a Dirichlet grid and peak bytes of the translation building it.
+def _coupled(layout: PatchLayout, grid: GridSpec) -> list:
+    """Offsets ``M`` couples on ``grid``: the differences of the layout's slot offsets.
 
-    ``M`` couples two unknowns when one patch holds both, so its offsets
-    are the differences of the layout's slot offsets; with it the operator
-    holds its weights.  On top of them :func:`_translate` holds a 4-byte
-    index per entry and 24 bytes per row.
+    Two unknowns are coupled when one patch holds both.
     """
     offsets = _layout_offsets(layout, grid)[0]
-    coupled = {tuple(b - a) for a in offsets for b in offsets}
-    held = _csr_bytes(coupled, grid) + 8 * grid.npoints
-    return held, 4 * _nnz(coupled, grid) + 24 * grid.npoints
+    return sorted({tuple(b - a) for a in offsets for b in offsets})
+
+
+def _smoother_bytes(layout: PatchLayout, grid: GridSpec) -> int:
+    """Bytes of ``M`` and its weights on a Dirichlet grid.
+
+    :func:`_translate` writes each diagonal in place and holds nothing else
+    of the grid's size.
+    """
+    return _dia_bytes(_coupled(layout, grid), grid) + 8 * grid.npoints
 
 
 def _scatter(layout: PatchLayout, grid: GridSpec, stencil: Stencil) -> tuple:
@@ -216,43 +213,46 @@ def _scatter(layout: PatchLayout, grid: GridSpec, stencil: Stencil) -> tuple:
     return m, weights
 
 
-def _translate(m: sp.csr_matrix, weights, template: GridSpec, grid: GridSpec) -> tuple:
-    """``M`` and the weights on the Dirichlet ``grid``, copied from its template's.
+def _translate(layout: PatchLayout, m: sp.csr_matrix, weights, template: GridSpec,
+               grid: GridSpec) -> tuple:
+    """``M`` and the weights on the Dirichlet ``grid``, read from its template's.
 
     The template has ``n_t = 2 s + 1`` points per axis.  Per axis, position
     ``p`` of ``grid`` reads template position ``p`` when ``p < s``,
-    ``p - (n - n_t)`` when ``p >= n - s`` and ``s`` otherwise.  Each row
-    copies that template row with its columns moved by the same per-axis
-    offsets, which keeps them in order, and its weight.
+    ``p - (n - n_t)`` when ``p >= n - s`` and ``s`` otherwise: its class.
+    The entry of row ``x`` at offset ``d`` is the template's entry of row
+    ``class(x)`` at offset ``d``.  So each diagonal of ``M`` is gathered,
+    axis by axis, from the template's band at ``d``, a small array over
+    the row classes padded with one zero slot that the rows shifted off
+    the grid read.  With ``n > 2 s + 1`` every offset reaches a diagonal of
+    its own, in the order of the sorted offsets.
     """
-    n, n_t = grid.n, template.n
+    n, n_t, dim = grid.n, template.n, grid.dim
     span = n_t // 2
     p = np.arange(n)
     t = np.where(p < span, p, np.where(p >= n - span, p - (n - n_t), span))
-    # per row of ``grid``: its template row and its column shift; per
-    # template column: its flat index on ``grid``
-    row = shift = base = np.zeros(1, dtype=np.int64)
-    for _ in range(grid.dim):
-        row = np.add.outer(row * n_t, t).ravel()
-        shift = np.add.outer(shift * n, p - t).ravel()
-        base = np.add.outer(base * n, np.arange(n_t)).ravel()
-    lengths = np.diff(m.indptr)[row]
-    nnz = int(lengths.sum())
-    index = np.int32 if max(nnz, grid.npoints) < 2**31 else np.int64
-    indptr = np.zeros(grid.npoints + 1, dtype=index)
-    np.cumsum(lengths, out=indptr[1:])
-    # entry ``j``, in row ``r``, copies template entry ``j - indptr[r] + m.indptr[row[r]]``
-    src = np.repeat(m.indptr[row] - indptr[:-1], lengths)
-    src += np.arange(nnz, dtype=index)
-    data = m.data[src]
-    indices = base.astype(index)[m.indices][src]
-    del src  # before the shift pass: the peak holds one index per entry beyond ``M``
-    indices += np.repeat(shift.astype(index), lengths)
-    return sp.csr_matrix((data, indices, indptr), shape=(grid.npoints,) * 2), weights[row]
+    dense = m.toarray()
+    classes = np.indices(template.shape).reshape(dim, -1)
+    strides = n_t ** np.arange(dim - 1, -1, -1)
+    offsets = _coupled(layout, grid)
+    data = np.empty((len(offsets), grid.npoints))
+    for diagonal, d in zip(data, offsets):
+        target = classes + np.array(d)[:, None]
+        inside = ((target >= 0) & (target < n_t)).all(axis=0)
+        band = np.zeros((n_t + 1,) * dim)
+        band[tuple(classes[:, inside])] = dense[strides @ classes[:, inside],
+                                                strides @ target[:, inside]]
+        # per axis and column: the class of its row, or the zero slot
+        rows = [np.where((p >= o) & (p < n + o), t[(p - o) % n], n_t) for o in d]
+        np.take(band[np.ix_(*rows[:-1])], rows[-1], axis=-1,
+                out=diagonal.reshape(grid.shape), mode="clip")
+    flat = np.array(offsets) @ (n ** np.arange(dim - 1, -1, -1))
+    m = sp.dia_matrix((data, flat), shape=(grid.npoints,) * 2)
+    return m, weights.reshape(template.shape)[np.ix_(*(t,) * dim)].reshape(-1)
 
 
 def build_vanka(layout: PatchLayout, grid: GridSpec, stencil: Stencil) -> VankaOperator:
-    """Assemble the additive Vanka smoother ``M`` as one CSR matrix.
+    """Assemble the additive Vanka smoother ``M`` in diagonal (DIA) storage.
 
     Parameters
     ----------
@@ -269,12 +269,13 @@ def build_vanka(layout: PatchLayout, grid: GridSpec, stencil: Stencil) -> VankaO
     Dirichlet grid a row of ``M`` and its weight depend only on where the
     point sits against the boundary.  The patch scatter therefore runs on a
     template grid of ``2 s + 1`` points per axis, and :func:`_translate`
-    copies each row of the full matrix from the template row in the same
-    place.  The row keeps its template row's patches, truncation and COO
-    entry order, so its duplicates are summed in the same order and the
-    matrix is the one the scatter over every patch of the grid gives, byte
-    for byte.  Periodic grids (an oracle only) and grids of at most
-    ``2 s + 1`` points per axis are their own template.
+    reads each diagonal of the full matrix from the template row in the
+    same place.  A row keeps its template row's patches, truncation and
+    COO entry order, so its duplicates are summed in the same order and
+    every entry is the one the scatter over every patch of the grid gives,
+    byte for byte.  Periodic grids (an oracle only) and grids of at most
+    ``2 s + 1`` points per axis are their own template; their scattered
+    matrix is converted to DIA.
     """
     if layout.dim == 3:
         raise NotImplementedError("patch assembly is implemented for dim 1 and 2 only")
@@ -291,9 +292,10 @@ def build_vanka(layout: PatchLayout, grid: GridSpec, stencil: Stencil) -> VankaO
     span = int(np.ptp(offsets, axis=0).max())
     if grid.boundary == "periodic" or grid.n <= 2 * span + 1:
         m, weights = _scatter(layout, grid, stencil)
+        m = sp.dia_matrix(m)
     else:
         template = GridSpec(grid.dim, 2 * span + 1, grid.h)
-        m, weights = _translate(*_scatter(layout, template, stencil), template, grid)
+        m, weights = _translate(layout, *_scatter(layout, template, stencil), template, grid)
     return VankaOperator(layout, grid, m, weights, stencil)
 
 
@@ -311,99 +313,71 @@ def _check_stencil(stencil: Stencil, grid: GridSpec) -> None:
         raise ValueError(f"periodic wrap needs n > {2 * stencil.reach}")
 
 
-def assemble_sparse(stencil: Stencil, grid: GridSpec) -> sp.csr_matrix:
-    """Explicit sparse matrix of a stencil on ``grid``.
+def _pieces(offset, grid: GridSpec):
+    """Flat offset and column box of every piece of ``kron_k T(o_k)`` on ``grid``.
+
+    Along an axis the shift by ``o`` reaches the columns
+    ``[max(o, 0), n + min(o, 0))`` at a distance ``o``; on a periodic grid
+    its wrapped part reaches ``[0, o)`` at ``o - n`` (``o > 0``) or
+    ``[n + o, n)`` at ``o + n`` (``o < 0``).  A piece takes one part per
+    axis; pieces reaching no column are left out.
+    """
+    n = grid.n
+    strides = n ** np.arange(grid.dim - 1, -1, -1)
+    axes = []
+    for o in offset:
+        parts = [(o, slice(max(o, 0), n + min(o, 0)))]
+        if grid.boundary == "periodic" and o:
+            parts.append((o - n, slice(0, o)) if o > 0 else (o + n, slice(n + o, n)))
+        axes.append(parts)
+    for choice in product(*axes):
+        box = tuple(part for _, part in choice)
+        if all(part.start < part.stop for part in box):
+            yield int(np.dot([d for d, _ in choice], strides)), box
+
+
+def _dia_bytes(offsets, grid: GridSpec) -> int:
+    """Bytes of the DIA matrix coupling each point to ``offsets`` on ``grid``.
+
+    Each diagonal holds a float64 value per point and a 4-byte offset.
+    """
+    diagonals = {flat for o in offsets for flat, _ in _pieces(o, grid)}
+    return len(diagonals) * (8 * grid.npoints + 4)
+
+
+def assemble_sparse(stencil: Stencil, grid: GridSpec) -> sp.dia_matrix:
+    """Explicit sparse matrix of a stencil on ``grid``, in diagonal (DIA) storage.
 
     The stencil becomes ``sum_o c_o kron_k T(o_k)``, with ``T(o)`` the 1D
     shift by ``o`` along axis ``k`` (the first axis varies slowest).  On
     Dirichlet grids ``T(o)`` is the truncated diagonal ``eye(n, k=o)``; on
     periodic grids it also carries the wrapped diagonal ``k = o - n``
-    (``o > 0``) or ``k = o + n`` (``o < 0``).  Zero coefficients are not
-    stored.  Only stencils are assembled: a :class:`VankaOperator` already
-    holds its CSR matrix as ``matrix``.
+    (``o > 0``) or ``k = o + n`` (``o < 0``).  Only stencils are assembled:
+    a :class:`VankaOperator` already holds its matrix as ``matrix``.
 
-    The CSR arrays are written in place, with no COO copy, no per-term
-    matrices and no scatter.  A row holds the offsets whose shifted point
-    lies on the grid, in ascending flat order, so Dirichlet rows come out
-    sorted; periodic rows, whose wrapped columns are not, are sorted
-    afterwards.  Distinct offsets never reach the same column (Dirichlet
-    points are unique, and the periodic guard ``n > 2 reach`` keeps wrapped
-    ones apart), so nothing is summed.  Whether a shift keeps a point on the
-    grid, and which column it reaches, is a product and a sum over the axes,
-    so one plane of fixed first coordinate is worked out once.  Every plane
-    that no offset shifts off the grid or wraps along the first axis is
-    that plane translated by a multiple of the first stride: it is written
-    by one addition per slab of :data:`_SLAB_ENTRIES` entries, and only the
-    ``2 reach`` edge planes are selected entry by entry.
+    Each term is a few pieces of constant value on one diagonal each (one
+    piece on Dirichlet grids), and a diagonal holds its value at the
+    column, so a piece is one slice assignment to a box of the diagonal
+    seen as a grid; the rest of the diagonal stays zero.  Pieces that share
+    a diagonal (wrapped ones on periodic grids) reach disjoint rows, as a
+    row reaches a given column through one offset only.  The diagonals are
+    stored in ascending order, so a product adds each row's terms in
+    ascending column order, as a sorted CSR product does.  Zero
+    coefficients and diagonals no point reaches are not stored;
+    ``.tocsr()`` drops the zeros of the truncated diagonals.
     """
     _check_stencil(stencil, grid)
-    n, size = grid.n, grid.npoints
-    periodic = grid.boundary == "periodic"
-    strides = n ** np.arange(grid.dim - 1, -1, -1)
-    # an offset with a component of n or more shifts every Dirichlet point off the grid
-    terms = sorted((int(np.dot(o, strides)), o, float(c)) for o, c in stencil.entries.items()
-                   if c != 0 and max(map(abs, o)) < n)
-    width = len(terms)
-    offsets = np.array([o for _, o, _ in terms], dtype=np.int64).reshape(width, grid.dim)
-    coefs = np.array([c for _, _, c in terms])
-    # per axis, point and term: the shifted coordinate, whether it is on the grid
-    shifted = np.arange(n)[:, None] + offsets.T[:, None, :]
-    on_grid = periodic | (shifted >= 0) & (shifted < n)
-    nnz = int(on_grid.sum(axis=1).prod(axis=0).sum())
-    index = np.int32 if max(nnz, size) < 2**31 else np.int64
-    part = (shifted % n * strides[:, None, None]).astype(index)
-    # the plane of first coordinate 0 without its first-axis shift: the terms
-    # each of its rows keeps and their columns, (rows, terms)
-    keep, cols = np.ones((1, width), dtype=bool), np.zeros((1, width), dtype=index)
-    for k in range(1, grid.dim):
-        keep = (keep[:, None] & on_grid[k]).reshape(n**k, width)
-        cols = (cols[:, None] + part[k]).reshape(n**k, width)
-    plane = len(keep)
-    first, lead = offsets[:, 0], int(strides[0])
-    inner = range(-first.min(initial=0), n - first.max(initial=0))
-    edges = {x: keep & on_grid[0][x] for x in range(n) if x not in inner}
-
-    indptr = np.zeros(size + 1, dtype=index)
-    counts = indptr[1:].reshape(n, plane)
-    counts[inner.start:inner.stop] = keep.sum(axis=1)
-    for x, kept in edges.items():
-        counts[x] = kept.sum(axis=1)
-    np.cumsum(indptr, out=indptr)
-    indices, data = np.empty(nnz, dtype=index), np.empty(nnz)
-    for x, kept in edges.items():
-        rows = slice(indptr[x * plane], indptr[(x + 1) * plane])
-        indices[rows] = (cols + part[0][x])[kept]
-        data[rows] = np.broadcast_to(coefs, kept.shape)[kept]
-    if inner:
-        # a slab of whole inner planes, its first plane at first coordinate 0
-        per_plane = int(keep.sum())
-        step = min(max(1, _SLAB_ENTRIES // max(per_plane, 1)), len(inner))
-        slab_cols = (cols + (lead * first).astype(index))[keep] \
-            + lead * np.arange(step, dtype=index)[:, None]
-        slab_data = np.tile(np.broadcast_to(coefs, keep.shape)[keep], step)
-        for x in inner[::step]:
-            planes = min(step, inner.stop - x)
-            start, stop = indptr[x * plane], indptr[(x + planes) * plane]
-            np.add(slab_cols[:planes], x * lead, out=indices[start:stop].reshape(planes, per_plane))
-            data[start:stop] = slab_data[:stop - start]
-    mat = sp.csr_matrix((data, indices, indptr), shape=(size, size))
-    if periodic:
-        mat.sort_indices()
-    return mat
-
-
-def _nnz(offsets, grid: GridSpec) -> int:
-    """Entries of the Dirichlet CSR matrix coupling each point to ``offsets``.
-
-    Counts the entries :func:`assemble_sparse` stores for a stencil with
-    these nonzero offsets: each keeps the points it does not shift off the grid.
-    """
-    return sum(prod(max(grid.n - abs(c), 0) for c in o) for o in offsets)
-
-
-def _csr_bytes(offsets, grid: GridSpec) -> int:
-    """Bytes of the Dirichlet CSR matrix coupling each point to ``offsets``."""
-    return _CSR_BYTES_PER_NNZ * _nnz(offsets, grid) + 4 * (grid.npoints + 1)
+    pieces = {}
+    for offset, coef in stencil.entries.items():
+        if coef != 0:
+            for flat, box in _pieces(offset, grid):
+                pieces.setdefault(flat, []).append((box, float(coef)))
+    offsets = sorted(pieces)
+    data = np.zeros((len(offsets), grid.npoints))
+    for diagonal, flat in zip(data, offsets):
+        for box, coef in pieces[flat]:
+            diagonal.reshape(grid.shape)[box] = coef
+    return sp.dia_matrix((data, offsets), shape=(grid.npoints,) * 2)
 
 
 def export_triplets(matrix, path=None) -> str:

@@ -96,6 +96,26 @@ def test_frequency_grid_validation():
         FrequencyGrid(1, 2)
 
 
+@pytest.mark.parametrize("dim, samples", [(2.0, 8), (2, 8.0)])
+def test_frequency_grid_refuses_float_fields(dim, samples):
+    # refused at construction, not in the first two_grid_factor
+    with pytest.raises(TypeError):
+        FrequencyGrid(dim, samples)
+
+
+def test_smoother_spec_refuses_a_float_dim():
+    # 2.0 == 2 passed the supported-pair check, and two_grid_factor failed later
+    with pytest.raises(TypeError):
+        SmootherSpec("vanka-e", 2.0, 0.96)
+
+
+def test_integer_fields_accept_numpy_integers():
+    grid = FrequencyGrid(np.int64(2), np.int32(8))
+    spec = SmootherSpec("vanka-e", np.int64(2), 0.96)
+    assert type(grid.dim) is type(grid.samples_per_dim) is type(spec.dim) is int
+    assert grid == FrequencyGrid(2, 8) and spec == SmootherSpec("vanka-e", 2, 0.96)
+
+
 def test_frequency_grid_memory_guard_refuses_without_allocating():
     tracemalloc.start()
     try:

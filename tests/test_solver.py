@@ -21,7 +21,7 @@ import vankamg as v
 from vankamg import solver, stencils
 from vankamg.lfa import SmootherKind, SmootherSpec, exact_optimum, smoother_symbol
 from vankamg.solver import (
-    COARSE_LU_BUDGET_BYTES,
+    BUILD_BUDGET_BYTES,
     CycleSpec,
     Level,
     StagnationError,
@@ -156,7 +156,7 @@ def test_galerkin_coarse_operator_2d_nine_point():
 def _triple_product_chain(hier):
     """Oracle: every level's operator as ``2**-d P^T A P`` of the oracle one level up."""
     fine = hier.fine.grid
-    a = assemble_sparse(laplacian_stencil(fine.dim, fine.h), fine)
+    a = assemble_sparse(laplacian_stencil(fine.dim, fine.h), fine).tocsr()
     chain = [a]
     for level in hier.levels[:-1]:
         p = _interpolation(level.grid)
@@ -176,7 +176,7 @@ def test_coarse_operators_equal_the_triple_product(dim, n, kind):
     chain = _triple_product_chain(hier)
     assert len(chain) == len(hier.levels) >= 2
     for level, want in zip(hier.levels, chain):
-        got = level.matrix
+        got = level.matrix.tocsr()
         assert np.array_equal(got.indptr, want.indptr), level.grid.n
         assert np.array_equal(got.indices, want.indices), level.grid.n
         assert np.array_equal(got.data, want.data), level.grid.n
@@ -190,7 +190,7 @@ def test_coarse_operators_near_the_triple_product_off_dyadic_h(dim, n, h, kind):
     spec = CycleSpec(_smoother("jacobi", dim), 1, 0, kind)
     hier = build_hierarchy(spec, GridSpec(dim, n, h))
     for level, want in zip(hier.levels[1:], _triple_product_chain(hier)[1:]):
-        got = level.matrix
+        got = level.matrix.tocsr()
         assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
         assert np.abs(got.data - want.data).max() <= 1e-14 * np.abs(want.data).max()
 
@@ -198,8 +198,9 @@ def test_coarse_operators_near_the_triple_product_off_dyadic_h(dim, n, h, kind):
 def test_v_cycle_build_peak_stays_near_what_it_holds():
     # no sparse triple product: the 3D n = 31 build peaked at 1.92x the bytes
     # it holds with one, at 1.13x assembling each level from its stencil with
-    # a Kronecker-built P, and at 1.05x writing R and every level straight
-    # into CSR; the bound leaves 0.05 over that
+    # a Kronecker-built P, at 1.05x writing R and every level straight into
+    # CSR, and at 1.05x with the levels in diagonal storage; the bound leaves
+    # 0.05 over that
     spec = CycleSpec(_smoother("mass3d", 3), 1, 0, "v-cycle")
     tracemalloc.start()
     try:
@@ -213,7 +214,8 @@ def test_v_cycle_build_peak_stays_near_what_it_holds():
 
 def test_v_cycle_build_peak_at_h64_3d():
     # the mass3d V-cycle workload: 46.4 MiB with a Kronecker-built P, whose
-    # COO temporaries set the peak; 41.2 MiB with R written straight into CSR
+    # COO temporaries set the peak; 41.2 MiB with R written straight into
+    # CSR; 31.0 MiB with the levels in diagonal storage
     spec = CycleSpec(_smoother("mass3d", 3), 1, 0, "v-cycle")
     tracemalloc.start()
     try:
@@ -254,8 +256,8 @@ _ASSEMBLY_CASES = [
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
 @pytest.mark.parametrize("make, dim", _ASSEMBLY_CASES)
 def test_assembled_operator_matches_stencil_apply(make, dim, boundary):
-    # every level applies its CSR matrix, so on the finest level the assembled
-    # stencil must act exactly as the matrix-free stencil does
+    # every level applies its assembled matrix, so on the finest level the
+    # assembled stencil must act exactly as the matrix-free stencil does
     grid = GridSpec(dim, 7 if boundary == "dirichlet" else 8, 1 / 8, boundary=boundary)
     st = make(dim, Fraction(1, 8))
     u = np.random.default_rng(dim).standard_normal(grid.npoints)
@@ -265,7 +267,8 @@ def test_assembled_operator_matches_stencil_apply(make, dim, boundary):
 
 
 def test_assembly_memory_stays_near_the_matrix():
-    # the 7-point 3D Laplacian at n = 63 holds 20.7 MiB of CSR arrays
+    # the 7-point 3D Laplacian at n = 63 holds 13.4 MiB of diagonals (20.7
+    # MiB of CSR arrays); the zeros of its truncated diagonals are not counted
     st, grid = laplacian_stencil(3, 1 / 64), GridSpec(3, 63, 1 / 64)
     tracemalloc.start()
     try:
@@ -273,7 +276,7 @@ def test_assembly_memory_stays_near_the_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert matrix.nnz == 7 * 63**3 - 6 * 63**2
+    assert matrix.count_nonzero() == 7 * 63**3 - 6 * 63**2
     assert peak < 64 << 20
 
 
@@ -303,8 +306,8 @@ def test_coarse_lu_estimate_matches_measured_fill(dim, n):
 
 def test_coarse_lu_budget_admits_h64_3d_and_h512_2d():
     # two-grid coarse grids: 31^3 (fine h = 1/64) and 255^2 (fine h = 1/512)
-    assert solver._coarse_lu_bytes(3, 31) < COARSE_LU_BUDGET_BYTES
-    assert solver._coarse_lu_bytes(2, 255) < COARSE_LU_BUDGET_BYTES
+    assert solver._coarse_lu_bytes(3, 31) < BUILD_BUDGET_BYTES
+    assert solver._coarse_lu_bytes(2, 255) < BUILD_BUDGET_BYTES
     # 63^3 (fine h = 1/128) would need about 30 GB
     assert solver._coarse_lu_bytes(3, 63) > 25e9
 
@@ -327,8 +330,8 @@ def _vanka_v_cycle(kind):
 
 @pytest.mark.parametrize("kind", ["vanka-e", "vanka-v"])
 def test_build_estimate_matches_the_measured_peak(kind):
-    # within a factor 1.25 either way; at n = 255, counting the stored
-    # restrictions, it reads 1.12x (element) and 1.14x (vertex) the tracemalloc peak
+    # within a factor 1.25 either way; at n = 255 it reads 0.99x (element)
+    # and 1.00x (vertex) the tracemalloc peak (1.12x and 1.14x in CSR)
     spec, grid = _vanka_v_cycle(kind), GridSpec(2, 255, 1 / 256)
     grids, level_stencils = solver._plan(spec, grid)
     estimate = solver._build_bytes(spec.smoother, grids, level_stencils)
@@ -340,19 +343,22 @@ def test_build_estimate_matches_the_measured_peak(kind):
         tracemalloc.stop()
     assert 0.8 < estimate / peak < 1.25
     # the smoothers are translated from a template grid, not scattered patch
-    # by patch over the whole grid: 19.6 (element) and 23.6 MiB (vertex)
+    # by patch over the whole grid: 12.9 (element) and 15.5 MiB (vertex) in
+    # diagonal storage, 19.6 and 23.6 MiB in CSR
     assert peak <= 28 * 2**20
 
 
 @pytest.mark.parametrize("kind, dim, n", [("jacobi", 1, 63), ("mass", 2, 63), ("mass3d", 3, 31)])
 def test_build_estimate_counts_every_stored_matrix(kind, dim, n):
-    # without a Vanka scatter the estimate is exact: level CSRs and restrictions
+    # without a Vanka smoother the estimate is exact: level diagonals and restrictions
     spec = CycleSpec(_smoother(kind, dim), 1, 0, "v-cycle")
     grid = GridSpec(dim, n, 1 / (n + 1))
     grids, level_stencils = solver._plan(spec, grid)
     hier = build_hierarchy(spec, grid)
 
     def nbytes(m):
+        if m.format == "dia":
+            return m.data.nbytes + m.offsets.nbytes
         return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
 
     restrictions = [level.restrict for level in hier.levels[:-1]]
@@ -363,8 +369,9 @@ def test_build_estimate_counts_every_stored_matrix(kind, dim, n):
 
 @pytest.mark.parametrize("kind", ["vanka-e", "vanka-v"])
 def test_oversized_vanka_v_cycle_refused_before_assembly(kind):
-    # h = 1/4096: the fine Laplacian and element smoother alone are 14 * 4095**2
-    # entries of 12 B
+    # h = 1/4096: the fine Laplacian and element smoother alone are 14
+    # diagonals of 4095**2 values of 8 B, 1.75 GiB; the whole element build
+    # is estimated at 3.2 GiB
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="GiB budget"):
@@ -378,8 +385,8 @@ def test_oversized_vanka_v_cycle_refused_before_assembly(kind):
 @pytest.mark.parametrize("kind, dim, n, cycle_type", [
     ("vanka-e", 2, 1023, "v-cycle"), ("vanka-v", 2, 1023, "v-cycle"),
     ("jacobi", 2, 1023, "v-cycle"), ("mass", 2, 1023, "v-cycle"),
-    # h = 1/2048: estimated 1431 and 1750 MiB; one build read a max RSS of
-    # 1335 and 1591 MiB (2-CPU VM, Python 3.11, numpy 2.4, scipy 1.17)
+    # h = 1/2048: estimated 830 and 1001 MiB in diagonal storage (1431 and
+    # 1750 MiB in CSR, where one build read a max RSS of 1335 and 1591 MiB)
     ("vanka-e", 2, 2047, "v-cycle"), ("vanka-v", 2, 2047, "v-cycle"),
     # the benchmark's grids
     ("vanka-e", 2, 255, "v-cycle"), ("vanka-e", 2, 255, "two-grid"), ("mass3d", 3, 63, "v-cycle"),
@@ -553,6 +560,63 @@ def test_cycle_equals_the_allocating_recursion(smoother, dim, kind):
         want = _allocating_descend(hier, 0, u0, b0)
         assert np.array_equal(cycle(hier, u, b), want), (nu1, nu2)
         assert np.array_equal(u, u0) and np.array_equal(b, b0)
+
+
+@pytest.mark.parametrize("kind", ["two-grid", "v-cycle"])
+@pytest.mark.parametrize("smoother, dim", _SMOOTHERS)
+def test_diagonal_products_equal_the_csr_products(smoother, dim, kind):
+    # ascending diagonals add each row's terms in CSR column order
+    grid = GridSpec(dim, 15, 1 / 16)
+    hier = build_hierarchy(CycleSpec(_smoother(smoother, dim), 1, 0, kind), grid)
+    rng = np.random.default_rng(dim)
+    for level in hier.levels:
+        matrices = [level.matrix]
+        op = getattr(level.m_apply, "__self__", None)
+        if smoother.startswith("vanka") and level.lu is None:
+            matrices.append(op.matrix)
+        for matrix in matrices:
+            assert matrix.format == "dia"
+            x = rng.standard_normal(level.grid.npoints)
+            assert (matrix @ x).tobytes() == (matrix.tocsr() @ x).tobytes(), level.grid.n
+
+
+def test_prolongation_is_a_view_of_the_restriction():
+    hier = build_hierarchy(CycleSpec(_smoother("vanka-e", 2), 1, 0, "v-cycle"),
+                           GridSpec(2, 31, 1 / 32))
+    for level in hier.levels[:-1]:
+        assert level.prolong.format == "csc" and level.prolong.shape == level.restrict.shape[::-1]
+        for part in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(level.prolong, part), getattr(level.restrict, part))
+    assert hier.levels[-1].restrict is None and hier.levels[-1].prolong is None
+
+
+@pytest.mark.parametrize("kind", ["jacobi", "vanka-e", "vanka-v"])
+def test_report_lists_what_each_level_holds(kind):
+    spec = CycleSpec(_smoother(kind, 2), 1, 0, "v-cycle")
+    grid = GridSpec(2, 31, 1 / 32)
+    grids, level_stencils = solver._plan(spec, grid)
+    hier = build_hierarchy(spec, grid)
+    report = hier.report()
+    assert [row["n"] for row in report] == [31, 15, 7]
+    assert [row["unknowns"] for row in report] == [31**2, 15**2, 7**2]
+    # the 5-point Laplacian, then 9-point Galerkin operators
+    assert [row["diagonals"] for row in report] == [5, 9, 9]
+    assert [row["operator_bytes"] for row in report] == \
+        [g.npoints * 8 * d + 4 * d for g, d in zip(grids, (5, 9, 9))]
+    assert [row["transfer_bytes"] for row in report] == \
+        [solver._transfer_bytes(g) for g in grids[1:]] + [0]
+    # 9 element or 13 vertex diagonals of M, and the weights
+    diagonals = {"jacobi": 0, "vanka-e": 9, "vanka-v": 13}[kind]
+    assert [row["smoother_bytes"] for row in report] == \
+        [(8 * g.npoints + 4) * diagonals + 8 * g.npoints * (diagonals > 0)
+         for g in grids[:-1]] + [0]
+    lu = hier.levels[-1].lu
+    assert report[-1]["lu_nnz"] == lu.L.nnz + lu.U.nnz
+    assert all("lu_nnz" not in row for row in report[:-1])
+    # the build estimate is what the levels hold
+    held = sum(row[key] for row in report
+               for key in ("operator_bytes", "smoother_bytes", "transfer_bytes"))
+    assert solver._build_bytes(spec.smoother, grids, level_stencils) == held
 
 
 def test_every_sweep_goes_through_relax(monkeypatch):

@@ -160,6 +160,18 @@ def test_restriction_stencil_is_full_weighting(dim):
 # application
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("dim, n", [(2, 7.0), (2.0, 7)])
+def test_grid_spec_refuses_float_fields(dim, n):
+    # GridSpec(2, 7.0, 1/8) had 49.0 points
+    with pytest.raises(TypeError):
+        GridSpec(dim, n, 1 / 8)
+
+
+def test_grid_spec_accepts_numpy_integers():
+    grid = GridSpec(np.int64(2), np.int32(7), 1 / 8)
+    assert type(grid.npoints) is int and grid == GridSpec(2, 7, 1 / 8)
+
+
 def test_apply_dirichlet_truncates():
     grid = GridSpec(1, 5, 1.0)
     out = apply(laplacian_stencil(1, 1), grid, np.ones(5))
