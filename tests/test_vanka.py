@@ -495,6 +495,24 @@ def test_assemble_sparse_equals_the_kronecker_sum(name):
     _assert_equals_the_kronecker_sum(ASSEMBLY_STENCILS[name])
 
 
+@pytest.mark.parametrize("slab", [1, 50])
+@pytest.mark.parametrize("name", ["laplacian1", "laplacian2", "galerkin3", "skew2",
+                                  "off-grid-offset", "vertex2"])
+def test_assemble_sparse_slabs_change_no_byte(name, slab):
+    # a slab of one vector (1) and of many (50) multiplied by the diagonals
+    # gives the oracle's CSR product byte for byte
+    st = ASSEMBLY_STENCILS[name]
+    rng = np.random.default_rng(slab)
+    for boundary in ("dirichlet", "periodic"):
+        for n in sorted({3, 2 * st.reach + 1, 5, 8}):
+            if boundary == "periodic" and n <= 2 * st.reach:
+                continue
+            grid = GridSpec(st.dim, n, 1 / (n + 1), boundary)
+            x = rng.standard_normal((grid.npoints, slab))
+            got = assemble_sparse(st, grid) @ x
+            assert got.tobytes() == (_kron_sum(st, grid) @ x).tobytes(), (boundary, n)
+
+
 def test_assemble_sparse_peak_is_near_the_matrix():
     grid = GridSpec(3, 31, 1 / 32)
     st = mass_stencil(3, Fraction(1, 32))
