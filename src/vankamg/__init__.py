@@ -11,9 +11,9 @@ The package has four layers:
   convergence factors.
 
 ``stencils`` and ``lfa`` need numpy only.  ``vanka`` and ``solver`` import
-``scipy.sparse`` (``solver`` also ``scipy.sparse.linalg``), so their names
-are resolved lazily: ``import vankamg`` and the analysis itself never load
-scipy, and the first use of a solver or Vanka name does.
+``scipy.sparse`` (and nothing else of scipy), so their names are resolved
+lazily: ``import vankamg`` and the analysis itself never load scipy, and
+the first use of a solver or Vanka name does.
 
 ``python -m vankamg.cli`` (or the ``vankamg`` script) exposes the analysis
 tables, eigenvalue fields, the solver and a damping scan.

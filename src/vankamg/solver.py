@@ -18,11 +18,14 @@ This reproduces the coarse Laplacian exactly in 1D and keeps the discrete
 two-grid operator aligned with its Fourier symbol (the error operator is
 invariant under the common rescaling of ``R`` and ``A_H``, so
 transposed-interpolation restriction yields the same cycle).  Each level's
-stencil also builds its Vanka smoother.  The coarsest level is solved by a
-sparse LU factorisation.  The bytes of the build are estimated from the
-level stencils before anything is assembled, and a build over
-:data:`BUILD_BUDGET_BYTES` is refused.  :meth:`Hierarchy.report` lists
-what each level holds.
+stencil also builds its Vanka smoother.  The coarsest level is solved
+exactly by the type-I sine transform (:class:`SineSolve`): its operator is
+a reflection-symmetric stencil of reach 1 truncated at the Dirichlet
+boundary, which the sine modes diagonalise with the stencil's symbol as
+eigenvalues (Hockney's fast Poisson solver).  The bytes of the build are
+estimated from the level stencils before anything is assembled, and a
+build over :data:`BUILD_BUDGET_BYTES` is refused.  :meth:`Hierarchy.report`
+lists what each level holds.
 
 ``measured_convergence_factor`` runs homogeneous cycles (``b = 0``) from a
 seeded random start, renormalising the iterate every cycle; the asymptotic
@@ -36,10 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg
+import scipy.sparse
 
-from .lfa import SmootherKind, SmootherSpec, _sweeps
+from .lfa import SmootherKind, SmootherSpec, _sweeps, symbol
 from .stencils import GridSpec, PatchLayout, laplacian_stencil, restriction_stencil
 from . import stencils
 from .vanka import VankaOperator, _dia_bytes, _smoother_bytes, assemble_sparse, build_vanka
@@ -61,23 +63,17 @@ __all__ = [
 COARSEST_MAX = 7          # stop V-cycle coarsening at n in {3, ..., 7}
 STAGNATION_RATIO = 1e-13  # per-cycle contraction at rounding level
 
-# cap on the estimated bytes of a build: a coarsest sparse LU above it is
-# refused before anything is assembled (3D two-grid at h = 1/64 is accepted),
-# and so is a hierarchy whose level matrices, transfers and smoothers add up
-# to more (every 2D V-cycle up to h = 1/2048 is accepted, the vertex Vanka
-# one at 1.0 GiB; no Vanka V-cycle at h = 1/4096)
+# cap on the estimated bytes of a build: a hierarchy whose level matrices,
+# transfers, smoothers and coarse sine solve add up to more is refused before
+# anything is assembled (every 2D V-cycle up to h = 1/2048 is accepted, the
+# vertex Vanka one at 1.0 GiB; no Vanka V-cycle at h = 1/4096; the 3D
+# two-grid up to h = 1/256, at 1.9 GiB).  The cycles' own vectors are not
+# counted: a ``run_convergence`` cycle holds at most about 9 vectors of the
+# fine grid besides the build (5.3 to 8.6 by tracemalloc for every kind at
+# nu1, nu2 <= 2 on 1D n = 1023, 2D n = 255 and 3D n = 63), at most 0.8x the
+# estimate, so a run whose build is admitted peaks under twice the budget.
 BUILD_BUDGET_BYTES = 2**31
 
-# measured splu fill ``L.nnz + U.nnz`` of the Galerkin coarse operator,
-# (coarse unknowns, fill) twice per dimension; the estimate is the power law
-# through the two points.  COLAMD fill grows faster than any fixed power in
-# 3D (N^1.56, then N^1.79), so the larger pair is used.
-_LU_FILL = {
-    1: ((63, 252), (1023, 4092)),
-    2: ((16129, 1.74e6), (65025, 9.1e6)),
-    3: ((3375, 1.16e6), (29791, 57.7e6)),
-}
-_LU_BYTES_PER_NNZ = 12    # float64 value plus int32 row index
 _CSR_BYTES_PER_NNZ = 12   # float64 value plus int32 column index
 
 
@@ -110,15 +106,51 @@ class Level:
     it is the bound ``apply`` of the level's :class:`~vankamg.vanka.VankaOperator`.
     ``restrict`` is the full weighting ``R`` onto the next coarser level
     (``transfer_ops``) and ``prolong`` the view ``R^T``, a CSC matrix on
-    ``R``'s arrays; the cycle prolongs with ``2**dim R^T``.
+    ``R``'s arrays; the cycle prolongs with ``2**dim R^T``.  Only the
+    coarsest level holds ``sine``, its exact :class:`SineSolve`.
     """
 
     grid: GridSpec
-    matrix: sp.dia_matrix
+    matrix: scipy.sparse.dia_matrix
     m_apply: object = None
-    restrict: sp.csr_matrix | None = None  # from here to the next coarser level
-    prolong: sp.csc_matrix | None = None   # ``restrict.T``, sharing its arrays
-    lu: object = None                      # sparse LU (``splu``) on the coarsest
+    restrict: scipy.sparse.csr_matrix | None = None  # from here to the next coarser level
+    prolong: scipy.sparse.csc_matrix | None = None   # ``restrict.T``, sharing its arrays
+    sine: SineSolve | None = None                    # exact solve, on the coarsest only
+
+
+@dataclass(frozen=True)
+class SineSolve:
+    """Exact solve with a reflection-symmetric stencil of reach 1 on a Dirichlet grid.
+
+    The orthonormal DST-I matrix ``S[j, k] = sqrt(2/(n+1)) sin(pi j k/(n+1))``
+    (``S = S^T = S^-1``) diagonalises the truncated stencil axis by axis; the
+    eigenvalue of mode ``j`` is the stencil's symbol at ``theta = j pi/(n+1)``.
+    So ``A^-1 b = S⊗…⊗S ((S⊗…⊗S b) / eigenvalues)``, each ``S⊗…⊗S`` applied
+    one axis at a time.
+    """
+
+    sines: np.ndarray        # ``S``, shape (n, n)
+    eigenvalues: np.ndarray  # ``lfa.symbol`` on the sine modes, shape (n,)*dim
+
+    @classmethod
+    def of(cls, stencil, grid: GridSpec) -> "SineSolve":
+        """The solve with ``stencil`` truncated on the Dirichlet ``grid``."""
+        j = np.arange(1, grid.n + 1)
+        sines = np.sqrt(2 / (grid.n + 1)) * np.sin(np.pi / (grid.n + 1) * np.outer(j, j))
+        modes = np.stack(np.meshgrid(*[np.pi / (grid.n + 1) * j] * grid.dim, indexing="ij"), -1)
+        # one slab at a time: ``symbol`` holds a phase per point and stencil entry
+        return cls(sines, np.array([symbol(stencil, slab) for slab in modes]).real)
+
+    def _transform(self, x: np.ndarray) -> np.ndarray:
+        for _ in range(x.ndim):   # transform the last axis, then rotate it to the front
+            x = np.moveaxis(x @ self.sines, -1, 0)
+        return x
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``A^-1 b`` in a new array; ``b`` is left alone."""
+        x = self._transform(b.reshape(self.eigenvalues.shape))
+        x /= self.eigenvalues
+        return self._transform(x).reshape(-1)
 
 
 def _stored_bytes(matrix) -> int:
@@ -143,9 +175,9 @@ class Hierarchy:
         ``operator_bytes`` describe the level matrix, ``smoother_bytes`` a
         Vanka ``M`` with its weights (0 for the smoothers applied as
         stencils) and ``transfer_bytes`` the restriction (the prolongation
-        shares its arrays).  The coarsest level adds ``lu_nnz``, the
-        entries ``L.nnz + U.nnz`` of its sparse LU.  Everything is read
-        from the built levels when called.
+        shares its arrays).  The coarsest level adds ``sine_bytes``, the
+        sine matrix and eigenvalues of its :class:`SineSolve`.  Everything
+        is read from the built levels when called.
         """
         rows = []
         for level in self.levels:
@@ -156,12 +188,12 @@ class Hierarchy:
                          "smoother_bytes": _stored_bytes(op.matrix) + op.weights.nbytes
                          if isinstance(op, VankaOperator) else 0,
                          "transfer_bytes": _stored_bytes(level.restrict)})
-            if level.lu is not None:
-                rows[-1]["lu_nnz"] = level.lu.L.nnz + level.lu.U.nnz
+            if level.sine is not None:
+                rows[-1]["sine_bytes"] = level.sine.sines.nbytes + level.sine.eigenvalues.nbytes
         return rows
 
 
-def transfer_ops(fine_grid: GridSpec) -> sp.csr_matrix:
+def transfer_ops(fine_grid: GridSpec) -> scipy.sparse.csr_matrix:
     """Full-weighting restriction ``R`` from the ``n`` grid to the ``(n-1)/2`` grid.
 
     ``R`` applies ``stencils.restriction_stencil`` at the fine points under
@@ -184,8 +216,8 @@ def transfer_ops(fine_grid: GridSpec) -> sp.csr_matrix:
     flat = np.array([f for f, _ in weights], dtype=index)
     indptr = len(weights) * np.arange(rows + 1, dtype=index)
     data = np.tile([c for _, c in weights], rows)
-    return sp.csr_matrix((data, (centre[:, None] + flat).reshape(-1), indptr),
-                         shape=(rows, fine_grid.npoints))
+    return scipy.sparse.csr_matrix((data, (centre[:, None] + flat).reshape(-1), indptr),
+                                   shape=(rows, fine_grid.npoints))
 
 
 def _smoother_applicator(sm: SmootherSpec, level_grid: GridSpec, stencil):
@@ -219,13 +251,6 @@ def _vanka_layout(sm: SmootherSpec):
     return PatchLayout(kinds[sm.kind], sm.dim) if sm.kind in kinds else None
 
 
-def _coarse_lu_bytes(dim: int, n: int) -> float:
-    """Estimated bytes of ``splu`` of the Galerkin operator on ``n**dim`` unknowns."""
-    (n1, f1), (n2, f2) = _LU_FILL[dim]
-    fill = f2 * (n**dim / n2) ** (np.log(f2 / f1) / np.log(n2 / n1))
-    return _LU_BYTES_PER_NNZ * fill
-
-
 def _transfer_bytes(coarse: GridSpec) -> int:
     """Bytes of the stored restriction onto ``coarse``: ``3**dim`` entries per row."""
     rows = coarse.npoints
@@ -233,10 +258,14 @@ def _transfer_bytes(coarse: GridSpec) -> int:
 
 
 def _build_bytes(sm: SmootherSpec, grids, level_stencils) -> int:
-    """Estimated peak bytes of the level matrices, transfers and smoothers of a hierarchy.
+    """Estimated peak bytes of the level matrices, transfers, smoothers and coarse solve.
 
-    Every level matrix, every restriction and every Vanka ``M`` and its
-    weights stay held; nothing built on the way is of a grid's size.
+    Every level matrix, every restriction, every Vanka ``M`` and its weights
+    and the coarsest level's sine matrix (``n**2`` values) and eigenvalues
+    (one per point) stay held.  Nothing built on the way is larger than a
+    few vectors of a grid: the eigenvalues are evaluated one slab of sine
+    modes at a time (on the 3D two-grid at h = 1/64 the tracemalloc peak is
+    1.05x the estimate).
     """
     held = sum(_dia_bytes([o for o, c in st.entries.items() if c != 0], grid)
                for grid, st in zip(grids, level_stencils))
@@ -244,7 +273,7 @@ def _build_bytes(sm: SmootherSpec, grids, level_stencils) -> int:
     layout = _vanka_layout(sm)
     if layout is not None:
         held += sum(_smoother_bytes(layout, grid) for grid in grids[:-1])
-    return held
+    return held + 8 * (grids[-1].n ** 2 + grids[-1].npoints)
 
 
 def _plan(spec: CycleSpec, fine_grid: GridSpec) -> tuple:
@@ -254,9 +283,8 @@ def _plan(spec: CycleSpec, fine_grid: GridSpec) -> tuple:
     V-cycles coarsen until at most :data:`COARSEST_MAX` points per dimension
     remain and need ``n >= 15``.  The fine stencil is the Laplacian, each
     coarser one ``stencils.galerkin_stencil`` of the one above.  Nothing is
-    assembled: a coarse LU whose ``_coarse_lu_bytes`` estimate exceeds
-    :data:`BUILD_BUDGET_BYTES` is refused, and so is a build whose
-    ``_build_bytes`` estimate plus that factor exceeds it.
+    assembled: a build whose ``_build_bytes`` estimate exceeds
+    :data:`BUILD_BUDGET_BYTES` is refused.
     """
     if fine_grid.boundary != "dirichlet":
         raise ValueError("the solver runs on Dirichlet grids")
@@ -277,19 +305,12 @@ def _plan(spec: CycleSpec, fine_grid: GridSpec) -> tuple:
         g = grids[-1]
         grids.append(GridSpec(g.dim, (g.n - 1) // 2, 2 * g.h))
         level_stencils.append(stencils.galerkin_stencil(level_stencils[-1]))
-    coarsest = grids[-1]
-    budget = f"{BUILD_BUDGET_BYTES / 2**30:.0f} GiB budget"
-    lu_bytes = _coarse_lu_bytes(coarsest.dim, coarsest.n)
-    if lu_bytes > BUILD_BUDGET_BYTES:
-        raise ValueError(
-            f"the coarse LU on {coarsest.n}^{coarsest.dim} unknowns needs about "
-            f"{lu_bytes / 2**30:.0f} GiB, over the {budget}; "
-            "a V-cycle (--cycle v-cycle) coarsens to n <= 7")
-    build_bytes = _build_bytes(spec.smoother, grids, level_stencils) + lu_bytes
+    build_bytes = _build_bytes(spec.smoother, grids, level_stencils)
     if build_bytes > BUILD_BUDGET_BYTES:
         raise ValueError(
             f"building the {spec.cycle} hierarchy on {n}^{fine_grid.dim} unknowns "
-            f"needs about {build_bytes / 2**30:.1f} GiB, over the {budget}")
+            f"needs about {build_bytes / 2**30:.1f} GiB, "
+            f"over the {BUILD_BUDGET_BYTES / 2**30:.0f} GiB budget")
     return grids, level_stencils
 
 
@@ -304,8 +325,8 @@ def build_hierarchy(spec: CycleSpec, fine_grid: GridSpec) -> Hierarchy:
     grid).  Every level but the coarsest keeps the restriction ``R`` onto
     the next one and its transpose view, from which the cycle prolongs
     (``P = 2**dim R^T``, never stored), and each level's stencil builds its
-    smoother.  The coarsest level is factorised by sparse LU
-    (``scipy.sparse.linalg.splu``).
+    smoother.  The coarsest level keeps the :class:`SineSolve` of its
+    stencil.
     """
     grids, level_stencils = _plan(spec, fine_grid)
     levels = [Level(fine_grid, assemble_sparse(level_stencils[0], fine_grid))]
@@ -315,7 +336,7 @@ def build_hierarchy(spec: CycleSpec, fine_grid: GridSpec) -> Hierarchy:
         levels.append(Level(grid, assemble_sparse(st, grid)))
     for level, st in zip(levels[:-1], level_stencils):
         level.m_apply = _smoother_applicator(spec.smoother, level.grid, st)
-    levels[-1].lu = scipy.sparse.linalg.splu(levels[-1].matrix.tocsc())
+    levels[-1].sine = SineSolve.of(level_stencils[-1], grids[-1])
     return Hierarchy(spec, levels)
 
 
@@ -344,6 +365,7 @@ def relax(sm: SmootherSpec, level: Level, u: np.ndarray | None, b: np.ndarray) -
 def _descend(hier: Hierarchy, idx: int, u: np.ndarray | None, b: np.ndarray) -> np.ndarray:
     """Cycle on level ``idx`` from ``u``; ``None`` is a coarse level's zero start.
 
+    The coarsest level returns its exact :class:`SineSolve` of ``b``.
     Starting from zero skips the product ``A 0`` and the additions of zero;
     in IEEE arithmetic ``b - 0 = b`` and ``0 + x = x``, so the result is the
     one the explicit zero vector gives.  The residual is restricted by
@@ -355,8 +377,8 @@ def _descend(hier: Hierarchy, idx: int, u: np.ndarray | None, b: np.ndarray) -> 
     ``u`` or ``b``.
     """
     level = hier.levels[idx]
-    if level.lu is not None:
-        return level.lu.solve(b)
+    if level.sine is not None:
+        return level.sine.solve(b)
     sm = hier.spec.smoother
     for _ in range(hier.spec.nu1):
         u = relax(sm, level, u, b)
