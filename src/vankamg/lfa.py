@@ -28,6 +28,21 @@ are solved; the result is the one solving every bracket gives.  In 1D the
 single bracket has a closed-form root.  ``eigvals`` of the dense blocks
 ``_two_grid_stack`` assembles is the oracle.
 
+Every stencil the analysis evaluates (the Laplacian, each smoother's ``M``
+and the full weighting) is symmetric under each axis reflection, so its
+symbol is even in each ``theta_k``, a polynomial in the ``cos theta_k``.
+Reflecting a base reflects its harmonics too, as ``cos(o(pi - t)) =
+cos(o(t + pi))`` for integer ``o``, so the two-grid block and the smoothing
+symbols of a base are those of its mirror.  The maxima are therefore taken
+over one reflection orthant of the low box, ``{-pi/2}`` and ``[0, pi/2)`` per
+axis (Wienands and Joppich 2005 shrink the LFA sample set by the stencil's
+symmetry group the same way): ``n/4 + 1`` of the ``n/2`` low samples per axis,
+4912 of the 32767 bases in 3D at 64 samples.  The low samples are
+mirror-exact and the symbols are built elementwise from one real ``cos``
+table per axis, so a mirrored base gives the same floats and the orthant
+maximum is the box maximum bit for bit.  A stencil without the symmetry is
+refused.  ``eigenfield`` still lists the whole box.
+
 For every supported smoother the product symbol ``M~ A~`` has a known exact
 range ``[t_min, t_max]`` on the high-frequency set, and the damping that
 equioscillates ``|1 - omega t|`` at the endpoints,
@@ -157,9 +172,16 @@ class SmootherSpec:
 class FrequencyGrid:
     """Equispaced sampling of ``[-pi/2, 3pi/2)^dim``.
 
-    With ``samples_per_dim`` divisible by 4 the grid contains ``0``, ``pi/2``
-    and ``pi`` exactly; the first half of the 1D samples covers the low
-    region ``[-pi/2, pi/2)``.  Grids whose ``nbytes_estimate`` exceeds
+    The first half of the 1D samples covers the low region ``[-pi/2, pi/2)``
+    and is mirror-exact: ``low_1d[j] == -low_1d[n/2 - j]`` as floats.  With
+    ``samples_per_dim`` divisible by 4 the grid contains ``0``, ``pi/2`` and
+    ``pi`` exactly.  The maxima of the analysis are taken over the
+    reflection orthant ``orthant_1d``, ``{-pi/2}`` and the samples in
+    ``[0, pi/2)``, which holds one of each mirror pair of low samples: every
+    stencil the analysis evaluates is symmetric under each axis reflection,
+    so a harmonic's symbol at a low sample equals, bit for bit, the same
+    harmonic's at the mirrored sample (module docstring).  The symbols on the
+    orthant are held per grid.  Grids whose ``nbytes_estimate`` exceeds
     ``MEMORY_BUDGET_BYTES`` are refused at construction.
     """
 
@@ -191,15 +213,31 @@ class FrequencyGrid:
     @cached_property
     def theta_1d(self) -> np.ndarray:
         n = self.samples_per_dim
-        return -np.pi / 2 + 2 * np.pi * np.arange(n) / n
+        # -pi/2 + 2 pi j/n written as pi (4j - n)/(2n): the quotient is odd in
+        # 4j - n, so the low half is mirror-exact, and it is exactly 0, 1/2
+        # and 1 at 0, pi/2 and pi
+        return np.pi * ((4 * np.arange(n) - n) / (2 * n))
 
     @cached_property
     def low_1d(self) -> np.ndarray:
         return self.theta_1d[: self.samples_per_dim // 2]
 
+    @cached_property
+    def orthant_1d(self) -> np.ndarray:
+        """``-pi/2`` and the low samples in ``[0, pi/2)``: ``n//4 + 1`` of ``n/2``."""
+        low = self.low_1d
+        return np.concatenate((low[:1], low[low >= 0]))
+
     def _cartesian(self, axis_values) -> np.ndarray:
         grids = np.meshgrid(*([axis_values] * self.dim), indexing="ij")
         return np.stack([g.reshape(-1) for g in grids], axis=-1)
+
+    def _off_origin(self, axis_values) -> np.ndarray:
+        """Mask over ``_cartesian(axis_values)``, False only at ``theta = 0``."""
+        at_origin = axis_values == 0
+        for _ in range(self.dim - 1):
+            at_origin = np.logical_and.outer(at_origin, axis_values == 0)
+        return ~at_origin.reshape(-1)
 
     def points(self) -> np.ndarray:
         """All samples, shape ``(samples_per_dim**dim, dim)``."""
@@ -218,11 +256,7 @@ class FrequencyGrid:
     @cached_property
     def off_origin(self) -> np.ndarray:
         """Mask over ``low_points(skip_origin=False)``, False only at ``theta = 0``."""
-        zero = np.abs(self.low_1d) <= 1e-14
-        at_origin = zero
-        for _ in range(self.dim - 1):
-            at_origin = np.logical_and.outer(at_origin, zero)
-        return ~at_origin.reshape(-1)
+        return self._off_origin(self.low_1d)
 
     def low_points(self, skip_origin: bool = True) -> np.ndarray:
         """Samples of the low region; the singular origin is dropped by default."""
@@ -233,14 +267,14 @@ class FrequencyGrid:
     def _held(self) -> dict:
         return {}
 
-    def _hold(self, stencils: tuple, build) -> np.ndarray:
+    def _hold(self, tag: str, stencils: tuple, build) -> np.ndarray:
         """``build()`` made read-only and kept for the life of the grid.
 
-        Keyed by the ``id`` of each stencil; the entry holds the stencils, so
-        no ``id`` can be reused while cached.  A ``build`` that raises keeps
-        nothing, so the next call raises again.
+        Keyed by ``tag`` and the ``id`` of each stencil; the entry holds the
+        stencils, so no ``id`` can be reused while cached.  A ``build`` that
+        raises keeps nothing, so the next call raises again.
         """
-        key = tuple(map(id, stencils))
+        key = (tag, *map(id, stencils))
         held = self._held.get(key)
         if held is None:
             values = build()
@@ -248,15 +282,20 @@ class FrequencyGrid:
             held = self._held[key] = (stencils, values)
         return held[1]
 
-    def _low_symbols(self, stencil: Stencil) -> np.ndarray:
-        """``_harmonic_symbols(stencil, self)`` at the bases off the origin, read-only.
+    def _orthant_symbols(self, stencil: Stencil) -> np.ndarray:
+        """``_harmonic_symbols`` on ``orthant_1d``, origin included, read-only.
 
         Computed once per stencil object: the symbols do not depend on omega
         or the sweep counts, so a table or an omega scan on one grid
-        evaluates each stencil once.
+        evaluates each stencil once.  Rows ``1:`` are the high frequencies.
         """
-        return self._hold((stencil,),
-                          lambda: _harmonic_symbols(stencil, self)[:, self.off_origin])
+        return self._hold("orthant", (stencil,),
+                          lambda: _harmonic_symbols(stencil, self.dim, self.orthant_1d))
+
+    def _low_symbols(self, stencil: Stencil) -> np.ndarray:
+        """``_orthant_symbols`` at the bases off the origin, read-only."""
+        return self._hold("low", (stencil,), lambda: self._orthant_symbols(stencil)[
+            :, self._off_origin(self.orthant_1d)])
 
     def _weights(self, a_stencil: Stencil, p_stencil: Stencil) -> np.ndarray:
         """``_secular_weights`` of the low symbols of ``a`` and ``p``, read-only.
@@ -264,7 +303,7 @@ class FrequencyGrid:
         Computed once per stencil pair, like ``_low_symbols``; a singular
         coarse symbol raises on every call.
         """
-        return self._hold((a_stencil, p_stencil), lambda: _secular_weights(
+        return self._hold("weights", (a_stencil, p_stencil), lambda: _secular_weights(
             self._low_symbols(a_stencil), self._low_symbols(p_stencil)))
 
 
@@ -294,31 +333,38 @@ def symbol(stencil: Stencil, theta) -> np.ndarray:
     return values.reshape(theta.shape[:-1])
 
 
-def _harmonic_symbols(stencil: Stencil, grid: FrequencyGrid) -> np.ndarray:
-    """Real symbol at every harmonic of every low base, shape ``(K, N)``.
+def _harmonic_symbols(stencil: Stencil, dim: int, bases_1d: np.ndarray) -> np.ndarray:
+    """Real symbol at every harmonic of the Cartesian bases, shape ``(K, N)``.
 
-    ``exp(i o . theta)`` factors over the axes, so on the Cartesian grid the
-    symbol is the stencil's coefficient tensor contracted axis by axis with
-    the 1D table ``exp(i o theta_k)``.  Per axis the harmonics ``kappa = 0, 1``
-    of the ``samples/2`` low values are the two halves of ``theta_1d``.  Row
-    ``k`` is harmonic ``kappas[k]``; columns follow ``low_points(False)``, so
-    rows ``1:`` are exactly the high-frequency samples.  Every grid route of
-    the analysis starts here, so a grid of the wrong dimension raises here.
+    The stencil must be symmetric under each axis reflection; then
+    ``exp(i o . theta)`` reduces to ``prod_k cos(o_k theta_k)``, so the symbol
+    is the coefficient tensor contracted axis by axis with the real table
+    ``cos(o theta)`` of ``bases_1d``.  The harmonic ``theta + pi`` takes the
+    same table times ``(-1)**o``, exactly ``cos(o (theta + pi))``.  The
+    contraction is elementwise, axis by axis with the axis moved last, so a
+    column depends only on its own base: mirrored bases give bit-identical
+    columns.  Row ``k`` is harmonic
+    ``kappas[k]``; columns follow the Cartesian product of ``bases_1d`` (axis
+    0 slowest).  Every grid route of the analysis starts here, so a grid of
+    the wrong dimension, or a stencil without the symmetry, raises here.
     """
-    if grid.dim != stencil.dim:
-        raise ValueError(f"frequency grid dim {grid.dim} != stencil dim {stencil.dim}")
+    if dim != stencil.dim:
+        raise ValueError(f"frequency grid dim {dim} != stencil dim {stencil.dim}")
+    if not stencil.is_reflection_symmetric:
+        raise ValueError("the analysis needs a stencil symmetric under each axis "
+                         "reflection; its maxima are taken over one reflection orthant")
     offsets, coefs = stencil._arrays
-    low = offsets.min(axis=0)
-    values = np.zeros(tuple(offsets.max(axis=0) - low + 1), dtype=complex)
-    values[tuple((offsets - low).T)] = coefs
-    for axis in range(grid.dim):
-        reach = np.arange(low[axis], low[axis] + values.shape[0])
-        table = np.exp(1j * np.multiply.outer(reach, grid.theta_1d))
-        values = np.tensordot(values, table, axes=(0, 0))    # axis goes last
-    half = grid.samples_per_dim // 2
-    split = values.real.reshape((2, half) * grid.dim)
-    order = [*range(0, 2 * grid.dim, 2), *range(1, 2 * grid.dim, 2)]
-    return split.transpose(order).reshape(2**grid.dim, half**grid.dim)
+    reach = offsets.max(axis=0)
+    values = np.zeros(tuple(2 * reach + 1))
+    values[tuple((offsets + reach).T)] = coefs
+    for axis in range(dim):
+        orders = np.arange(-reach[axis], reach[axis] + 1)
+        table = np.cos(np.multiply.outer(orders, bases_1d))
+        table = np.stack((table, table * (-1.0) ** orders[:, None]), axis=1)  # (R, 2, N1)
+        values = sum(np.multiply.outer(row, line) for row, line in zip(values, table))
+    split = values.reshape((2, len(bases_1d)) * dim)
+    order = [*range(0, 2 * dim, 2), *range(1, 2 * dim, 2)]
+    return split.transpose(order).reshape(2**dim, len(bases_1d)**dim)
 
 
 def smoother_symbol(spec: SmootherSpec, theta) -> np.ndarray:
@@ -337,8 +383,12 @@ def smoothing_factor(spec: SmootherSpec, grid: FrequencyGrid = None) -> float:
 
 def _product_symbol_high(m_stencil: Stencil, a_stencil: Stencil,
                          grid: FrequencyGrid) -> np.ndarray:
-    """``M~ A~`` on the sampled high-frequency set (order as in the harmonics)."""
-    return _harmonic_symbols(m_stencil, grid)[1:] * _harmonic_symbols(a_stencil, grid)[1:]
+    """``M~ A~`` at the high harmonics of the orthant bases, from the grid's cache.
+
+    Every high sample of the box, or its mirror, is among them, with the
+    same value bit for bit, so the extremes are those of the whole box.
+    """
+    return grid._orthant_symbols(m_stencil)[1:] * grid._orthant_symbols(a_stencil)[1:]
 
 
 @dataclass(frozen=True)
@@ -365,7 +415,8 @@ def optimal_omega(kind: SmootherKind, dim: int, grid: FrequencyGrid = None) -> O
     kind = _supported(kind, dim)
     if grid is None:
         grid = FrequencyGrid(dim)
-    t = _product_symbol_high(smoother_m_stencil(kind, dim), laplacian_stencil(dim, 1), grid)
+    # the memoised stencils a SmootherSpec returns, whose symbols a shared grid holds
+    t = _product_symbol_high(smoother_m_stencil(kind, dim, 1), laplacian_stencil(dim, 1), grid)
     t_min, t_max = float(t.min()), float(t.max())
     if t_min <= 0:
         raise ValueError("product symbol is not positive on the high-frequency set")
@@ -440,7 +491,8 @@ def two_grid_factor(spec: SmootherSpec, nu1: int, nu2: int,
     assembling it, and solves the secular equation only in brackets whose
     root can set the maximum (``_rank_one_radius``); ``max |eigvals|`` of
     ``_two_grid_stack`` is the oracle.  The symbols and the weights come from
-    the grid's cache, so an omega scan on one grid builds them once.
+    the grid's cache on the reflection orthant, whose maximum is the low
+    region's bit for bit, so an omega scan on one grid builds them once.
     """
     if grid is None:
         grid = FrequencyGrid(spec.dim)
@@ -671,11 +723,12 @@ def eigenfield(spec: SmootherSpec, nu1: int, nu2: int,
     if grid is None:
         grid = FrequencyGrid(2)
     nu1, nu2 = _sweeps(nu1), _sweeps(nu2)
-    a_stencil = spec.a_stencil()
-    a = grid._low_symbols(a_stencil)
-    s = 1.0 - float(spec.omega) * grid._low_symbols(spec.m_stencil()) * a      # (K, N)
+    # the CSV lists every base of the box, so its symbols are not the grid's
+    a, m, p = (_harmonic_symbols(st, grid.dim, grid.low_1d)[:, grid.off_origin]
+               for st in (spec.a_stencil(), spec.m_stencil(), restriction_stencil(2)))
+    s = 1.0 - float(spec.omega) * m * a                                   # (K, N)
     # w = sqrt(a) p / |sqrt(a) p| is the root of the weights, as a and p are >= 0
-    w = np.sqrt(grid._weights(a_stencil, restriction_stencil(2))).T
+    w = np.sqrt(_secular_weights(a, p)).T
     k = w.shape[1]
     proj = np.eye(k) - w[:, :, None] * w[:, None, :]
     vals, y = np.linalg.eigh(proj @ ((s ** (nu1 + nu2)).T[:, :, None] * proj))

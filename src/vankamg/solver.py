@@ -171,7 +171,9 @@ class Hierarchy:
     def report(self) -> list:
         """One dict per level, finest first: what the level holds.
 
-        ``n`` and ``unknowns`` size the grid; ``diagonals`` and
+        ``n``, ``h`` and ``unknowns`` size the grid; ``diagonals``,
+        ``nonzeros`` (by ``count_nonzero``: the DIA ``nnz`` also counts the
+        zeros a diagonal stores in rows whose neighbour lies off the grid) and
         ``operator_bytes`` describe the level matrix, ``smoother_bytes`` a
         Vanka ``M`` with its weights (0 for the smoothers applied as
         stencils) and ``transfer_bytes`` the restriction (the prolongation
@@ -182,8 +184,9 @@ class Hierarchy:
         rows = []
         for level in self.levels:
             op = getattr(level.m_apply, "__self__", None)
-            rows.append({"n": level.grid.n, "unknowns": level.grid.npoints,
+            rows.append({"n": level.grid.n, "h": level.grid.h, "unknowns": level.grid.npoints,
                          "diagonals": len(level.matrix.offsets),
+                         "nonzeros": int(level.matrix.count_nonzero()),
                          "operator_bytes": _stored_bytes(level.matrix),
                          "smoother_bytes": _stored_bytes(op.matrix) + op.weights.nbytes
                          if isinstance(op, VankaOperator) else 0,

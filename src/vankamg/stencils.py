@@ -152,6 +152,18 @@ class Stencil:
                    for o, v in self.entries.items())
 
     @cached_property
+    def is_reflection_symmetric(self) -> bool:
+        """True when negating any one offset component keeps every coefficient.
+
+        Exact, made once; an absent entry counts as 0.  Such a stencil has a
+        symbol that is even in each ``theta_k`` (a polynomial in the
+        ``cos theta_k``), which is what lets the analysis sample one
+        reflection orthant of the frequency box.
+        """
+        return all(self.entries.get(o[:k] + (-o[k],) + o[k + 1:], 0) == v
+                   for o, v in self.entries.items() for k in range(self.dim))
+
+    @cached_property
     def _arrays(self):
         offs = np.array(self.offsets, dtype=np.int64).reshape(len(self.entries), self.dim)
         coefs = np.array([float(self.entries[tuple(o)]) for o in offs])

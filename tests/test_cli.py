@@ -77,6 +77,19 @@ def test_table2_json_passes(capsys):
     assert first["reference"] == [0.059, 0.059, 0.040, 0.031]
 
 
+def test_table2_peak_memory_stays_small(capsys):
+    # the 3D rows set the peak: 16.5 MiB with symbols over the whole low box,
+    # 3.8 MiB over one reflection orthant of it
+    tracemalloc.start()
+    try:
+        code, _, _ = _run(capsys, ["table2"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 6 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # eigfield
 # ---------------------------------------------------------------------------

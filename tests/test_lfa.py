@@ -542,9 +542,14 @@ def test_secular_root_at_a_nearly_deflated_pole_ends_in_few_steps(monkeypatch, p
     assert lfa._secular_roots(sigma, w2, np.array([lo]), np.array([hi]))[0] == pole
 
 
+def _box_symbols(stencil, grid):
+    """Symbols at every base of the low box off the origin, not the grid's orthant."""
+    return lfa._harmonic_symbols(stencil, grid.dim, grid.low_1d)[:, grid.off_origin]
+
+
 def _every_bracket_factor(spec, nu, grid):
-    """Largest |root| over both end brackets of every base: no bound, no pruning."""
-    a, m, p = (grid._low_symbols(st) for st in
+    """Largest |root| over both end brackets of every base of the box: no bound, no pruning."""
+    a, m, p = (_box_symbols(st, grid) for st in
                (spec.a_stencil(), spec.m_stencil(), restriction_stencil(spec.dim)))
     sigma = ((1.0 - spec.omega * m * a) ** nu).T
     w2 = (p * p * a / (p * p * a).sum(axis=0)).T
@@ -614,7 +619,7 @@ def test_one_dimensional_factor_is_the_closed_form():
     # K = 2: the one root of w0/(s0 - x) + w1/(s1 - x) = 0 with w0 + w1 = 1
     spec = _spec("vanka-e", 1, 0.95)
     grid = FrequencyGrid(1, 64)
-    a, m, p = (grid._low_symbols(st) for st in
+    a, m, p = (_box_symbols(st, grid) for st in
                (spec.a_stencil(), spec.m_stencil(), restriction_stencil(1)))
     for nu in range(1, 6):
         sigma = (1.0 - spec.omega * m * a) ** nu
@@ -633,7 +638,7 @@ def test_weights_are_built_once_per_frequency_grid(monkeypatch):
     for omega in (0.1 * k for k in range(1, 16)):          # as `scan-omega` does
         for nu1, nu2 in ((1, 0), (1, 1)):
             two_grid_factor(_spec("mass3d", 3, omega), nu1, nu2, grid)
-    assert len(built) == 1
+    assert built == [(8, 5**3 - 1)]          # the orthant's 5 samples per axis
     two_grid_factor(_spec("mass3d", 3), 1, 0, FrequencyGrid(3, 16))
     assert len(built) == 2
     held = grid._weights(laplacian_stencil(3, 1), restriction_stencil(3))
@@ -648,7 +653,7 @@ def test_singular_weights_raise_on_every_call():
     for _ in range(2):
         with pytest.raises(ValueError, match="singular"):
             grid._weights(zero, restriction_stencil(2))
-    assert (id(zero), id(restriction_stencil(2))) not in grid._held
+    assert ("weights", id(zero), id(restriction_stencil(2))) not in grid._held
 
 
 @pytest.mark.parametrize("kind,dim", ALL_PAIRS, ids=lambda p: str(p))
@@ -672,37 +677,149 @@ def test_two_grid_spectrum_real_and_split_invariant(kind, dim):
 def test_symbols_are_evaluated_once_per_frequency_grid(monkeypatch):
     evaluated = []
     harmonic_symbols = lfa._harmonic_symbols
-    monkeypatch.setattr(lfa, "_harmonic_symbols",
-                        lambda st, grid: evaluated.append(st) or harmonic_symbols(st, grid))
+    monkeypatch.setattr(lfa, "_harmonic_symbols", lambda st, dim, bases: evaluated.append(st)
+                        or harmonic_symbols(st, dim, bases))
     grid = FrequencyGrid(2, 16)
     spec = _spec("vanka-e", 2)
     rho = [two_grid_factor(spec, nu1, nu2, grid) for nu1, nu2 in NU_SPLITS]
     assert len(evaluated) == 3                  # a, m and p
     for omega in (0.6, 1.4):
         two_grid_factor(_spec("vanka-e", 2, omega), 1, 0, grid)
-    assert len(evaluated) == 3
+        smoothing_factor(_spec("vanka-e", 2, omega), grid)
+    optimal_omega(spec.kind, 2, grid)
+    assert len(evaluated) == 3                  # the smoothing routes read the same cache
     fresh = FrequencyGrid(2, 16)
     assert [two_grid_factor(spec, nu1, nu2, fresh) for nu1, nu2 in NU_SPLITS] == rho
     assert len(evaluated) == 6
-    held = grid._low_symbols(spec.a_stencil())
-    assert not held.flags.writeable
-    assert np.array_equal(held, harmonic_symbols(spec.a_stencil(), grid)[:, grid.off_origin])
+    # the orthant axis is (-pi/2, 0, pi/8, pi/4, 3pi/8): the origin is base 1*5 + 1
+    assert np.array_equal(grid.orthant_1d, np.pi * np.array([-4, 0, 1, 2, 3]) / 8)
+    orthant = harmonic_symbols(spec.a_stencil(), 2, grid.orthant_1d)
+    assert orthant.shape == (4, 5**2)
+    for held, want in ((grid._orthant_symbols(spec.a_stencil()), orthant),
+                       (grid._low_symbols(spec.a_stencil()), np.delete(orthant, 6, axis=1))):
+        assert not held.flags.writeable
+        assert np.array_equal(held, want)
+    assert len(evaluated) == 6
 
 
 def test_harmonic_symbols_match_pointwise_evaluation():
     for kind, dim in ALL_PAIRS:
         grid = FrequencyGrid(dim, 8)
-        bases = grid.low_points(skip_origin=False)
-        harmonics = bases[None, :, :] + np.pi * lfa._kappas(dim)[:, None, :]
-        for st in (lfa.smoother_m_stencil(kind, dim), laplacian_stencil(dim, 1),
-                   restriction_stencil(dim)):
-            want = v.symbol(st, harmonics).real
-            assert np.abs(lfa._harmonic_symbols(st, grid) - want).max() < 1e-14
+        for axis in (grid.low_1d, grid.orthant_1d):
+            bases = grid._cartesian(axis)
+            harmonics = bases[None, :, :] + np.pi * lfa._kappas(dim)[:, None, :]
+            for st in (lfa.smoother_m_stencil(kind, dim), laplacian_stencil(dim, 1),
+                       restriction_stencil(dim)):
+                want = v.symbol(st, harmonics).real
+                assert np.abs(lfa._harmonic_symbols(st, dim, axis) - want).max() < 1e-14
     # rows 1: are the high-frequency samples
     grid = FrequencyGrid(2, 8)
-    high = lfa._harmonic_symbols(laplacian_stencil(2, 1), grid)[1:].ravel()
+    high = lfa._harmonic_symbols(laplacian_stencil(2, 1), 2, grid.low_1d)[1:].ravel()
     want = v.symbol(laplacian_stencil(2, 1), grid.high_points()).real
     assert np.allclose(np.sort(high), np.sort(want), atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the reflection orthant: its maxima are those of the whole low box
+# ---------------------------------------------------------------------------
+
+ANALYSED_STENCILS = (
+    [laplacian_stencil(dim, 1) for dim in (1, 2, 3)]
+    + [lfa.smoother_m_stencil(kind, dim) for kind, dim in ALL_PAIRS]
+    + [restriction_stencil(dim) for dim in (1, 2, 3)])
+ANALYSED_IDS = ([f"laplacian{dim}" for dim in (1, 2, 3)] + [f"{k}{d}" for k, d in ALL_PAIRS]
+                + [f"restriction{dim}" for dim in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("stencil", ANALYSED_STENCILS, ids=ANALYSED_IDS)
+def test_analysed_stencils_are_invariant_under_each_axis_reflection(stencil):
+    for axis in range(stencil.dim):
+        mirrored = {o[:axis] + (-o[axis],) + o[axis + 1:]: c for o, c in stencil.entries.items()}
+        assert mirrored == dict(stencil.entries)
+    assert stencil.is_reflection_symmetric
+
+
+@pytest.mark.parametrize("samples", [8, 64, 256])
+def test_low_samples_are_mirror_exact(samples):
+    grid = FrequencyGrid(1, samples)
+    low = grid.low_1d
+    assert np.array_equal(low[1:], -low[:0:-1])         # theta_j == -theta_{n/2 - j}
+    theta = grid.theta_1d
+    assert (theta[0], theta[samples // 4], theta[samples // 2], theta[3 * samples // 4]) \
+        == (-np.pi / 2, 0.0, np.pi / 2, np.pi)
+    assert np.array_equal(grid.orthant_1d, np.concatenate((low[:1], low[samples // 4:])))
+    assert grid.orthant_1d.size == samples // 4 + 1
+
+
+def _box_factor(spec, nu, grid):
+    """``two_grid_factor``'s route on the symbols of the whole low box."""
+    a, m, p = (_box_symbols(st, grid) for st in
+               (spec.a_stencil(), spec.m_stencil(), restriction_stencil(spec.dim)))
+    return lfa._rank_one_radius(spec.omega, nu, a, m, lfa._secular_weights(a, p))
+
+
+@pytest.mark.parametrize("kind,dim", ALL_PAIRS, ids=lambda p: str(p))
+def test_orthant_and_box_give_the_same_two_grid_factor(kind, dim):
+    grid = FrequencyGrid(dim, 64)
+    for omega in (float(exact_optimum(kind, dim)[0]), 0.5, 1.2):
+        spec = _spec(kind, dim, omega)
+        for nu in range(1, 5):
+            assert two_grid_factor(spec, (nu + 1) // 2, nu // 2, grid) \
+                == _box_factor(spec, nu, grid), (omega, nu)
+
+
+@pytest.mark.parametrize("kind,dim", ALL_PAIRS, ids=lambda p: str(p))
+def test_orthant_and_box_give_the_same_smoothing_extremes(kind, dim):
+    grid = FrequencyGrid(dim, 64)
+    # every high sample of the box: the harmonics of every low base, origin included
+    t = (lfa._harmonic_symbols(lfa.smoother_m_stencil(kind, dim), dim, grid.low_1d)[1:]
+         * lfa._harmonic_symbols(laplacian_stencil(dim, 1), dim, grid.low_1d)[1:])
+    opt = optimal_omega(SmootherKind(kind), dim, grid)
+    assert (opt.t_min, opt.t_max) == (t.min(), t.max())
+    for omega in (float(exact_optimum(kind, dim)[0]), 0.5, 1.2):
+        assert smoothing_factor(_spec(kind, dim, omega), grid) == np.abs(1.0 - omega * t).max()
+
+
+@pytest.mark.parametrize("samples", [6, 10])
+@pytest.mark.parametrize("kind,dim", ALL_PAIRS, ids=lambda p: str(p))
+def test_grids_without_a_zero_sample_match_the_eigvals_oracle(kind, dim, samples):
+    # n/2 odd: no theta = 0, so no base is dropped and the orthant is -pi/2
+    # and the positive low samples
+    grid = FrequencyGrid(dim, samples)
+    assert not np.any(grid.low_1d == 0)
+    assert np.array_equal(grid.orthant_1d, grid.low_1d[[0, *range(samples // 4 + 1, samples // 2)]])
+    for omega in (float(exact_optimum(kind, dim)[0]), 0.6, 1.4):
+        spec = _spec(kind, dim, omega)
+        for nu1, nu2 in NU_SPLITS:
+            got = two_grid_factor(spec, nu1, nu2, grid)
+            want = _oracle_factor(spec, nu1, nu2, grid)
+            assert abs(got - want) < 1e-13, (omega, nu1, nu2, got, want)
+        high = np.abs(smoother_symbol(spec, grid.high_points())).max()
+        assert abs(smoothing_factor(spec, grid) - high) < 1e-13
+
+
+def test_a_stencil_without_reflection_symmetry_is_refused(monkeypatch):
+    # symmetric through the origin, s[-o] == s[o], but not under one axis reflection
+    skew = Stencil(2, {(0, 0): Fraction(1, 4), (1, 1): Fraction(1, 16), (-1, -1): Fraction(1, 16)})
+    assert skew.is_symmetric and not skew.is_reflection_symmetric
+    monkeypatch.setattr(lfa, "smoother_m_stencil", lambda kind, dim, h=1: skew)
+    spec, grid = _spec("jacobi", 2), FrequencyGrid(2, 8)
+    for route in GRID_ROUTES.values():
+        with pytest.raises(ValueError, match="reflection"):
+            route(spec, grid)
+
+
+def test_3d_two_grid_factor_peak_memory_stays_small():
+    # about 14 MiB with symbols over the whole low box (32767 bases at 64
+    # samples), 3.2 MiB over the orthant (4912 bases)
+    spec = _spec("jacobi", 3)
+    tracemalloc.start()
+    try:
+        two_grid_factor(spec, 1, 0, FrequencyGrid(3, 64))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 # ---------------------------------------------------------------------------

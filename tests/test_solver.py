@@ -683,6 +683,20 @@ def test_report_lists_what_each_level_holds(kind):
     assert solver._build_bytes(spec.smoother, grids, level_stencils) == held
 
 
+@pytest.mark.parametrize("kind, dim, n", [("jacobi", 1, 31), ("vanka-v", 2, 31), ("mass3d", 3, 15)])
+def test_report_counts_the_nonzeros_of_each_level(kind, dim, n):
+    hier = build_hierarchy(CycleSpec(_smoother(kind, dim), 1, 0, "v-cycle"),
+                           GridSpec(dim, n, 1 / (n + 1)))
+    report = hier.report()
+    assert [row["h"] for row in report] == [2**k / (n + 1) for k in range(len(report))]
+    for row, level in zip(report, hier.levels):
+        assert row["nonzeros"] == level.matrix.tocsr().count_nonzero()
+    # in 2D and 3D a diagonal stores zeros in the rows whose neighbour lies
+    # off the grid, and the DIA nnz counts them
+    fine = hier.levels[0].matrix
+    assert (report[0]["nonzeros"] < fine.nnz) == (dim > 1)
+
+
 def test_every_sweep_goes_through_relax(monkeypatch):
     # coarse levels start from zero (u = None) inside relax, so a hook on
     # solver.relax still sees every sweep
