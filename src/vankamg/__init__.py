@@ -27,7 +27,7 @@ from .stencils import (GridSpec, PatchLayout, Stencil, apply, closed_form_stenci
 from .lfa import (EigenField, FrequencyGrid, OptimalDamping, SmootherKind,
                   SmootherSpec, eigenfield, exact_optimum, optimal_omega,
                   smoother_symbol, smoothing_factor, symbol, transfer_symbols,
-                  two_grid_factor)
+                  two_grid_factor, two_grid_factors)
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,7 @@ __all__ = [
     "EigenField", "FrequencyGrid", "OptimalDamping", "SmootherKind",
     "SmootherSpec", "eigenfield", "exact_optimum", "optimal_omega",
     "smoother_symbol", "smoothing_factor", "symbol", "transfer_symbols",
-    "two_grid_factor",
+    "two_grid_factor", "two_grid_factors",
     "ConvergenceRun", "CycleSpec", "Hierarchy", "Level", "StagnationError",
     "build_hierarchy", "cycle", "measured_convergence_factor", "relax",
     "run_convergence", "transfer_ops",

@@ -12,7 +12,8 @@ Exit status: 0 on success, 1 when a checked tolerance is violated, 2 on
 usage or configuration errors.  Output is deterministic for fixed flags.
 
 Only ``solve`` imports the solver, and with it scipy; the analysis
-subcommands run on numpy alone.
+subcommands run on numpy alone.  ``scan-omega`` computes the two-grid
+factors of all its dampings in one batched call, ``lfa.two_grid_factors``.
 """
 
 from __future__ import annotations
@@ -250,9 +251,8 @@ def cmd_scan_omega(args) -> int:
     fgrid = _frequency_grid(args.dim, args.samples)
     rows = []
     best = None
-    for omega in omegas:
-        rho = lfa.two_grid_factor(SmootherSpec(spec_probe.kind, args.dim, omega),
-                                  nu1, nu2, fgrid)
+    for omega, rho in zip(omegas, lfa.two_grid_factors(spec_probe.kind, args.dim, omegas,
+                                                       nu1, nu2, fgrid)):
         rows.append({"omega": omega, "rho": rho})
         if best is None or rho < best["rho"]:
             best = rows[-1]

@@ -25,8 +25,13 @@ the largest bound from above are solved first, and a bracket is then dropped
 only when the sign of the secular function at ``±best`` (it increases
 between its poles) proves its root lies inside ``[-best, best]``.  The rest
 are solved; the result is the one solving every bracket gives.  In 1D the
-single bracket has a closed-form root.  ``eigvals`` of the dense blocks
-``_two_grid_stack`` assembles is the oracle.
+single bracket has a closed-form root.  ``two_grid_factors`` runs this for
+a whole batch of dampings (an omega scan) at once: each damping keeps its
+own ``best``, and each round solves the brackets of every damping in one
+call.  A root depends only on its own bracket, so every value is the one a
+call per damping gives, bit for bit; ``two_grid_factor`` is the batch of
+one.  ``eigvals`` of the dense blocks ``_two_grid_stack`` assembles is the
+oracle.
 
 Every stencil the analysis evaluates (the Laplacian, each smoother's ``M``
 and the full weighting) is symmetric under each axis reflection, so its
@@ -79,6 +84,7 @@ __all__ = [
     "optimal_omega",
     "transfer_symbols",
     "two_grid_factor",
+    "two_grid_factors",
     "eigenfield",
 ]
 
@@ -487,20 +493,44 @@ def two_grid_factor(spec: SmootherSpec, nu1: int, nu2: int,
                     grid: FrequencyGrid = None) -> float:
     """Largest spectral radius of the error symbol over the sampled low region.
 
+    The batch of one of :func:`two_grid_factors`; ``max |eigvals|`` of
+    ``_two_grid_stack`` is the oracle.
+    """
+    return two_grid_factors(spec.kind, spec.dim, [float(spec.omega)], nu1, nu2, grid)[0]
+
+
+def two_grid_factors(kind, dim: int, omegas, nu1: int, nu2: int,
+                     grid: FrequencyGrid = None) -> list:
+    """``two_grid_factor`` at each damping of ``omegas``, one float per omega.
+
     Uses the rank-one structure of the block (module docstring) instead of
     assembling it, and solves the secular equation only in brackets whose
-    root can set the maximum (``_rank_one_radius``); ``max |eigvals|`` of
-    ``_two_grid_stack`` is the oracle.  The symbols and the weights come from
-    the grid's cache on the reflection orthant, whose maximum is the low
-    region's bit for bit, so an omega scan on one grid builds them once.
+    root can set the maximum (``_rank_one_radius``), for a whole batch of
+    dampings in each round.  A root depends only on its own bracket, so each
+    value equals a call per omega bit for bit.  The symbols and the weights
+    come from the grid's cache on the reflection orthant, whose maximum is
+    the low region's bit for bit; the dampings are taken in chunks of at
+    most ``_CHUNK_COLUMNS`` (omega, base) columns, which bounds the memory
+    of a long 3D scan.
     """
+    dim = operator.index(dim)
+    kind = _supported(kind, dim)
+    omegas = np.asarray(omegas, dtype=float).reshape(-1)
+    bad = [omega for omega in omegas.tolist() if not 0 < omega <= 2]   # nan too
+    if bad:
+        raise ValueError(f"damping must lie in (0, 2], got {bad[0]}")
     if grid is None:
-        grid = FrequencyGrid(spec.dim)
+        grid = FrequencyGrid(dim)
     nu = _sweeps(nu1) + _sweeps(nu2)
-    a_stencil, p_stencil = spec.a_stencil(), restriction_stencil(spec.dim)
-    return _rank_one_radius(float(spec.omega), nu, grid._low_symbols(a_stencil),
-                            grid._low_symbols(spec.m_stencil()),
-                            grid._weights(a_stencil, p_stencil))
+    # the memoised stencils a SmootherSpec returns, whose symbols a shared grid holds
+    a_stencil = laplacian_stencil(dim, 1)
+    a, m = grid._low_symbols(a_stencil), grid._low_symbols(smoother_m_stencil(kind, dim, 1))
+    w2 = grid._weights(a_stencil, restriction_stencil(dim))
+    step = max(1, _CHUNK_COLUMNS // a.shape[1])
+    rho = []
+    for start in range(0, omegas.size, step):
+        rho += _rank_one_radius(omegas[start:start + step], nu, a, m, w2).tolist()
+    return rho
 
 
 def _secular_weights(a, p) -> np.ndarray:
@@ -518,24 +548,31 @@ def _secular_weights(a, p) -> np.ndarray:
     return w2
 
 
-# brackets solved first, those with the largest upper bound on their root
+# brackets solved first per omega, those with the largest upper bound on their root
 _FIRST_ROUND = 16
 
+# (omega, base) columns of one batch of ``_rank_one_radius``: a 2D scan of 75
+# dampings at 64 samples (288 bases each) is one batch, a 3D one (4912
+# bases) runs 6 dampings per batch
+_CHUNK_COLUMNS = 2**15
 
-def _rank_one_radius(omega: float, nu: int, a, m, w2) -> float:
-    """Largest ``rho(Pi Sigma Pi)`` over the columns of per-harmonic symbols.
+
+def _rank_one_radius(omegas, nu: int, a, m, w2) -> np.ndarray:
+    """Largest ``rho(Pi Sigma Pi)`` over the columns of per-harmonic symbols, per omega.
 
     ``a``, ``m`` and the weights ``w2`` (``_secular_weights``) have shape
-    ``(K, N)``.  The radius of a column is ``max(|lambda_min|, |lambda_max|)``,
-    the larger modulus of the roots in its two end brackets.  In 1D (``K = 2``)
-    there is one bracket and, as the weights sum to 1, its root is
-    ``w2[0] sigma[1] + w2[1] sigma[0]``.  Otherwise the maximum is found by
-    bound and prune, which gives the value of solving every bracket:
+    ``(K, N)``; the result has one entry per damping of ``omegas``.  The
+    radius of a column is ``max(|lambda_min|, |lambda_max|)``, the larger
+    modulus of the roots in its two end brackets.  In 1D (``K = 2``) there is
+    one bracket and, as the weights sum to 1, its root is
+    ``w2[0] sigma[1] + w2[1] sigma[0]``.  Otherwise each omega's maximum is
+    found by bound and prune, which gives the value of solving every bracket:
 
     * a bracket of constant sign bounds its root's modulus from below by its
-      nearer end; the largest such bound starts ``best``;
-    * the ``_FIRST_ROUND`` brackets with the largest bound from above,
-      ``max(|lo|, |hi|)``, are solved and their roots raise ``best``;
+      nearer end; the largest such bound starts the omega's ``best``;
+    * the ``_FIRST_ROUND`` brackets of each omega with the largest bound
+      from above, ``max(|lo|, |hi|)``, are solved and their roots raise its
+      ``best``;
     * a bracket is dropped when its root provably lies in ``[-best, best]``:
       its bound from above is at most ``best``, or on each side it reaches
       past, ``±best`` lies strictly inside and ``f`` has the sign that puts
@@ -543,49 +580,66 @@ def _rank_one_radius(omega: float, nu: int, a, m, w2) -> float:
       ``f(best) >= 0`` means root ``<= best`` and ``f(-best) <= 0`` means root
       ``>= -best``).  A bracket with ``±best`` at an end is kept, as ``f`` has
       a pole there.  The rest are solved in one call.
+
+    Each round solves the brackets of every omega in one ``_secular_roots``
+    call, whose rows do not interact.
     """
     # the same rounding as 1 - omega m a; a negative base makes ``**`` take a
     # far slower libm path, so the power is taken of |s|
-    s = m * omega
-    s *= a
+    s = m[:, None] * np.asarray(omegas, dtype=float)[:, None]     # (K, B, N)
+    s *= a[:, None]
     np.subtract(1.0, s, out=s)
     sigma = np.abs(s)
     sigma **= nu
     if nu % 2:
         np.copysign(sigma, s, out=sigma)
-    del s                           # freed before the next (K, N) temporary
-    k, n = sigma.shape
+    del s                           # freed before the next (K, B, N) temporary
+    k, batch, n = sigma.shape
     if k == 2:
-        return float(np.abs(w2[0] * sigma[1] + w2[1] * sigma[0]).max())
-    ordered = np.sort(sigma, axis=0)
-    lo = np.concatenate((ordered[0], ordered[k - 2]))
-    hi = np.concatenate((ordered[1], ordered[k - 1]))
+        return np.abs(w2[0] * sigma[1] + w2[1] * sigma[0]).max(axis=1)
+    sigma = sigma.reshape(k, -1)    # a 2D sort along axis 0 is faster than a 3D one
+    ordered = np.sort(sigma, axis=0).reshape(k, batch, n)
+    lo = np.concatenate((ordered[0], ordered[k - 2]), axis=1)     # (B, 2N)
+    hi = np.concatenate((ordered[1], ordered[k - 1]), axis=1)
     del ordered
-    sigma, w2 = sigma.T, w2.T         # (N, K) views; bracket b belongs to column b % n
+    # (B N, K) and (N, K) views: bracket i, a flat index of (B, 2N), belongs
+    # to omega i // 2n and to the column i % n of its base
+    sigma, w2 = sigma.T, w2.T
+    lo_flat, hi_flat = lo.reshape(-1), hi.reshape(-1)
 
-    def roots(brackets):
-        rows = brackets % n
-        return np.abs(_secular_roots(sigma[rows], w2[rows], lo[brackets], hi[brackets]))
+    def rows(brackets):
+        cols = brackets % n
+        return sigma[brackets // (2 * n) * n + cols], w2[cols]
+
+    def raise_best(brackets):
+        roots = _secular_roots(*rows(brackets), lo_flat[brackets], hi_flat[brackets])
+        np.maximum.at(best, brackets // (2 * n), np.abs(roots))
 
     upper = np.maximum(np.abs(lo), np.abs(hi))
     floor = np.where((lo > 0) | (hi < 0), np.minimum(np.abs(lo), np.abs(hi)), 0.0)
-    best = float(floor.max())
-    open_ = np.flatnonzero(upper > best)
-    if open_.size > _FIRST_ROUND:
-        first = np.argpartition(upper[open_], -_FIRST_ROUND)[-_FIRST_ROUND:]
-        best = max(best, float(roots(open_[first]).max()))
-        open_ = np.delete(open_, first)
-        open_ = open_[upper[open_] > best]
+    best = floor.max(axis=1)
+    is_open = upper > best[:, None]
+    crowded = np.flatnonzero(is_open.sum(axis=1) > _FIRST_ROUND)
+    if crowded.size:
+        # more than _FIRST_ROUND brackets above best: the largest bounds are open
+        first = np.argpartition(upper[crowded], -_FIRST_ROUND, axis=1)[:, -_FIRST_ROUND:]
+        first = (first + 2 * n * crowded[:, None]).reshape(-1)
+        raise_best(first)
+        is_open.flat[first] = False
+        is_open &= upper > best[:, None]
+    open_ = np.flatnonzero(is_open)
+    bound = best[open_ // (2 * n)]
     kept = np.zeros(open_.size, dtype=bool)
-    for sign, end in ((1.0, hi), (-1.0, lo)):
-        x = sign * best
-        reach = sign * end[open_] > best
-        inside = np.flatnonzero(reach & (lo[open_] < x) & (x < hi[open_]))
-        rows = open_[inside] % n
-        f = (w2[rows] / (sigma[rows] - x)).sum(axis=1)
+    for sign, end in ((1.0, hi_flat), (-1.0, lo_flat)):
+        x = sign * bound
+        reach = sign * end[open_] > bound
+        inside = np.flatnonzero(reach & (lo_flat[open_] < x) & (x < hi_flat[open_]))
+        sigma_in, w2_in = rows(open_[inside])
+        f = (w2_in / (sigma_in - x[inside, None])).sum(axis=1)
         reach[inside] = sign * f < 0
         kept |= reach
-    return max(best, float(roots(open_[kept]).max(initial=0.0)))
+    raise_best(open_[kept])
+    return best
 
 
 _SECULAR_STEPS = 100

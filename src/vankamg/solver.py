@@ -172,28 +172,53 @@ class Hierarchy:
         """One dict per level, finest first: what the level holds.
 
         ``n``, ``h`` and ``unknowns`` size the grid; ``diagonals``,
-        ``nonzeros`` (by ``count_nonzero``: the DIA ``nnz`` also counts the
-        zeros a diagonal stores in rows whose neighbour lies off the grid) and
-        ``operator_bytes`` describe the level matrix, ``smoother_bytes`` a
-        Vanka ``M`` with its weights (0 for the smoothers applied as
-        stencils) and ``transfer_bytes`` the restriction (the prolongation
-        shares its arrays).  The coarsest level adds ``sine_bytes``, the
-        sine matrix and eigenvalues of its :class:`SineSolve`.  Everything
-        is read from the built levels when called.
+        ``nonzeros`` (``_nonzeros``: the DIA ``nnz`` also counts the zeros a
+        diagonal stores in rows whose neighbour lies off the grid) and
+        ``operator_bytes`` describe the level matrix, ``smoother`` is the
+        smoother kind (None on the coarsest level, which is solved exactly),
+        ``smoother_bytes`` a Vanka ``M`` with its weights (0 for the
+        smoothers applied as stencils) and ``transfer_bytes`` the restriction
+        (the prolongation shares its arrays).  The coarsest level adds
+        ``sine_bytes``, the sine matrix and eigenvalues of its
+        :class:`SineSolve`.  Everything is read from the built levels when
+        called.
         """
         rows = []
         for level in self.levels:
             op = getattr(level.m_apply, "__self__", None)
             rows.append({"n": level.grid.n, "h": level.grid.h, "unknowns": level.grid.npoints,
                          "diagonals": len(level.matrix.offsets),
-                         "nonzeros": int(level.matrix.count_nonzero()),
+                         "nonzeros": _nonzeros(level.matrix),
                          "operator_bytes": _stored_bytes(level.matrix),
+                         "smoother": None if level.sine is not None
+                         else self.spec.smoother.kind.value,
                          "smoother_bytes": _stored_bytes(op.matrix) + op.weights.nbytes
                          if isinstance(op, VankaOperator) else 0,
                          "transfer_bytes": _stored_bytes(level.restrict)})
             if level.sine is not None:
                 rows[-1]["sine_bytes"] = level.sine.sines.nbytes + level.sine.eigenvalues.nbytes
         return rows
+
+    def complexities(self) -> dict:
+        """Operator and grid complexity of the hierarchy.
+
+        ``operator`` is the nonzeros of every level over those of the finest,
+        ``grid`` the unknowns of every level over those of the finest.
+        """
+        rows = self.report()
+        return {key: sum(row[count] for row in rows) / rows[0][count]
+                for key, count in (("operator", "nonzeros"), ("grid", "unknowns"))}
+
+
+def _nonzeros(matrix: scipy.sparse.dia_matrix) -> int:
+    """Nonzero entries of a DIA matrix, without copying its diagonals.
+
+    Diagonal ``offset`` stores column ``j`` in ``data[i, j]``, which lies in
+    the matrix only for ``offset <= j < rows + offset``.
+    """
+    rows, cols = matrix.shape
+    return sum(int(np.count_nonzero(line[max(0, off):max(0, min(cols, rows + off))]))
+               for line, off in zip(matrix.data, matrix.offsets.tolist()))
 
 
 def transfer_ops(fine_grid: GridSpec) -> scipy.sparse.csr_matrix:

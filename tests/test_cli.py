@@ -90,6 +90,20 @@ def test_table2_peak_memory_stays_small(capsys):
     assert peak < 6 * 2**20
 
 
+def test_3d_scan_peak_memory_stays_small(capsys):
+    # 75 dampings at 64 samples, 6 per batch of _rank_one_radius: 6.9 MiB
+    # measured; one unchunked batch holds 75 x 8 x 4912 values per array and
+    # peaks at 59 MiB
+    tracemalloc.start()
+    try:
+        code, out, _ = _run(capsys, ["scan-omega", "--kind", "mass3d", "--dim", "3", "--nu", "1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(json.loads(out)["rows"]) == 75
+    assert peak < 10 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # eigfield
 # ---------------------------------------------------------------------------
@@ -193,6 +207,21 @@ def test_scan_omega_finds_optimum(capsys):
     assert abs(data["best"]["rho"] - 0.067) < 5e-3
 
 
+@pytest.mark.parametrize("kind, dim, nu", [("vanka-v", 2, 3), ("mass3d", 3, 2)])
+def test_scan_omega_prints_one_two_grid_factor_per_omega(capsys, kind, dim, nu):
+    code, out, _ = _run(capsys, ["scan-omega", "--kind", kind, "--dim", str(dim),
+                                 "--nu", str(nu), "--samples", "16"])
+    assert code == 0
+    data = json.loads(out)
+    grid = lfa.FrequencyGrid(dim, 16)
+    nu1, nu2 = cli._nu_split(nu)
+    want = [{"omega": 0.02 * k,
+             "rho": lfa.two_grid_factor(lfa.SmootherSpec(kind, dim, 0.02 * k), nu1, nu2, grid)}
+            for k in range(1, 76)]
+    assert data["rows"] == want
+    assert data["best"] == min(want, key=lambda row: row["rho"])
+
+
 def test_scan_omega_degenerate_step_warns(capsys):
     code, out, err = _run(capsys, ["scan-omega", "--kind", "jacobi", "--dim", "1",
                                    "--step", "2.0"])
@@ -228,7 +257,8 @@ def test_scan_omega_refuses_a_finer_scan_than_the_cap_before_listing_it(capsys, 
 
 
 def test_scan_omega_point_cap_admits_the_cap(capsys, monkeypatch):
-    monkeypatch.setattr(lfa, "two_grid_factor", lambda spec, nu1, nu2, grid: abs(spec.omega - 1))
+    monkeypatch.setattr(lfa, "two_grid_factors", lambda kind, dim, omegas, nu1, nu2, grid:
+                        [abs(omega - 1) for omega in omegas])
     step = cli.OMEGA_SCAN_MAX / cli.OMEGA_SCAN_POINTS
     code, out, _ = _run(capsys, ["scan-omega", "--kind", "jacobi", "--step", repr(step)])
     assert code == 0

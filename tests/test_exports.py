@@ -25,6 +25,12 @@ def test_package_lists_every_exported_name():
     assert set(vankamg.__all__) <= set(dir(vankamg))
 
 
+def test_batched_two_grid_factors_are_exported():
+    from vankamg import lfa
+    assert "two_grid_factors" in vankamg.__all__ and "two_grid_factors" in lfa.__all__
+    assert vankamg.two_grid_factors is lfa.two_grid_factors
+
+
 _LAZY = """
 import sys
 import vankamg

@@ -32,6 +32,7 @@ from vankamg.lfa import (
     smoothing_factor,
     transfer_symbols,
     two_grid_factor,
+    two_grid_factors,
 )
 from vankamg.stencils import (PatchLayout, Stencil, closed_form_stencil, delta_stencil,
                               laplacian_stencil, mass_stencil, restriction_stencil)
@@ -425,6 +426,8 @@ GRID_ROUTES = {
     "smoothing_factor": lambda spec, grid: smoothing_factor(spec, grid),
     "optimal_omega": lambda spec, grid: optimal_omega(spec.kind, spec.dim, grid),
     "two_grid_factor": lambda spec, grid: two_grid_factor(spec, 1, 0, grid),
+    "two_grid_factors": lambda spec, grid: two_grid_factors(spec.kind, spec.dim, [spec.omega],
+                                                            1, 0, grid),
     "eigenfield": lambda spec, grid: v.eigenfield(spec, 1, 0, grid),
 }
 # (kind, smoother dim, grid dim); eigenfield takes 2D smoothers only
@@ -498,7 +501,7 @@ def _rank_one_at(spec, base, nu, exact_zeros):
                (spec.a_stencil(), spec.m_stencil(), restriction_stencil(spec.dim)))
     if exact_zeros:     # a harmonic with a component at pi has p = 0 exactly
         p = np.where(np.abs(p) < 1e-12, 0.0, p)
-    return lfa._rank_one_radius(spec.omega, nu, a, m, lfa._secular_weights(a, p))
+    return lfa._rank_one_radius([spec.omega], nu, a, m, lfa._secular_weights(a, p))[0]
 
 
 DEFLATION_BASES = [
@@ -612,7 +615,61 @@ def test_bracket_with_the_bound_at_an_end_is_solved(sign):
     proj = np.eye(4) - np.outer(np.sqrt(w2[:, 0]), np.sqrt(w2[:, 0]))
     want = np.abs(np.linalg.eigvalsh(proj @ np.diag(sigma) @ proj)).max()
     assert want > 0.5 + 1e-3
-    assert abs(lfa._rank_one_radius(1.0, 1, np.ones((4, 1)), m, w2) - want) < 1e-14
+    assert abs(lfa._rank_one_radius([1.0], 1, np.ones((4, 1)), m, w2)[0] - want) < 1e-14
+
+
+def _scan_omegas(kind, dim):
+    return [*SWEEP_OMEGAS, float(exact_optimum(kind, dim)[0])]
+
+
+@pytest.mark.parametrize("kind,dim", ALL_PAIRS, ids=lambda p: str(p))
+def test_batched_factors_equal_one_call_per_omega(kind, dim):
+    grid, omegas = FrequencyGrid(dim, 64), _scan_omegas(kind, dim)
+    for nu in range(1, 5):
+        nu1, nu2 = (nu + 1) // 2, nu // 2
+        want = [two_grid_factor(_spec(kind, dim, omega), nu1, nu2, grid) for omega in omegas]
+        assert two_grid_factors(kind, dim, omegas, nu1, nu2, grid) == want, nu
+
+
+# a batch split into chunks of one or of five dampings, and a first round
+# of one bracket per damping, which leaves nearly every decision to the prune
+BATCH_SETTINGS = {"one-omega-chunks": ("_CHUNK_COLUMNS", 1),
+                  "five-omega-chunks": ("_CHUNK_COLUMNS", 5),
+                  "first-round-of-one": ("_FIRST_ROUND", 1)}
+
+
+@pytest.mark.parametrize("setting", sorted(BATCH_SETTINGS))
+@pytest.mark.parametrize("kind,dim", ALL_PAIRS, ids=lambda p: str(p))
+def test_batched_factors_across_chunks_and_rounds(monkeypatch, kind, dim, setting):
+    grid, omegas = FrequencyGrid(dim, 16), _scan_omegas(kind, dim)
+    name, value = BATCH_SETTINGS[setting]
+    if name == "_CHUNK_COLUMNS":        # dampings per chunk times the bases of one
+        value *= grid._low_symbols(laplacian_stencil(dim, 1)).shape[1]
+    monkeypatch.setattr(lfa, name, value)
+    for nu in range(1, 5):
+        nu1, nu2 = (nu + 1) // 2, nu // 2
+        got = two_grid_factors(kind, dim, omegas, nu1, nu2, grid)
+        assert got == [two_grid_factor(_spec(kind, dim, omega), nu1, nu2, grid)
+                       for omega in omegas], nu
+        for omega, rho in zip(omegas, got):
+            want = _every_bracket_factor(_spec(kind, dim, omega), nu, grid)
+            assert abs(rho - want) <= 1e-13 * max(1.0, want), (omega, nu, rho, want)
+
+
+def test_batched_factors_check_their_arguments():
+    grid = FrequencyGrid(2, 8)
+    assert two_grid_factors("vanka-e", 2, [], 1, 0, grid) == []
+    assert two_grid_factors("vanka-e", 2, np.array([0.5, 2.0]), 1, 0, grid) \
+        == [two_grid_factor(_spec("vanka-e", 2, omega), 1, 0, grid) for omega in (0.5, 2.0)]
+    for omegas in ([0.5, 0.0], [2.5], [float("nan")], [-1.0]):
+        with pytest.raises(ValueError, match="damping"):
+            two_grid_factors("vanka-e", 2, omegas, 1, 0, grid)
+    with pytest.raises(ValueError, match="unsupported"):
+        two_grid_factors("vanka-e", 3, [0.5], 1, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        two_grid_factors("vanka-e", 2, [0.5], -1, 0, grid)
+    with pytest.raises(TypeError):
+        two_grid_factors("vanka-e", 2.0, [0.5], 1, 0, grid)
 
 
 def test_one_dimensional_factor_is_the_closed_form():
@@ -755,7 +812,7 @@ def _box_factor(spec, nu, grid):
     """``two_grid_factor``'s route on the symbols of the whole low box."""
     a, m, p = (_box_symbols(st, grid) for st in
                (spec.a_stencil(), spec.m_stencil(), restriction_stencil(spec.dim)))
-    return lfa._rank_one_radius(spec.omega, nu, a, m, lfa._secular_weights(a, p))
+    return lfa._rank_one_radius([spec.omega], nu, a, m, lfa._secular_weights(a, p))[0]
 
 
 @pytest.mark.parametrize("kind,dim", ALL_PAIRS, ids=lambda p: str(p))
