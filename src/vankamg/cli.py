@@ -81,7 +81,7 @@ def _csv(rows, header) -> str:
 def _parse_h(text: str) -> Fraction:
     try:
         h = Fraction(text) if "/" in text else Fraction(float(text))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:   # inf, 1e400
         raise CliError(f"cannot parse mesh spacing {text!r}") from exc
     d = h.denominator
     if h.numerator != 1 or d & (d - 1) or d < 4:

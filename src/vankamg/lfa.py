@@ -19,15 +19,16 @@ and cycling the factors makes it similar to ``Pi Sigma Pi``, with
 the spectrum is real, depends on ``nu1 + nu2`` only, and its extreme roots of
 ``sum_k w_k^2/(sigma_k - lambda) = 0`` lie in ``[sigma_(K-1), sigma_(K)]`` and
 ``[sigma_(1), sigma_(2)]`` by Cauchy interlacing.  ``two_grid_factor`` wants
-only the largest modulus over all bases, so it bounds and prunes: the ends of
-each bracket bound its root's modulus from both sides, a few brackets with
-the largest bound from above are solved first, and a bracket is then dropped
-only when the sign of the secular function at ``±best`` (it increases
+only the largest modulus over all bases, so it bounds and prunes in one
+pass: the ends of each bracket bound its root's modulus from both sides,
+the largest bound from below over brackets of constant sign starts
+``best``, and a bracket is dropped when its bound from above is at most
+``best`` or the sign of the secular function at ``±best`` (it increases
 between its poles) proves its root lies inside ``[-best, best]``.  The rest
 are solved; the result is the one solving every bracket gives.  In 1D the
 single bracket has a closed-form root.  ``two_grid_factors`` runs this for
 a whole batch of dampings (an omega scan) at once: each damping keeps its
-own ``best``, and each round solves the brackets of every damping in one
+own ``best``, and the kept brackets of every damping are solved in one
 call.  A root depends only on its own bracket, so every value is the one a
 call per damping gives, bit for bit; ``two_grid_factor`` is the batch of
 one.  ``eigvals`` of the dense blocks ``_two_grid_stack`` assembles is the
@@ -506,7 +507,7 @@ def two_grid_factors(kind, dim: int, omegas, nu1: int, nu2: int,
     Uses the rank-one structure of the block (module docstring) instead of
     assembling it, and solves the secular equation only in brackets whose
     root can set the maximum (``_rank_one_radius``), for a whole batch of
-    dampings in each round.  A root depends only on its own bracket, so each
+    dampings in one pass.  A root depends only on its own bracket, so each
     value equals a call per omega bit for bit.  The symbols and the weights
     come from the grid's cache on the reflection orthant, whose maximum is
     the low region's bit for bit; the dampings are taken in chunks of at
@@ -548,12 +549,10 @@ def _secular_weights(a, p) -> np.ndarray:
     return w2
 
 
-# brackets solved first per omega, those with the largest upper bound on their root
-_FIRST_ROUND = 16
-
-# (omega, base) columns of one batch of ``_rank_one_radius``: a 2D scan of 75
-# dampings at 64 samples (288 bases each) is one batch, a 3D one (4912
-# bases) runs 6 dampings per batch
+# (omega, base) columns of one ``_rank_one_radius`` pass, which bounds its
+# temporaries and the brackets it solves: a 2D scan of 75 dampings at 64
+# samples (288 bases each) is one pass, a 3D one (4912 bases) runs 6
+# dampings per pass
 _CHUNK_COLUMNS = 2**15
 
 
@@ -569,20 +568,16 @@ def _rank_one_radius(omegas, nu: int, a, m, w2) -> np.ndarray:
     found by bound and prune, which gives the value of solving every bracket:
 
     * a bracket of constant sign bounds its root's modulus from below by its
-      nearer end; the largest such bound starts the omega's ``best``;
-    * the ``_FIRST_ROUND`` brackets of each omega with the largest bound
-      from above, ``max(|lo|, |hi|)``, are solved and their roots raise its
-      ``best``;
+      nearer end; the largest such bound is the omega's ``best``;
     * a bracket is dropped when its root provably lies in ``[-best, best]``:
-      its bound from above is at most ``best``, or on each side it reaches
-      past, ``±best`` lies strictly inside and ``f`` has the sign that puts
-      the root on the near side (``f`` increases between the poles, so
-      ``f(best) >= 0`` means root ``<= best`` and ``f(-best) <= 0`` means root
-      ``>= -best``).  A bracket with ``±best`` at an end is kept, as ``f`` has
-      a pole there.  The rest are solved in one call.
-
-    Each round solves the brackets of every omega in one ``_secular_roots``
-    call, whose rows do not interact.
+      its bound from above, ``max(|lo|, |hi|)``, is at most ``best``, or on
+      each side it reaches past, ``±best`` lies strictly inside and ``f`` has
+      the sign that puts the root on the near side (``f`` increases between
+      the poles, so ``f(best) >= 0`` means root ``<= best`` and
+      ``f(-best) <= 0`` means root ``>= -best``).  A bracket with ``±best`` at
+      an end is kept, as ``f`` has a pole there;
+    * the kept brackets of every omega are solved in one ``_secular_roots``
+      call, whose rows do not interact, and their roots raise ``best``.
     """
     # the same rounding as 1 - omega m a; a negative base makes ``**`` take a
     # far slower libm path, so the power is taken of |s|
@@ -611,23 +606,10 @@ def _rank_one_radius(omegas, nu: int, a, m, w2) -> np.ndarray:
         cols = brackets % n
         return sigma[brackets // (2 * n) * n + cols], w2[cols]
 
-    def raise_best(brackets):
-        roots = _secular_roots(*rows(brackets), lo_flat[brackets], hi_flat[brackets])
-        np.maximum.at(best, brackets // (2 * n), np.abs(roots))
-
     upper = np.maximum(np.abs(lo), np.abs(hi))
     floor = np.where((lo > 0) | (hi < 0), np.minimum(np.abs(lo), np.abs(hi)), 0.0)
     best = floor.max(axis=1)
-    is_open = upper > best[:, None]
-    crowded = np.flatnonzero(is_open.sum(axis=1) > _FIRST_ROUND)
-    if crowded.size:
-        # more than _FIRST_ROUND brackets above best: the largest bounds are open
-        first = np.argpartition(upper[crowded], -_FIRST_ROUND, axis=1)[:, -_FIRST_ROUND:]
-        first = (first + 2 * n * crowded[:, None]).reshape(-1)
-        raise_best(first)
-        is_open.flat[first] = False
-        is_open &= upper > best[:, None]
-    open_ = np.flatnonzero(is_open)
+    open_ = np.flatnonzero(upper > best[:, None])
     bound = best[open_ // (2 * n)]
     kept = np.zeros(open_.size, dtype=bool)
     for sign, end in ((1.0, hi_flat), (-1.0, lo_flat)):
@@ -638,7 +620,9 @@ def _rank_one_radius(omegas, nu: int, a, m, w2) -> np.ndarray:
         f = (w2_in / (sigma_in - x[inside, None])).sum(axis=1)
         reach[inside] = sign * f < 0
         kept |= reach
-    raise_best(open_[kept])
+    solved = open_[kept]
+    roots = _secular_roots(*rows(solved), lo_flat[solved], hi_flat[solved])
+    np.maximum.at(best, solved // (2 * n), np.abs(roots))
     return best
 
 

@@ -261,10 +261,10 @@ def _smoother_applicator(sm: SmootherSpec, level_grid: GridSpec, stencil):
     read), applied matrix-free by ``stencils.apply``.  Those stencils are
     rank one (the mass stencils are ``[1 4 1]`` per axis, Jacobi a scaled
     identity), so ``apply`` sweeps one axis at a time.  On the 3D n = 63
-    grid that takes 4.3 ms, against 9.7 ms for the product with the
-    assembled 27-point mass matrix, which would also take 0.31 s and an
-    81 MiB peak to build (best of 20 and 5 runs on a 2-CPU VM; peak by
-    ``tracemalloc``).
+    grid that takes 3.3-3.9 ms, against 7.7-8.6 ms for the product with the
+    27-point mass matrix ``assemble_sparse`` builds, which would also take
+    0.01 s and a 51.5 MiB peak to build (best of 20 and 5 runs, three
+    processes, one BLAS thread, 2-CPU VM; peak by ``tracemalloc``).
     """
     layout = _vanka_layout(sm)
     if layout is not None:

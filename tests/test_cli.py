@@ -187,6 +187,13 @@ def test_solve_rejects_bad_mesh(capsys):
         assert "error:" in err
 
 
+@pytest.mark.parametrize("h", ["inf", "-inf", "1e400", "nan"])
+def test_solve_rejects_a_non_finite_mesh_spacing(capsys, h):
+    # Fraction(float("inf")) raises OverflowError, Fraction(float("nan")) ValueError
+    err = _one_line_usage_error(capsys, ["solve", "--kind", "mass", f"--h={h}"])
+    assert "mesh spacing" in err and "Traceback" not in err
+
+
 def test_solve_rejects_unsupported_pair(capsys):
     code, _, err = _run(capsys, ["solve", "--kind", "mass3d", "--dim", "2"])
     assert code == 2

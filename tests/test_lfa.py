@@ -593,9 +593,7 @@ def test_pruned_two_grid_factor_equals_every_bracket_solved(kind, dim):
 
 @pytest.mark.parametrize("kind,dim", [("jacobi", 2), ("mass", 2), ("mass3d", 3)],
                          ids=lambda p: str(p))
-def test_prune_alone_keeps_every_bracket_that_sets_the_maximum(monkeypatch, kind, dim):
-    # one bracket in the first round leaves nearly every decision to the prune
-    monkeypatch.setattr(lfa, "_FIRST_ROUND", 1)
+def test_prune_alone_keeps_every_bracket_that_sets_the_maximum(kind, dim):
     grid = FrequencyGrid(dim, 16)
     for omega in SWEEP_OMEGAS:
         spec = _spec(kind, dim, omega)
@@ -631,11 +629,9 @@ def test_batched_factors_equal_one_call_per_omega(kind, dim):
         assert two_grid_factors(kind, dim, omegas, nu1, nu2, grid) == want, nu
 
 
-# a batch split into chunks of one or of five dampings, and a first round
-# of one bracket per damping, which leaves nearly every decision to the prune
+# a batch split into chunks of one or of five dampings
 BATCH_SETTINGS = {"one-omega-chunks": ("_CHUNK_COLUMNS", 1),
-                  "five-omega-chunks": ("_CHUNK_COLUMNS", 5),
-                  "first-round-of-one": ("_FIRST_ROUND", 1)}
+                  "five-omega-chunks": ("_CHUNK_COLUMNS", 5)}
 
 
 @pytest.mark.parametrize("setting", sorted(BATCH_SETTINGS))
@@ -654,6 +650,24 @@ def test_batched_factors_across_chunks_and_rounds(monkeypatch, kind, dim, settin
         for omega, rho in zip(omegas, got):
             want = _every_bracket_factor(_spec(kind, dim, omega), nu, grid)
             assert abs(rho - want) <= 1e-13 * max(1.0, want), (omega, nu, rho, want)
+
+
+# the dampings of ``scan-omega`` at its default step, 0.02 to 1.5
+CLI_SCAN_OMEGAS = [0.02 * k for k in range(1, 76)]
+
+
+@pytest.mark.parametrize("kind,dim,omegas,nu1,nu2", [
+    ("vanka-e", 2, CLI_SCAN_OMEGAS, 1, 1),
+    ("mass3d", 3, [float(EXACT_OPTIMA[("mass3d", 3)][0])], 1, 0),
+    ("mass3d", 3, CLI_SCAN_OMEGAS, 1, 0),
+], ids=["vanka-e-2d-scan", "mass3d-3d-optimum", "mass3d-3d-scan"])
+def test_each_chunk_solves_its_brackets_in_one_call(monkeypatch, kind, dim, omegas, nu1, nu2):
+    grid, calls = FrequencyGrid(dim, 64), []
+    solve = lfa._secular_roots
+    monkeypatch.setattr(lfa, "_secular_roots", lambda *args: calls.append(1) or solve(*args))
+    two_grid_factors(kind, dim, omegas, nu1, nu2, grid)
+    per_chunk = max(1, lfa._CHUNK_COLUMNS // grid._low_symbols(laplacian_stencil(dim, 1)).shape[1])
+    assert len(calls) == -(-len(omegas) // per_chunk)
 
 
 def test_batched_factors_check_their_arguments():
