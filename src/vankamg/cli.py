@@ -185,7 +185,10 @@ def cmd_eigfield(args) -> int:
         raise CliError("eigenvalue fields are produced for dim 2 only")
     spec = _spec(args.kind, 2, args.omega)
     nu1, nu2 = _sweeps(args)
-    field = lfa.eigenfield(spec, nu1, nu2, _frequency_grid(2, args.samples))
+    try:
+        field = lfa.eigenfield(spec, nu1, nu2, _frequency_grid(2, args.samples))
+    except ValueError as exc:   # over the memory budget
+        raise CliError(f"--samples {args.samples}: {exc}") from exc
     summary = _dump_json({"kind": args.kind, "dim": 2, "omega": spec.omega,
                           "nu1": nu1, "nu2": nu2, **field.summary})
     # the CSV goes where --out says; the summary to whichever stream is left

@@ -95,6 +95,12 @@ DEFAULT_SAMPLES = 64
 # anything is allocated (3D at 256 samples is the largest accepted)
 MEMORY_BUDGET_BYTES = 2**30
 
+# tracemalloc peak of ``eigenfield`` in units of FrequencyGrid.nbytes_estimate:
+# 3.76 measured at 256 and 1024 samples (the projector, the matrix eigh takes
+# and its eigenvectors, plus the (K, N) symbols); by this count 2896 samples is
+# the largest field under MEMORY_BUDGET_BYTES
+_EIGENFIELD_STACKS = 4
+
 
 class SmootherKind(str, Enum):
     JACOBI = "jacobi"
@@ -212,8 +218,10 @@ class FrequencyGrid:
     def nbytes_estimate(self) -> int:
         """Bytes of one float64 ``(N, K, K)`` two-grid stack on this grid.
 
-        ``(samples/2)**dim`` bases times ``K**2 = 4**dim`` entries; that stack
-        (built by ``eigenfield``) is the unit of memory the analysis needs.
+        ``(samples/2)**dim`` bases times ``K**2 = 4**dim`` entries.  The
+        maxima never build such a stack (they hold ``(K, N)`` symbols on one
+        orthant); ``eigenfield`` holds several at once and counts its peak in
+        this unit (``_EIGENFIELD_STACKS``).
         """
         return 8 * self.samples_per_dim**self.dim * 2**self.dim
 
@@ -692,8 +700,9 @@ class EigenField:
     """Two-grid eigenvalue magnitudes per base frequency (2D only).
 
     ``values[i, k]`` is the magnitude of the eigenvalue attributed to
-    harmonic ``kappas[k]`` at base ``thetas[i]`` (attribution follows the
-    dominant eigenvector component, largest eigenvalues assigned first).
+    harmonic ``kappas[k]`` at base ``thetas[i]``: largest magnitude first,
+    each eigenvalue goes to the dominant component of its eigenvector among
+    the harmonics still free, a tie to the lowest harmonic index.
     The summary locates the field maximum by the coarse-grid frequency
     ``2 theta*`` of the worst base, the coarse mode whose correction is
     least effective.
@@ -729,13 +738,9 @@ class EigenField:
     def to_csv(self, path=None) -> str:
         header = "theta1,theta2," + ",".join(f"eig{k+1}" for k in range(self.values.shape[1])) \
             + ",smoother_abs"
-        lines = [header]
-        for i in range(self.thetas.shape[0]):
-            cells = [repr(float(x)) for x in self.thetas[i]]
-            cells += [repr(float(x)) for x in self.values[i]]
-            cells.append(repr(float(self.smoother_abs[i])))
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
+        table = np.column_stack((self.thetas, self.values, self.smoother_abs))
+        # a float row at a time: the whole table as a list would hold every float at once
+        text = "\n".join([header, *(",".join(map(repr, row.tolist())) for row in table)]) + "\n"
         if path is not None:
             with open(path, "w") as fh:
                 fh.write(text)
@@ -753,30 +758,45 @@ def eigenfield(spec: SmootherSpec, nu1: int, nu2: int,
     dominant component attributes the eigenvalue to a harmonic.  A nonzero
     eigenvalue has ``y`` in the range of ``Pi``, so ``Pi y = y`` and ``Pi`` is
     not applied; a zero eigenvalue adds 0 to whichever slot it is given.
-    Where eigenvalues repeat, or two components of ``x`` tie, the attribution
-    is as arbitrary as the eigenvector basis ``eigh`` returns.
+    The attribution (``EigenField``) runs in ``K`` vectorised passes over all
+    bases, one per rank of magnitude; ``argmax`` over the free components
+    takes the lowest harmonic of a tie.  Where eigenvalues repeat, or two
+    components of ``x`` tie, the attribution is as arbitrary as the
+    eigenvector basis ``eigh`` returns.  The peak memory is
+    ``_EIGENFIELD_STACKS`` stacks of ``grid.nbytes_estimate``; a field over
+    ``MEMORY_BUDGET_BYTES`` by that count raises before anything is allocated.
     """
     if spec.dim != 2:
         raise ValueError("eigenvalue fields are produced for dim 2 only")
     if grid is None:
         grid = FrequencyGrid(2)
     nu1, nu2 = _sweeps(nu1), _sweeps(nu2)
+    need = _EIGENFIELD_STACKS * grid.nbytes_estimate
+    if need > MEMORY_BUDGET_BYTES:
+        raise ValueError(
+            f"an eigenvalue field on {grid.samples_per_dim} samples needs about "
+            f"{need / 2**20:.0f} MiB, over the {MEMORY_BUDGET_BYTES / 2**20:.0f} MiB budget")
     # the CSV lists every base of the box, so its symbols are not the grid's
     a, m, p = (_harmonic_symbols(st, grid.dim, grid.low_1d)[:, grid.off_origin]
                for st in (spec.a_stencil(), spec.m_stencil(), restriction_stencil(2)))
     s = 1.0 - float(spec.omega) * m * a                                   # (K, N)
     # w = sqrt(a) p / |sqrt(a) p| is the root of the weights, as a and p are >= 0
     w = np.sqrt(_secular_weights(a, p)).T
-    k = w.shape[1]
-    proj = np.eye(k) - w[:, :, None] * w[:, None, :]
-    vals, y = np.linalg.eigh(proj @ ((s ** (nu1 + nu2)).T[:, :, None] * proj))
-    vecs = ((s ** nu2) / np.sqrt(a)).T[:, :, None] * y
+    proj = np.eye(w.shape[1]) - w[:, :, None] * w[:, None, :]
+    del m, p, w   # the eigensolve sets the peak (_EIGENFIELD_STACKS): hold only what it needs
+    vals, vecs = np.linalg.eigh(proj @ ((s ** (nu1 + nu2)).T[:, :, None] * proj))
+    del proj
+    vecs *= ((s ** nu2) / np.sqrt(a)).T[:, :, None]
     magnitudes = np.abs(vals)
+    # one pass per rank of magnitude, largest first, over all bases
+    rows = np.arange(magnitudes.shape[0])
+    taken = np.zeros(magnitudes.shape, dtype=bool)
     attributed = np.zeros_like(magnitudes)
-    for i in range(magnitudes.shape[0]):
-        free = list(range(k))
-        for j in np.argsort(-magnitudes[i]):
-            slot = free.pop(int(np.abs(vecs[i][free, j]).argmax()))
-            attributed[i, slot] = magnitudes[i, j]
+    for j in np.argsort(-magnitudes, axis=1).T:
+        comps = np.abs(vecs[rows, :, j])
+        comps[taken] = -1.0
+        slot = comps.argmax(axis=1)
+        taken[rows, slot] = True
+        attributed[rows, slot] = magnitudes[rows, j]
     return EigenField(grid.low_points(), _kappas(2), attributed, np.abs(s[0]))
 

@@ -317,8 +317,11 @@ def test_odd_samples_rejected(capsys, argv):
     assert "--samples 5" in err
 
 
+# eigfield at 4096 samples passes the grid's one-stack estimate and is
+# refused by the field's own (lfa._EIGENFIELD_STACKS stacks)
 @pytest.mark.parametrize("argv", [["table2"], ["scan-omega", "--kind", "jacobi", "--dim", "3"],
-                                  ["solve", "--kind", "jacobi", "--dim", "3"]],
+                                  ["solve", "--kind", "jacobi", "--dim", "3"],
+                                  ["eigfield", "--kind", "mass"]],
                          ids=lambda argv: argv[0])
 def test_oversized_samples_refused_before_allocating(capsys, argv):
     tracemalloc.start()

@@ -976,6 +976,85 @@ def test_eigenfield_attribution_matches_the_general_eig(kind):
             assert np.abs(got[clear] - want[clear]).max() < 1e-10, (omega, nu1, nu2)
 
 
+def _attributed_row_by_row(spec, grid, nu1, nu2):
+    """The field by a greedy loop over one base at a time, on the eigensystem
+    ``eigenfield`` solves: each eigenvalue, largest magnitude first, goes to
+    the dominant component of its eigenvector among the free harmonics."""
+    a, m, p = (lfa._harmonic_symbols(st, 2, grid.low_1d)[:, grid.off_origin]
+               for st in (spec.a_stencil(), spec.m_stencil(), restriction_stencil(2)))
+    s = 1.0 - float(spec.omega) * m * a
+    w = np.sqrt(lfa._secular_weights(a, p)).T
+    proj = np.eye(4) - w[:, :, None] * w[:, None, :]
+    vals, y = np.linalg.eigh(proj @ ((s ** (nu1 + nu2)).T[:, :, None] * proj))
+    vecs = ((s ** nu2) / np.sqrt(a)).T[:, :, None] * y
+    magnitudes = np.abs(vals)
+    attributed = np.zeros_like(magnitudes)
+    for i in range(magnitudes.shape[0]):
+        free = list(range(4))
+        for j in np.argsort(-magnitudes[i]):
+            slot = free.pop(int(np.abs(vecs[i][free, j]).argmax()))
+            attributed[i, slot] = magnitudes[i, j]
+    return attributed
+
+
+def _csv_cell_by_cell(field):
+    lines = ["theta1,theta2,eig1,eig2,eig3,eig4,smoother_abs"]
+    for i in range(field.thetas.shape[0]):
+        cells = [repr(float(x)) for x in (*field.thetas[i], *field.values[i],
+                                          field.smoother_abs[i])]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["jacobi", "vanka-e", "vanka-v", "mass"])
+def test_eigenfield_attribution_is_the_row_by_row_greedy_bit_for_bit(kind):
+    # 400 sweeps underflow eigenvalues to 0.0 (whole rows at 4 samples), so
+    # the order of the sort and of argmax decides the slots of the ties
+    tied = 0
+    for samples in (4, 8, 16, 64):
+        grid = FrequencyGrid(2, samples)
+        for omega in (float(exact_optimum(kind, 2)[0]), 0.6, 1.3):
+            spec = _spec(kind, 2, omega)
+            for nu1, nu2 in ((1, 0), (1, 1), (3, 3), (200, 200)):
+                field = v.eigenfield(spec, nu1, nu2, grid)
+                assert np.array_equal(field.values, _attributed_row_by_row(spec, grid, nu1, nu2)), \
+                    (samples, omega, nu1, nu2)
+                assert field.to_csv() == _csv_cell_by_cell(field)
+                tied += sum(len(set(row)) < len(row) for row in field.values.tolist())
+    assert tied > 0
+
+
+def test_eigenfield_memory_guard_refuses_before_allocating(monkeypatch):
+    grid, spec = FrequencyGrid(2, 16), _spec("mass", 2)
+    need = lfa._EIGENFIELD_STACKS * grid.nbytes_estimate
+    monkeypatch.setattr(lfa, "MEMORY_BUDGET_BYTES", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="16 samples .* budget"):
+            v.eigenfield(spec, 1, 0, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    monkeypatch.setattr(lfa, "MEMORY_BUDGET_BYTES", need)
+    assert v.eigenfield(spec, 1, 0, grid).values.shape == (63, 4)
+
+
+def test_eigenfield_peak_memory_stays_within_its_estimate():
+    # 3.76 stacks measured: the projector, the matrix eigh takes and its
+    # eigenvectors are alive at once, plus the (K, N) symbols
+    grid, spec = FrequencyGrid(2, 256), _spec("vanka-e", 2)
+    v.eigenfield(spec, 1, 1, FrequencyGrid(2, 8))
+    tracemalloc.start()
+    try:
+        v.eigenfield(spec, 1, 1, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (lfa._EIGENFIELD_STACKS - 1) * grid.nbytes_estimate < peak
+    assert peak <= lfa._EIGENFIELD_STACKS * grid.nbytes_estimate
+
+
 def test_eigenfield_rejects_other_dims():
     with pytest.raises(ValueError, match="dim 2"):
         v.eigenfield(_spec("vanka-e", 1), 1, 0)

@@ -29,6 +29,9 @@ DEFAULT_INVOCATIONS = [
     "table1",
     "table2",
     "eigfield --kind mass --nu 2",
+    "eigfield --kind vanka-e --nu 1",
+    "eigfield --kind vanka-v --samples 8 --nu 3",
+    "eigfield --kind mass --samples 4 --nu 400",
     "scan-omega --kind vanka-v --nu 1",
     "scan-omega --kind vanka-e --dim 2 --nu 2",
     "scan-omega --kind mass3d --dim 3 --nu 1",
