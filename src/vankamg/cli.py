@@ -49,6 +49,16 @@ MU_TOLERANCE = 5e-3
 RHO_TOLERANCE = 1.5e-2
 OMEGA_SCAN_MAX = 1.5
 OMEGA_SCAN_POINTS = 10_000    # a finer scan is refused before any omega is listed
+# Smoothing sweeps per cycle, nu1 + nu2.  The analysis costs the same at any
+# count, but a `solve` cycle relaxes the fine level once per sweep, about
+# 3 ms on the 3D h = 1/64 grid, so a cycle there stays within a few seconds.
+# It admits the largest counts in use: `eigfield --nu 400`, and `solve --nu1
+# 150 --nu2 150`, which contracts to rounding level at h = 1/8.
+SWEEPS_MAX = 1000
+# `solve --cycles`: `run_convergence` keeps one ratio per cycle and averages
+# the last 10; 1000 is twenty times the default and takes about 9 s on the
+# 3D h = 1/64 V-cycle.
+SOLVE_CYCLES_MAX = 1000
 
 
 class CliError(Exception):
@@ -94,11 +104,19 @@ def _nu_split(nu: int) -> tuple:
 
 
 def _sweeps(args) -> tuple:
-    """``(nu1, nu2)`` from ``--nu`` (split as pre/post) or ``--nu1``/``--nu2``."""
-    nu1, nu2 = (args.nu1, args.nu2) if args.nu is None else _nu_split(args.nu)
+    """``(nu1, nu2)`` from ``--nu`` (split as pre/post) or ``--nu1``/``--nu2``.
+
+    ``solve`` has no ``--nu``.  At least one and at most :data:`SWEEPS_MAX`
+    sweeps per cycle are admitted.
+    """
+    nu = getattr(args, "nu", None)
+    nu1, nu2 = (args.nu1, args.nu2) if nu is None else _nu_split(nu)
     if nu1 < 0 or nu2 < 0 or nu1 + nu2 < 1:
         raise CliError("need nonnegative smoothing sweep counts and at least one "
                        f"sweep, got nu1 = {nu1}, nu2 = {nu2}")
+    if nu1 + nu2 > SWEEPS_MAX:
+        raise CliError(f"need at most {SWEEPS_MAX} smoothing sweeps per cycle, "
+                       f"got nu1 = {nu1}, nu2 = {nu2}")
     return nu1, nu2
 
 
@@ -198,18 +216,23 @@ def cmd_eigfield(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    from . import solver  # the only subcommand that needs scipy
-
+    # every argument is checked before the import, which loads scipy
     h = _parse_h(args.h)
     n = h.denominator - 1
     spec = _spec(args.kind, args.dim, args.omega)
     fgrid = _frequency_grid(args.dim, args.samples)
     if args.cycles < 2:
         raise CliError(f"--cycles must be at least 2, got {args.cycles}")
+    if args.cycles > SOLVE_CYCLES_MAX:
+        raise CliError(f"--cycles {args.cycles} is over the cap of {SOLVE_CYCLES_MAX}")
     if args.seed < 0:
         raise CliError(f"--seed must be nonnegative, got {args.seed}")
+    nu1, nu2 = _sweeps(args)
+
+    from . import solver  # the only subcommand that needs scipy
+
     try:
-        cspec = solver.CycleSpec(spec, args.nu1, args.nu2, args.cycle)
+        cspec = solver.CycleSpec(spec, nu1, nu2, args.cycle)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     try:
@@ -219,11 +242,11 @@ def cmd_solve(args) -> int:
     try:
         run = solver.run_convergence(hier, cycles=args.cycles, seed=args.seed)
     except solver.StagnationError as exc:
-        raise CliError(f"--nu1 {args.nu1} --nu2 {args.nu2}: {exc}") from exc
-    lfa_rho = lfa.two_grid_factor(spec, args.nu1, args.nu2, fgrid)
+        raise CliError(f"--nu1 {nu1} --nu2 {nu2}: {exc}") from exc
+    lfa_rho = lfa.two_grid_factor(spec, nu1, nu2, fgrid)
     payload = {
         "spec": {"kind": args.kind, "dim": args.dim, "omega": spec.omega,
-                 "nu1": args.nu1, "nu2": args.nu2, "cycle": args.cycle},
+                 "nu1": nu1, "nu2": nu2, "cycle": args.cycle},
         "h": float(h), "n": n, "seed": args.seed,
         "measured_rho": run.factor, "lfa_rho": lfa_rho,
         "cycles": list(run.ratios),

@@ -27,6 +27,14 @@ estimated from the level stencils before anything is assembled, and a
 build over :data:`BUILD_BUDGET_BYTES` is refused.  :meth:`Hierarchy.report`
 lists what each level holds.
 
+On a level of more than :data:`~vankamg.stencils.SLAB_ROWS` points the
+products of a cycle run slab by slab, so each slab stays in cache for all
+the work done on it: the residual ``b - A u`` and a Vanka ``M r`` in row
+slabs of the DIA matrix (:attr:`Level.slabs`, built with the level), the
+rank-one smoothers in slabs of axis-0 planes (``stencils.apply``).  Every
+row adds the same terms in the same order, so the results are those of the
+whole-vector products bit for bit.
+
 ``measured_convergence_factor`` runs homogeneous cycles (``b = 0``) from a
 seeded random start, renormalising the iterate every cycle; the asymptotic
 contraction is the geometric mean of the last per-cycle ratios.  Ratios at
@@ -44,7 +52,8 @@ import scipy.sparse
 from .lfa import SmootherKind, SmootherSpec, _sweeps, symbol
 from .stencils import GridSpec, PatchLayout, laplacian_stencil, restriction_stencil
 from . import stencils
-from .vanka import VankaOperator, _dia_bytes, _smoother_bytes, assemble_sparse, build_vanka
+from .vanka import (VankaOperator, _dia_bytes, _smoother_bytes, assemble_sparse, build_vanka,
+                    _row_slabs)
 
 __all__ = [
     "CycleSpec",
@@ -107,7 +116,9 @@ class Level:
     ``restrict`` is the full weighting ``R`` onto the next coarser level
     (``transfer_ops``) and ``prolong`` the view ``R^T``, a CSC matrix on
     ``R``'s arrays; the cycle prolongs with ``2**dim R^T``.  Only the
-    coarsest level holds ``sine``, its exact :class:`SineSolve`.
+    coarsest level holds ``sine``, its exact :class:`SineSolve`.  ``slabs``
+    holds the row slabs of ``matrix`` (``vanka._row_slabs``, empty on a
+    level of one slab), which share its diagonals.
     """
 
     grid: GridSpec
@@ -116,6 +127,10 @@ class Level:
     restrict: scipy.sparse.csr_matrix | None = None  # from here to the next coarser level
     prolong: scipy.sparse.csc_matrix | None = None   # ``restrict.T``, sharing its arrays
     sine: SineSolve | None = None                    # exact solve, on the coarsest only
+    slabs: tuple = field(init=False, repr=False)     # ``_row_slabs(matrix)``
+
+    def __post_init__(self):
+        self.slabs = _row_slabs(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -260,11 +275,12 @@ def _smoother_applicator(sm: SmootherSpec, level_grid: GridSpec, stencil):
     ``lfa.smoother_m_stencil`` at the level's ``h`` (``stencil`` is not
     read), applied matrix-free by ``stencils.apply``.  Those stencils are
     rank one (the mass stencils are ``[1 4 1]`` per axis, Jacobi a scaled
-    identity), so ``apply`` sweeps one axis at a time.  On the 3D n = 63
-    grid that takes 3.3-3.9 ms, against 7.7-8.6 ms for the product with the
-    27-point mass matrix ``assemble_sparse`` builds, which would also take
-    0.01 s and a 51.5 MiB peak to build (best of 20 and 5 runs, three
-    processes, one BLAS thread, 2-CPU VM; peak by ``tracemalloc``).
+    identity), so ``apply`` sweeps one axis at a time, slab by slab.  On the
+    3D n = 63 grid that takes 0.81-0.88 ms, against 7.2-7.5 ms for the
+    product with the 27-point mass matrix ``assemble_sparse`` builds (3.8-4.2
+    ms in row slabs), which would also take 0.01 s and a 51.5 MiB peak to
+    build (best of 20 and 5 runs, three processes, one BLAS thread, 2-CPU
+    VM; peak by ``tracemalloc``).
     """
     layout = _vanka_layout(sm)
     if layout is not None:
@@ -369,11 +385,20 @@ def build_hierarchy(spec: CycleSpec, fine_grid: GridSpec) -> Hierarchy:
 
 
 def _residual(level: Level, u: np.ndarray | None, b: np.ndarray) -> np.ndarray:
-    """``b - A u`` in a new array, or ``b`` itself for the zero iterate ``u = None``."""
+    """``b - A u`` in a new array, or ``b`` itself for the zero iterate ``u = None``.
+
+    On a level with row slabs each slab's ``b - A u`` is formed while its
+    product is in cache.
+    """
     if u is None:
         return b
-    residual = level.matrix @ u
-    np.subtract(b, residual, out=residual)
+    if not level.slabs:
+        residual = level.matrix @ u
+        np.subtract(b, residual, out=residual)
+        return residual
+    residual = np.empty_like(b)
+    for r0, r1, slab in level.slabs:
+        np.subtract(b[r0:r1], slab @ u, out=residual[r0:r1])
     return residual
 
 

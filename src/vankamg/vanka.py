@@ -22,7 +22,8 @@ from the assembled template operator (truncated slots padded with the
 identity), one batched inverse and one COO scatter of the weighted
 inverses.  Each diagonal of ``M`` on the full grid (9 for element, 13 for
 vertex patches in 2D) is then gathered from the template's, axis by axis.
-Applying the smoother is one sparse product.  The per-patch
+Applying the smoother is one sparse product, row slab by row slab on a
+matrix of more than :data:`~vankamg.stencils.SLAB_ROWS` rows.  The per-patch
 :attr:`VankaOperator.patches` view gathers every block of the full grid
 from its assembled operator, an independent reference for the tests.
 
@@ -40,12 +41,13 @@ diagonals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import stencils
 from .stencils import GridSpec, PatchLayout, Stencil
 
 __all__ = [
@@ -82,13 +84,22 @@ class VankaOperator:
     matrix: sp.dia_matrix
     weights: np.ndarray
     operator: Stencil
+    slabs: tuple = field(init=False, repr=False)  # ``_row_slabs(matrix)``
+
+    def __post_init__(self):
+        object.__setattr__(self, "slabs", _row_slabs(self.matrix))
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        """Evaluate ``M r``."""
+        """Evaluate ``M r``, slab by slab on a matrix with :func:`_row_slabs`."""
         r = np.asarray(r, dtype=float)
         if r.shape != (self.grid.npoints,):
             raise ValueError(f"expected flat array of length {self.grid.npoints}")
-        return self.matrix @ r
+        if not self.slabs:
+            return self.matrix @ r
+        out = np.empty_like(r)
+        for r0, r1, slab in self.slabs:
+            out[r0:r1] = slab @ r
+        return out
 
     @property
     def patches(self) -> list:
@@ -378,6 +389,26 @@ def assemble_sparse(stencil: Stencil, grid: GridSpec) -> sp.dia_matrix:
         for box, coef in pieces[flat]:
             diagonal.reshape(grid.shape)[box] = coef
     return sp.dia_matrix((data, offsets), shape=(grid.npoints,) * 2)
+
+
+def _row_slabs(matrix: sp.dia_matrix) -> tuple:
+    """Row slabs ``(r0, r1, slab)`` of a DIA matrix, or ``()`` if it is one slab.
+
+    A matrix of more than :data:`~vankamg.stencils.SLAB_ROWS` rows is cut
+    into slabs of that many rows (the last one may be shorter), so a product
+    works on one slab of the output while it is in cache.  ``slab`` is rows
+    ``[r0, r1)``: a DIA matrix on the same ``data`` (shared, not copied)
+    whose offsets are shifted by ``r0``.  Each row adds the same diagonals in
+    the same order as in the whole matrix, so ``slab @ x`` is rows
+    ``[r0, r1)`` of ``matrix @ x`` bit for bit.
+    """
+    (rows, cols), size = matrix.shape, stencils.SLAB_ROWS
+    if rows <= size:
+        return ()
+    return tuple((r0, min(r0 + size, rows),
+                  sp.dia_matrix((matrix.data, matrix.offsets + r0),
+                                shape=(min(size, rows - r0), cols)))
+                 for r0 in range(0, rows, size))
 
 
 def export_triplets(matrix, path=None) -> str:

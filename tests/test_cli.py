@@ -359,6 +359,34 @@ def test_solve_refuses_an_oversized_vanka_v_cycle(capsys):
     assert peak < 1 << 20
 
 
+def test_solve_cycle_cap_admits_the_cap(capsys):
+    # the cap itself runs; one cycle more is refused before any cycle runs
+    argv = ["solve", "--kind", "jacobi", "--dim", "1", "--h", "1/8"]
+    code, out, _ = _run(capsys, argv + ["--cycles", str(cli.SOLVE_CYCLES_MAX)])
+    assert code == 0
+    assert len(json.loads(out)["cycles"]) == cli.SOLVE_CYCLES_MAX
+    err = _one_line_usage_error(capsys, argv + ["--cycles", str(cli.SOLVE_CYCLES_MAX + 1)])
+    assert f"--cycles {cli.SOLVE_CYCLES_MAX + 1}" in err and "cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--kind", "jacobi", "--dim", "1", "--h", "1/8", "--nu1", "1001"],
+    ["solve", "--kind", "jacobi", "--dim", "1", "--h", "1/8", "--nu2", "1000"],
+    ["eigfield", "--kind", "mass", "--samples", "4", "--nu", "1001"],
+    ["scan-omega", "--kind", "jacobi", "--nu1", "600", "--nu2", "401"],
+], ids=["solve-nu1", "solve-nu1-plus-nu2", "eigfield-nu", "scan-omega-nu1-plus-nu2"])
+def test_sweeps_over_the_cap_rejected(capsys, argv):
+    # nu1 + nu2 is capped whichever flags set it, on every subcommand
+    err = _one_line_usage_error(capsys, argv)
+    assert f"at most {cli.SWEEPS_MAX} smoothing sweeps" in err
+
+
+def test_sweep_cap_admits_the_cap(capsys):
+    code, _, _ = _run(capsys, ["eigfield", "--kind", "mass", "--samples", "4",
+                               "--nu", str(cli.SWEEPS_MAX)])
+    assert code == 0
+
+
 def test_solve_rejects_single_level_v_cycle(capsys):
     err = _one_line_usage_error(capsys, ["solve", "--kind", "jacobi", "--dim", "3",
                                          "--h", "1/8", "--cycle", "v-cycle"])
@@ -417,6 +445,31 @@ def test_analysis_subcommands_never_load_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", _ANALYSIS_ONLY], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.strip() == "[]"
+
+
+_SOLVE_REFUSALS = """
+import contextlib, io, sys
+from vankamg.cli import main
+for argv in (["jacobi", "--dim", "3", "--samples", "4096"], ["vanka-e", "--samples", "5"],
+             ["vanka-e", "--h", "1/3"], ["vanka-e", "--dim", "3"],
+             ["vanka-e", "--cycles", "1"], ["vanka-e", "--cycles", "1001"],
+             ["vanka-e", "--seed", "-1"], ["vanka-e", "--nu1", "0"],
+             ["vanka-e", "--nu1", "1001"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["solve", "--kind"] + argv) == 2, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_solve_refuses_bad_arguments_before_loading_scipy():
+    # the solver import loads scipy, about 11 MB, which a traced refusal
+    # would count as its own allocation
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _SOLVE_REFUSALS], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr[-2000:]
     assert run.stdout.strip() == "[]"

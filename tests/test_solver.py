@@ -625,6 +625,44 @@ def test_cycle_equals_the_allocating_recursion(smoother, dim, kind):
         assert np.array_equal(u, u0) and np.array_equal(b, b0)
 
 
+@pytest.mark.parametrize("slab", [100, 500])
+@pytest.mark.parametrize("smoother, dim", [("jacobi", 3), ("vanka-e", 2), ("vanka-v", 2),
+                                           ("mass", 2), ("mass3d", 3)])
+def test_cycle_by_slabs_equals_the_allocating_recursion(monkeypatch, smoother, dim, slab):
+    # the oracle runs on a hierarchy of one slab per product
+    grid = GridSpec(dim, {2: 31, 3: 15}[dim], {2: 1 / 32, 3: 1 / 16}[dim])
+    rng = np.random.default_rng(slab)
+    u, b = rng.standard_normal(grid.npoints), rng.standard_normal(grid.npoints)
+    for nu1, nu2 in ((1, 0), (1, 1)):
+        spec = CycleSpec(_smoother(smoother, dim), nu1, nu2, "v-cycle")
+        whole = build_hierarchy(spec, grid)
+        assert not whole.fine.slabs
+        want = _allocating_descend(whole, 0, u, b)
+        with monkeypatch.context() as patch:
+            patch.setattr(stencils, "SLAB_ROWS", slab)
+            hier = build_hierarchy(spec, grid)
+            assert len(hier.fine.slabs) == -(-grid.npoints // slab)
+            residual = solver._residual(hier.fine, u, b)
+            assert residual.tobytes() == (b - hier.fine.matrix @ u).tobytes()
+            got = cycle(hier, u, b)
+        assert got.tobytes() == want.tobytes(), (nu1, nu2)
+
+
+def test_mass3d_v_cycle_on_four_slabs_equals_the_allocating_recursion(monkeypatch):
+    # h = 1/64: 250047 rows, four slabs of the fine residual and smoother
+    grid = GridSpec(3, 63, 1 / 64)
+    spec = CycleSpec(_smoother("mass3d", 3), 1, 0, "v-cycle")
+    rng = np.random.default_rng(63)
+    u, b = rng.standard_normal(grid.npoints), rng.standard_normal(grid.npoints)
+    hier = build_hierarchy(spec, grid)
+    assert [r1 - r0 for r0, r1, _ in hier.fine.slabs] == [2**16] * 3 + [grid.npoints - 3 * 2**16]
+    got = cycle(hier, u, b)
+    monkeypatch.setattr(stencils, "SLAB_ROWS", grid.npoints)
+    whole = build_hierarchy(spec, grid)
+    assert not whole.fine.slabs
+    assert got.tobytes() == _allocating_descend(whole, 0, u, b).tobytes()
+
+
 @pytest.mark.parametrize("kind", ["two-grid", "v-cycle"])
 @pytest.mark.parametrize("smoother, dim", _SMOOTHERS)
 def test_diagonal_products_equal_the_csr_products(smoother, dim, kind):

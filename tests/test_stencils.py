@@ -364,6 +364,56 @@ def test_mass_smoother_takes_the_axis_route(monkeypatch, kind, dim):
     assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
+# ---------------------------------------------------------------------------
+# slabs of axis-0 planes
+# ---------------------------------------------------------------------------
+
+def _sliced_reference(st, grid, u):
+    """The axis-by-axis sum on the whole grid, one sliced add per term and axis."""
+    scale, sweeps = st._axis_factors
+    src = u.reshape(grid.shape)
+    for axis, line in sweeps:
+        centre = line[0][0] == 0
+        dst = src * line[0][1] if centre else np.zeros_like(src)
+        for o, c in line[centre:]:
+            lo, hi = max(0, -o), grid.n - max(0, o)
+            if lo < hi:
+                d = (slice(None),) * axis + (slice(lo, hi),)
+                s = (slice(None),) * axis + (slice(lo + o, hi + o),)
+                dst[d] += src[s] if c == 1.0 else c * src[s]
+        src = dst
+    return (src * scale if scale != 1.0 else src).reshape(-1)
+
+
+_REACH2 = _line({-2: 1, -1: 4, 0: 10, 1: 4, 2: 1})
+SLAB_STENCILS = {
+    **RANK_ONE,
+    "reach2-power2": tensor_product(_REACH2, _REACH2),
+    "reach2-power3": tensor_product(tensor_product(_REACH2, _REACH2), _REACH2),
+    "axis0-only2": tensor_product(_ASYM_A, delta_stencil(1)),
+    "axis0-only3": tensor_product(_REACH2, delta_stencil(2)),
+    "no-axis0-3": tensor_product(delta_stencil(1), tensor_product(_ASYM_A, _REACH2)),
+}
+
+
+@pytest.mark.parametrize("slab", [100, 500])
+@pytest.mark.parametrize("name", sorted(SLAB_STENCILS))
+def test_slabs_and_flat_last_axis_adds_change_no_byte(monkeypatch, name, slab):
+    # slabs of one plane (3D at 100), of several planes with a partial last
+    # one, and of part of the 1D line; signed zeros keep their sign
+    st = SLAB_STENCILS[name]
+    grid = GridSpec(st.dim, {1: 1023, 2: 31, 3: 15}[st.dim], 1.0)
+    assert grid.npoints > slab
+    rng = np.random.default_rng(slab)
+    u = rng.standard_normal(grid.npoints)
+    inputs = (u, np.where(rng.random(grid.npoints) < 0.9, -0.0, u))
+    whole = [apply(st, grid, x) for x in inputs]
+    monkeypatch.setattr(stencils, "SLAB_ROWS", slab)
+    for x, want in zip(inputs, whole):
+        got = apply(st, grid, x)
+        assert got.tobytes() == want.tobytes() == _sliced_reference(st, grid, x).tobytes()
+
+
 def test_stencil_entries_are_read_only_and_pickle():
     st = mass_stencil(2, Fraction(1, 8))
     with pytest.raises(TypeError):

@@ -37,6 +37,7 @@ DEFAULT_INVOCATIONS = [
     "scan-omega --kind mass3d --dim 3 --nu 1",
     "scan-omega --kind jacobi --dim 3 --nu 3",
     "solve --kind vanka-e --h 1/32",
+    "solve --kind mass3d --dim 3 --h 1/64 --cycle v-cycle --cycles 5",
 ]
 
 
