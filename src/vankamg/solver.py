@@ -29,11 +29,11 @@ lists what each level holds.
 
 On a level of more than :data:`~vankamg.stencils.SLAB_ROWS` points the
 products of a cycle run slab by slab, so each slab stays in cache for all
-the work done on it: the residual ``b - A u`` and a Vanka ``M r`` in row
-slabs of the DIA matrix (:attr:`Level.slabs`, built with the level), the
-rank-one smoothers in slabs of axis-0 planes (``stencils.apply``).  Every
-row adds the same terms in the same order, so the results are those of the
-whole-vector products bit for bit.
+the work done on it: the residual ``b - A u`` in row slabs of the DIA
+matrix (:attr:`Level.slabs`, built with the level), the rank-one smoothers
+in slabs of axis-0 planes (``stencils.apply``).  A Vanka smoother is one
+product on the whole vector.  Every row adds the same terms in the same
+order, so the results are those of the whole-vector products bit for bit.
 
 ``measured_convergence_factor`` runs homogeneous cycles (``b = 0``) from a
 seeded random start, renormalising the iterate every cycle; the asymptotic
@@ -276,8 +276,8 @@ def _smoother_applicator(sm: SmootherSpec, level_grid: GridSpec, stencil):
     read), applied matrix-free by ``stencils.apply``.  Those stencils are
     rank one (the mass stencils are ``[1 4 1]`` per axis, Jacobi a scaled
     identity), so ``apply`` sweeps one axis at a time, slab by slab.  On the
-    3D n = 63 grid that takes 0.81-0.88 ms, against 7.2-7.5 ms for the
-    product with the 27-point mass matrix ``assemble_sparse`` builds (3.8-4.2
+    3D n = 63 grid that takes 1.2-1.4 ms, against 5.2-5.4 ms for the
+    product with the 27-point mass matrix ``assemble_sparse`` builds (3.1-3.2
     ms in row slabs), which would also take 0.01 s and a 51.5 MiB peak to
     build (best of 20 and 5 runs, three processes, one BLAS thread, 2-CPU
     VM; peak by ``tracemalloc``).

@@ -439,11 +439,7 @@ def _sweep(src: np.ndarray, dst: np.ndarray, axis: int, line, periodic: bool,
     ``dst`` holds positions ``[start, start + m)`` of ``src`` along ``axis``
     (``m`` its length there; Dirichlet only, where ``src`` may reach past
     them) and all of ``src`` along the other axes.  Each point adds the
-    terms of ``line`` in order and skips those off the grid.  Along the last
-    axis of a grid of two or more dimensions, where the rows are short, each
-    term is one add over the flattened arrays: the points whose neighbour
-    lies in the next or previous row are put back to their value before the
-    add, which is the skip, so every bit is the one the row-by-row add gives.
+    terms of ``line`` in order and skips those off the grid.
     """
     n, m = src.shape[axis], dst.shape[axis]
 
@@ -451,30 +447,22 @@ def _sweep(src: np.ndarray, dst: np.ndarray, axis: int, line, periodic: bool,
         return (slice(None),) * axis + (slice(lo, hi),)
 
     def add(d, s, c):
-        d += s if c == 1.0 else c * s
+        dst[d] += src[s] if c == 1.0 else c * src[s]
 
     if line[0][0] == 0:
         np.multiply(src[cut(start, start + m)], line[0][1], out=dst)
         line = line[1:]
     else:
         dst.fill(0.0)
-    flat = not periodic and 0 < axis == src.ndim - 1
     for o, c in line:
         if periodic:
             s = o % n
-            add(dst[cut(0, n - s)], src[cut(s, n)], c)
-            add(dst[cut(n - s, n)], src[cut(0, s)], c)
-        elif flat:
-            if abs(o) < n:
-                skipped = cut(n - o, n) if o > 0 else cut(0, -o)
-                kept = dst[skipped].copy()
-                d, s = dst.reshape(-1), src.reshape(-1)
-                add(*((d[:-o], s[o:]) if o > 0 else (d[-o:], s[:o])), c)
-                dst[skipped] = kept
+            add(cut(0, n - s), cut(s, n), c)
+            add(cut(n - s, n), cut(0, s), c)
         else:
             lo, hi = max(start, -o), min(start + m, n - o)
             if lo < hi:
-                add(dst[cut(lo - start, hi - start)], src[cut(lo + o, hi + o)], c)
+                add(cut(lo - start, hi - start), cut(lo + o, hi + o), c)
 
 
 def _apply_factored(factors, v: np.ndarray, periodic: bool) -> np.ndarray:

@@ -22,8 +22,7 @@ from the assembled template operator (truncated slots padded with the
 identity), one batched inverse and one COO scatter of the weighted
 inverses.  Each diagonal of ``M`` on the full grid (9 for element, 13 for
 vertex patches in 2D) is then gathered from the template's, axis by axis.
-Applying the smoother is one sparse product, row slab by row slab on a
-matrix of more than :data:`~vankamg.stencils.SLAB_ROWS` rows.  The per-patch
+Applying the smoother is one sparse product.  The per-patch
 :attr:`VankaOperator.patches` view gathers every block of the full grid
 from its assembled operator, an independent reference for the tests.
 
@@ -41,7 +40,7 @@ diagonals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -84,22 +83,13 @@ class VankaOperator:
     matrix: sp.dia_matrix
     weights: np.ndarray
     operator: Stencil
-    slabs: tuple = field(init=False, repr=False)  # ``_row_slabs(matrix)``
-
-    def __post_init__(self):
-        object.__setattr__(self, "slabs", _row_slabs(self.matrix))
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        """Evaluate ``M r``, slab by slab on a matrix with :func:`_row_slabs`."""
+        """Evaluate ``M r``."""
         r = np.asarray(r, dtype=float)
         if r.shape != (self.grid.npoints,):
             raise ValueError(f"expected flat array of length {self.grid.npoints}")
-        if not self.slabs:
-            return self.matrix @ r
-        out = np.empty_like(r)
-        for r0, r1, slab in self.slabs:
-            out[r0:r1] = slab @ r
-        return out
+        return self.matrix @ r
 
     @property
     def patches(self) -> list:

@@ -398,7 +398,7 @@ SLAB_STENCILS = {
 
 @pytest.mark.parametrize("slab", [100, 500])
 @pytest.mark.parametrize("name", sorted(SLAB_STENCILS))
-def test_slabs_and_flat_last_axis_adds_change_no_byte(monkeypatch, name, slab):
+def test_plane_slabs_change_no_byte(monkeypatch, name, slab):
     # slabs of one plane (3D at 100), of several planes with a partial last
     # one, and of part of the 1D line; signed zeros keep their sign
     st = SLAB_STENCILS[name]
@@ -412,6 +412,28 @@ def test_slabs_and_flat_last_axis_adds_change_no_byte(monkeypatch, name, slab):
     for x, want in zip(inputs, whole):
         got = apply(st, grid, x)
         assert got.tobytes() == want.tobytes() == _sliced_reference(st, grid, x).tobytes()
+
+
+# +-inf ends every row (no stencil below adds the two ends of one row), and
+# a = 6.5e306 sums to 24 a at the mass2 row ends, 30 a across one
+@pytest.mark.parametrize("slab", [None, 100])
+@pytest.mark.parametrize("name, first, last", [
+    *((name, -np.inf, np.inf) for name in ("mass2", "mass3", "reach2-power2", "reach2-power3")),
+    ("mass2", 6.5e306, 6.5e306),
+])
+def test_plane_slabs_raise_no_flag_across_row_ends(monkeypatch, name, first, last, slab):
+    # no add sums across a row end, in slabs as on the whole grid
+    st = SLAB_STENCILS[name]
+    grid = GridSpec(st.dim, {2: 31, 3: 15}[st.dim], 1.0)
+    if slab is not None:
+        monkeypatch.setattr(stencils, "SLAB_ROWS", slab)
+    u = np.random.default_rng(0).standard_normal(grid.shape)
+    u[..., 0], u[..., -1] = first, last
+    u = u.reshape(-1)
+    with np.errstate(over="raise", invalid="raise"):
+        got = apply(st, grid, u)
+        want = _sliced_reference(st, grid, u)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_stencil_entries_are_read_only_and_pickle():

@@ -33,7 +33,7 @@ from vankamg import (
     laplacian_stencil,
     mass_stencil,
 )
-from vankamg import stencils, vanka
+from vankamg import vanka
 from vankamg.lfa import SmootherSpec, exact_optimum
 from vankamg.solver import CycleSpec, build_hierarchy
 from vankamg.vanka import VankaOperator
@@ -511,22 +511,6 @@ def test_assemble_sparse_slabs_change_no_byte(name, slab):
             x = rng.standard_normal((grid.npoints, slab))
             got = assemble_sparse(st, grid) @ x
             assert got.tobytes() == (_kron_sum(st, grid) @ x).tobytes(), (boundary, n)
-
-
-@pytest.mark.parametrize("slab", [100, 500])
-@pytest.mark.parametrize("kind", ["element", "vertex"])
-def test_vanka_product_by_row_slabs_changes_no_byte(monkeypatch, kind, slab):
-    # slabs of ``slab`` rows on the shared diagonals, the last one partial
-    monkeypatch.setattr(stencils, "SLAB_ROWS", slab)
-    grid = GridSpec(2, 31, 1 / 32)
-    op = build_vanka(PatchLayout(kind, 2), grid, laplacian_stencil(2, Fraction(1, 32)))
-    bounds = [(r0, r1) for r0, r1, _ in op.slabs]
-    assert bounds == [(r0, min(r0 + slab, grid.npoints)) for r0 in range(0, grid.npoints, slab)]
-    assert 0 < bounds[-1][1] - bounds[-1][0] < slab
-    assert all(m.format == "dia" and np.shares_memory(m.data, op.matrix.data)
-               for _, _, m in op.slabs)
-    x = np.random.default_rng(slab).standard_normal(grid.npoints)
-    assert op.apply(x).tobytes() == (op.matrix @ x).tobytes()
 
 
 def test_assemble_sparse_peak_is_near_the_matrix():
