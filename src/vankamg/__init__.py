@@ -26,8 +26,7 @@ from .stencils import (GridSpec, PatchLayout, Stencil, apply, closed_form_stenci
                        restriction_stencil, tensor_product)
 from .lfa import (EigenField, FrequencyGrid, OptimalDamping, SmootherKind,
                   SmootherSpec, eigenfield, exact_optimum, optimal_omega,
-                  smoother_symbol, smoothing_factor, symbol, transfer_symbols,
-                  two_grid_factor, two_grid_factors)
+                  smoothing_factor, symbol, two_grid_factor, two_grid_factors)
 
 __version__ = "0.1.0"
 
@@ -47,8 +46,7 @@ __all__ = [
     "closed_form_stencil", "export_triplets",
     "EigenField", "FrequencyGrid", "OptimalDamping", "SmootherKind",
     "SmootherSpec", "eigenfield", "exact_optimum", "optimal_omega",
-    "smoother_symbol", "smoothing_factor", "symbol", "transfer_symbols",
-    "two_grid_factor", "two_grid_factors",
+    "smoothing_factor", "symbol", "two_grid_factor", "two_grid_factors",
     "ConvergenceRun", "CycleSpec", "Hierarchy", "Level", "StagnationError",
     "build_hierarchy", "cycle", "measured_convergence_factor", "relax",
     "run_convergence", "transfer_ops",

@@ -88,6 +88,11 @@ def _csv(rows, header) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _report(args, payload, rows, header) -> None:
+    """Write ``rows`` as CSV under ``header`` or ``payload`` as JSON, as ``--format`` says."""
+    _emit(_csv(rows, header) if args.format == "csv" else _dump_json(payload), args.out)
+
+
 def _parse_h(text: str) -> Fraction:
     try:
         h = Fraction(text) if "/" in text else Fraction(float(text))
@@ -154,12 +159,8 @@ def cmd_table1(args) -> int:
             "omega": opt.omega, "mu": opt.mu, "mu_error": mu_err,
         })
     ok = worst <= MU_TOLERANCE
-    if args.format == "csv":
-        text = _csv(rows, ["kind", "dim", "omega_exact", "mu_exact",
-                           "omega", "mu", "mu_error"])
-    else:
-        text = _dump_json({"rows": rows, "tolerance": MU_TOLERANCE, "pass": ok})
-    _emit(text, args.out)
+    _report(args, {"rows": rows, "tolerance": MU_TOLERANCE, "pass": ok}, rows,
+            ["kind", "dim", "omega_exact", "mu_exact", "omega", "mu", "mu_error"])
     return 0 if ok else 1
 
 
@@ -183,18 +184,9 @@ def cmd_table2(args) -> int:
             "kind": kind, "dim": dim, "omega": spec.omega, "mu": mu,
             "rho": rho, "reference": list(reference), "deviation": deviation,
         })
-    if args.format == "csv":
-        flat = []
-        for row in rows:
-            flat.append({"kind": row["kind"], "dim": row["dim"], "omega": row["omega"],
-                         "mu": row["mu"],
-                         **{f"rho{nu}": row["rho"][str(nu)] for nu in (1, 2, 3, 4)},
-                         "deviation": row["deviation"]})
-        text = _csv(flat, ["kind", "dim", "omega", "mu",
-                           "rho1", "rho2", "rho3", "rho4", "deviation"])
-    else:
-        text = _dump_json({"rows": rows, "tolerance": RHO_TOLERANCE, "pass": ok})
-    _emit(text, args.out)
+    flat = [{**row, **{f"rho{nu}": rho for nu, rho in row["rho"].items()}} for row in rows]
+    _report(args, {"rows": rows, "tolerance": RHO_TOLERANCE, "pass": ok}, flat,
+            ["kind", "dim", "omega", "mu", "rho1", "rho2", "rho3", "rho4", "deviation"])
     return 0 if ok else 1
 
 
@@ -251,12 +243,8 @@ def cmd_solve(args) -> int:
         "measured_rho": run.factor, "lfa_rho": lfa_rho,
         "cycles": list(run.ratios),
     }
-    if args.format == "csv":
-        rows = [{"cycle": i + 1, "ratio": r} for i, r in enumerate(run.ratios)]
-        text = _csv(rows, ["cycle", "ratio"])
-    else:
-        text = _dump_json(payload)
-    _emit(text, args.out)
+    rows = [{"cycle": i + 1, "ratio": r} for i, r in enumerate(run.ratios)]
+    _report(args, payload, rows, ["cycle", "ratio"])
     return 0
 
 
@@ -285,11 +273,7 @@ def cmd_scan_omega(args) -> int:
     exact_omega, _ = lfa.exact_optimum(args.kind, args.dim)
     payload = {"rows": rows, "best": best, "nu1": nu1, "nu2": nu2,
                "omega_exact": str(exact_omega)}
-    if args.format == "csv":
-        text = _csv(rows, ["omega", "rho"])
-    else:
-        text = _dump_json(payload)
-    _emit(text, args.out)
+    _report(args, payload, rows, ["omega", "rho"])
     return 0
 
 

@@ -80,10 +80,8 @@ __all__ = [
     "OptimalDamping",
     "EigenField",
     "symbol",
-    "smoother_symbol",
     "smoothing_factor",
     "optimal_omega",
-    "transfer_symbols",
     "two_grid_factor",
     "two_grid_factors",
     "eigenfield",

@@ -11,6 +11,11 @@ interior nodes ``(i_1+1)h, ..., (i_d+1)h`` with ``0 <= i_k < n``.  A periodic
 wrap-around mode exists solely as an oracle for dense-assembly tests, where
 every row of an operator must reduce to the same translation-invariant row.
 
+:func:`apply` has one rule for every stencil and both modes: a stencil is a
+sum of rank-one terms (itself when it is rank one, else one per entry), each
+term is swept one axis at a time over a box whose outside reads as zero, and
+a periodic grid is wrap-padded into such a box and cropped back.
+
 The interior rows of the additive Vanka smoothers are stencils too:
 :func:`closed_form_stencil` gives them exactly for each :class:`PatchLayout`.
 This module needs numpy only; the patch assembly itself lives in
@@ -176,6 +181,17 @@ class Stencil:
         Detected once, in exact arithmetic: see :func:`_rank_one_factors`.
         """
         return _rank_one_factors(self)
+
+    @cached_property
+    def _terms(self):
+        """One rank-one term per entry, explicit zeros included, in entry order.
+
+        Each is the unit stencil's sweeps scaled by the coefficient, in the
+        ``(scale, sweeps)`` form of :func:`_rank_one_factors`; their sum is
+        this stencil.
+        """
+        return tuple((float(c), _rank_one_factors(Stencil(self.dim, {o: 1}))[1])
+                     for o, c in self.entries.items())
 
     # -- algebra -----------------------------------------------------------
 
@@ -345,8 +361,7 @@ class PatchLayout:
 
 
 # (kind, dim) -> (denominator, numerators by offset): the interior row is
-# ``h^2/denominator`` times the numerators.  Entries with more than one term
-# are summed in this order by ``_apply_entries``.
+# ``h^2/denominator`` times the numerators, which ``apply`` sums in this order.
 _CLOSED_FORMS = {
     ("element", 1): (6, {(-1,): 1, (0,): 4, (1,): 1}),
     ("vertex", 1): (12, {(-2,): 1, (-1,): 4, (0,): 10, (1,): 4, (2,): 1}),
@@ -432,22 +447,18 @@ def _rank_one_factors(stencil: Stencil):
     return float(scale), tuple(sweeps)
 
 
-def _sweep(src: np.ndarray, dst: np.ndarray, axis: int, line, periodic: bool,
-           start: int = 0) -> None:
+def _sweep(src: np.ndarray, dst: np.ndarray, axis: int, line, start: int = 0) -> None:
     """``dst = `` the 1D stencil ``line`` applied to ``src`` along ``axis``.
 
     ``dst`` holds positions ``[start, start + m)`` of ``src`` along ``axis``
-    (``m`` its length there; Dirichlet only, where ``src`` may reach past
-    them) and all of ``src`` along the other axes.  Each point adds the
-    terms of ``line`` in order and skips those off the grid.
+    (``m`` its length there; ``src`` may reach past them) and all of ``src``
+    along the other axes.  Each point adds the terms of ``line`` in order and
+    skips those off the box.
     """
     n, m = src.shape[axis], dst.shape[axis]
 
     def cut(lo, hi):
         return (slice(None),) * axis + (slice(lo, hi),)
-
-    def add(d, s, c):
-        dst[d] += src[s] if c == 1.0 else c * src[s]
 
     if line[0][0] == 0:
         np.multiply(src[cut(start, start + m)], line[0][1], out=dst)
@@ -455,33 +466,28 @@ def _sweep(src: np.ndarray, dst: np.ndarray, axis: int, line, periodic: bool,
     else:
         dst.fill(0.0)
     for o, c in line:
-        if periodic:
-            s = o % n
-            add(cut(0, n - s), cut(s, n), c)
-            add(cut(n - s, n), cut(0, s), c)
-        else:
-            lo, hi = max(start, -o), min(start + m, n - o)
-            if lo < hi:
-                add(cut(lo - start, hi - start), cut(lo + o, hi + o), c)
+        lo, hi = max(start, -o), min(start + m, n - o)
+        if lo < hi:
+            d, s = cut(lo - start, hi - start), cut(lo + o, hi + o)
+            dst[d] += src[s] if c == 1.0 else c * src[s]
 
 
-def _apply_factored(factors, v: np.ndarray, periodic: bool) -> np.ndarray:
-    """Apply ``_rank_one_factors`` output to the grid array ``v``, axis by axis.
+def _apply_factored(factors, v: np.ndarray) -> np.ndarray:
+    """Apply ``_rank_one_factors`` output to the box array ``v``, axis by axis.
 
-    On a Dirichlet grid the work runs in slabs of whole axis-0 planes, at
-    most :data:`SLAB_ROWS` points each (one plane if a plane is larger):
-    the axis-0 sweep of planes ``[a, b)`` reads input planes
+    The work runs in slabs of whole axis-0 planes, at most
+    :data:`SLAB_ROWS` points each (one plane if a plane is larger): the
+    axis-0 sweep of planes ``[a, b)`` reads input planes
     ``[a - reach, b + reach)``, and the later sweeps and the ``scale`` run on
     that slab while it is in cache, through one work buffer of one slab.
     No sweep crosses a plane but the first, so every point gets the same
-    terms in the same order as on the whole grid, bit for bit.  A periodic
-    grid (the oracle) is one slab.
+    terms in the same order as on the whole box, bit for bit.
     """
     scale, sweeps = factors
     if not sweeps:
         return scale * v
     n = v.shape[0]
-    step = n if periodic else max(1, SLAB_ROWS * n // v.size)
+    step = max(1, SLAB_ROWS * n // v.size)
     out = np.empty_like(v)
     work = np.empty((min(step, n),) + v.shape[1:]) if len(sweeps) > 1 else None
     for a in range(0, n, step):
@@ -492,9 +498,9 @@ def _apply_factored(factors, v: np.ndarray, periodic: bool) -> np.ndarray:
         src = v[a:b]
         for axis, line in sweeps:
             if axis == 0:
-                _sweep(v, buffers[dst], 0, line, periodic, a)
+                _sweep(v, buffers[dst], 0, line, a)
             else:
-                _sweep(src, buffers[dst], axis, line, periodic)
+                _sweep(src, buffers[dst], axis, line)
             src, dst = buffers[dst], 1 - dst
         if scale != 1.0:
             out[a:b] *= scale
@@ -508,47 +514,38 @@ def apply(stencil: Stencil, grid: GridSpec, u: np.ndarray) -> np.ndarray:
     wraps indices (oracle use).  The result is a new flat array; the input
     is never modified.
 
-    A stencil whose tensor is rank one (the mass stencils, the Jacobi
-    scaling, any ``tensor_product`` of 1D lines) is applied one axis at a
-    time: one 1D sweep per axis through two work buffers, 3 + 3 + 3 shifted
-    terms for the 27-point 3D mass stencil instead of 27.  Both the
-    truncated and the wrapped sum factor over the axes of the box grid, so
-    the result equals the entry-by-entry sum up to rounding.  On a Dirichlet
-    grid of more than :data:`SLAB_ROWS` points the sweeps run slab by slab
-    of axis-0 planes, with the same result bit for bit.  Every other stencil
-    is applied entry by entry.
+    One rule serves every stencil: it is a sum of rank-one terms, and each
+    term is applied one axis at a time on a Dirichlet box, one 1D sweep per
+    axis through two work buffers.  A rank-one stencil (the mass stencils,
+    the Jacobi scaling, any ``tensor_product`` of 1D lines) is one term,
+    3 + 3 + 3 shifted terms for the 27-point 3D mass stencil instead of 27,
+    and its result is returned as the sweeps leave it; the truncated sum
+    factors over the axes of the box, so it equals the entry-by-entry sum
+    up to rounding.  Any other stencil is one term per entry
+    (:attr:`Stencil._terms`), added into zeros in entry order, which is the
+    entry-by-entry sum bit for bit.  On a box of more than
+    :data:`SLAB_ROWS` points the sweeps run slab by slab of axis-0 planes,
+    with the same result bit for bit.  A periodic grid is wrap-padded by the
+    stencil's reach on every side, applied as a box and cropped back.
     """
     if stencil.dim != grid.dim:
         raise ValueError(f"stencil dim {stencil.dim} != grid dim {grid.dim}")
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.npoints,):
         raise ValueError(f"expected flat array of length {grid.npoints}, got shape {u.shape}")
-    periodic = grid.boundary == "periodic"
-    if periodic and grid.n <= 2 * stencil.reach:
-        raise ValueError(f"periodic wrap needs n > {2 * stencil.reach}, got n={grid.n}")
     v = u.reshape(grid.shape)
-    factors = stencil._axis_factors
-    if factors is None:
-        return _apply_entries(stencil, v, periodic).reshape(-1)
-    return _apply_factored(factors, v, periodic).reshape(-1)
-
-
-def _apply_entries(stencil: Stencil, v: np.ndarray, periodic: bool) -> np.ndarray:
-    """Apply ``stencil`` to the grid array ``v`` one shifted term per entry."""
-    out = np.zeros_like(v)
+    periodic = grid.boundary == "periodic"
     if periodic:
-        for offset, coef in stencil.entries.items():
-            out += float(coef) * np.roll(v, tuple(-o for o in offset), axis=range(v.ndim))
-        return out
-    n = v.shape[0]
-    for offset, coef in stencil.entries.items():
-        dst, src = [], []
-        for o in offset:
-            lo, hi = max(0, -o), n - max(0, o)
-            if lo >= hi:
-                break
-            dst.append(slice(lo, hi))
-            src.append(slice(lo + o, hi + o))
-        else:
-            out[tuple(dst)] += float(coef) * v[tuple(src)]
-    return out
+        reach = stencil.reach
+        if grid.n <= 2 * reach:
+            raise ValueError(f"periodic wrap needs n > {2 * reach}, got n={grid.n}")
+        v = np.pad(v, reach, mode="wrap")
+    if stencil._axis_factors is not None:
+        out = _apply_factored(stencil._axis_factors, v)
+    else:
+        out = np.zeros_like(v)
+        for term in stencil._terms:
+            out += _apply_factored(term, v)
+    if periodic:
+        out = out[(slice(reach, reach + grid.n),) * grid.dim]
+    return out.reshape(-1)

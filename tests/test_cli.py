@@ -1,5 +1,6 @@
 """Command-line interface: payload shapes, tolerancing gates and exit codes."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -335,7 +336,11 @@ def test_oversized_samples_refused_before_allocating(capsys, argv):
 
 
 def test_solve_refuses_an_oversized_3d_two_grid(capsys):
-    # h = 1/512: the fine 7-point Laplacian alone would take about 7.4 GB
+    # h = 1/512: the fine 7-point Laplacian alone would take about 7.4 GB.
+    # The refusal needs the solver's byte estimate, so the solver (and scipy
+    # with it) is imported before the traced window, which then holds only
+    # the request's own allocations.
+    importlib.import_module("vankamg.solver")
     tracemalloc.start()
     try:
         err = _one_line_usage_error(capsys, ["solve", "--kind", "mass3d", "--dim", "3",
@@ -348,6 +353,7 @@ def test_solve_refuses_an_oversized_3d_two_grid(capsys):
 
 
 def test_solve_refuses_an_oversized_vanka_v_cycle(capsys):
+    importlib.import_module("vankamg.solver")   # as above: scipy is not the request's
     tracemalloc.start()
     try:
         err = _one_line_usage_error(capsys, ["solve", "--kind", "vanka-e", "--h", "1/4096",

@@ -60,7 +60,7 @@ def test_solver_and_vanka_names_resolve_lazily():
 
 REMOVED = {
     "vankamg": {"assemble_dense", "DENSE_CAP", "two_grid_symbol", "TwoGridSymbol",
-                "spectral_radius"},
+                "spectral_radius", "smoother_symbol", "transfer_symbols"},
     "vankamg.lfa": {"two_grid_symbol", "TwoGridSymbol", "spectral_radius"},
     "vankamg.vanka": {"assemble_dense", "DENSE_CAP"},
 }

@@ -284,9 +284,30 @@ NOT_RANK_ONE = {
 }
 
 
-def _entry_by_entry(st, grid, u):
-    periodic = grid.boundary == "periodic"
-    return stencils._apply_entries(st, u.reshape(grid.shape), periodic).reshape(-1)
+def _entry_by_entry(stencil, grid, u):
+    """The reference sum: ``stencil`` applied to ``u`` one shifted term per entry.
+
+    Dirichlet grids cut each shifted term at the box, periodic ones
+    ``np.roll`` it; the terms are added into zeros in entry order.
+    """
+    v = u.reshape(grid.shape)
+    out = np.zeros_like(v)
+    if grid.boundary == "periodic":
+        for offset, coef in stencil.entries.items():
+            out += float(coef) * np.roll(v, tuple(-o for o in offset), axis=range(v.ndim))
+        return out.reshape(-1)
+    n = v.shape[0]
+    for offset, coef in stencil.entries.items():
+        dst, src = [], []
+        for o in offset:
+            lo, hi = max(0, -o), n - max(0, o)
+            if lo >= hi:
+                break
+            dst.append(slice(lo, hi))
+            src.append(slice(lo + o, hi + o))
+        else:
+            out[tuple(dst)] += float(coef) * v[tuple(src)]
+    return out.reshape(-1)
 
 
 def _grids(st):
@@ -314,10 +335,16 @@ def test_rank_one_stencils_apply_axis_by_axis(name):
 def test_other_stencils_apply_entry_by_entry(name):
     st = NOT_RANK_ONE[name]
     assert st._axis_factors is None
+    # one term per entry added in entry order: the entry-by-entry sum bit for
+    # bit, signed zeros and infinities (and the NaNs of inf - inf) included
     rng = np.random.default_rng(22)
     for grid in _grids(st):
         u = rng.standard_normal(grid.npoints)
-        assert np.array_equal(apply(st, grid, u), _entry_by_entry(st, grid, u)), (name, grid)
+        infs = np.where(rng.random(grid.npoints) < 0.2, np.sign(u) * np.inf, u)
+        for x in (u, np.where(rng.random(grid.npoints) < 0.9, -0.0, u), infs):
+            with np.errstate(invalid="ignore"):
+                got, want = apply(st, grid, x), _entry_by_entry(st, grid, x)
+            assert got.tobytes() == want.tobytes(), (name, grid)
 
 
 def test_rank_one_detection_ignores_explicit_zeros():
@@ -349,9 +376,9 @@ def test_mass_smoother_takes_the_axis_route(monkeypatch, kind, dim):
     sweeps = []
     factored = stencils._apply_factored
 
-    def counting(factors, v, periodic):
+    def counting(factors, v):
         sweeps.append(len(factors[1]))
-        return factored(factors, v, periodic)
+        return factored(factors, v)
 
     monkeypatch.setattr(stencils, "_apply_factored", counting)
     spec = SmootherSpec(kind, dim, float(exact_optimum(kind, dim)[0]))
