@@ -2,14 +2,14 @@
 
 The hierarchy uses grids with ``n = 2**k - 1`` interior points per dimension
 so that standard coarsening maps interior nodes onto interior nodes.  Every
-level holds one operator in diagonal (DIA) storage: the finest is the
-assembled Laplacian stencil, coarser ones are the Galerkin operators
-``A_H = 2**-dim P^T A P`` with linear interpolation ``P``.  Each is
-assembled from its exact stencil,
-``stencils.galerkin_stencil`` of the stencil one level up: on these grids
-every hat of ``P`` lies inside the box, so the triple product is that
-constant-coefficient stencil truncated at the Dirichlet boundary, the same
-matrix without the sparse product's temporaries.  Each level above the
+level holds the stencil of its operator: the finest the Laplacian, coarser
+ones the Galerkin operators ``A_H = 2**-dim P^T A P`` with linear
+interpolation ``P``, each ``stencils.galerkin_stencil`` of the stencil one
+level up: on these grids every hat of ``P`` lies inside the box, so the
+triple product is that constant-coefficient stencil truncated at the
+Dirichlet boundary.  A level of at most :data:`~vankamg.stencils.SLAB_ROWS`
+points also holds its operator assembled in diagonal (DIA) storage, the
+same matrix without the sparse product's temporaries.  Each level above the
 coarsest stores one transfer, the full weighting ``R = 2**-dim P^T`` of
 ``stencils.restriction_stencil`` written straight into CSR; the cycle
 restricts with ``R`` and prolongs with ``2**dim R^T`` through the stored
@@ -24,16 +24,17 @@ a reflection-symmetric stencil of reach 1 truncated at the Dirichlet
 boundary, which the sine modes diagonalise with the stencil's symbol as
 eigenvalues (Hockney's fast Poisson solver).  The bytes of the build are
 estimated from the level stencils before anything is assembled, and a
-build over :data:`BUILD_BUDGET_BYTES` is refused.  :meth:`Hierarchy.report`
-lists what each level holds.
+request whose build and cycle vectors exceed :data:`BUILD_BUDGET_BYTES` is
+refused.  :meth:`Hierarchy.report` lists what each level holds.
 
-On a level of more than :data:`~vankamg.stencils.SLAB_ROWS` points the
-products of a cycle run slab by slab, so each slab stays in cache for all
-the work done on it: the residual ``b - A u`` in row slabs of the DIA
-matrix (:attr:`Level.slabs`, built with the level), the rank-one smoothers
-in slabs of axis-0 planes (``stencils.apply``).  A Vanka smoother is one
-product on the whole vector.  Every row adds the same terms in the same
-order, so the results are those of the whole-vector products bit for bit.
+On a level of at most ``SLAB_ROWS`` points the residual ``b - A u`` is one
+product with the held DIA matrix.  A larger level stores no diagonals,
+which would be copies of its stencil's few coefficients: its residual is
+formed from the stencil, slab by slab of ``SLAB_ROWS`` rows, by
+``vanka.stencil_residual``, which adds each row's terms in the DIA
+product's order and gives its result bit for bit.  The rank-one smoothers
+run in slabs of axis-0 planes (``stencils.apply``), and a Vanka smoother
+is one product on the whole vector.
 
 ``measured_convergence_factor`` runs homogeneous cycles (``b = 0``) from a
 seeded random start, renormalising the iterate every cycle; the asymptotic
@@ -45,15 +46,16 @@ estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 import scipy.sparse
 
 from .lfa import SmootherKind, SmootherSpec, _sweeps, symbol
-from .stencils import GridSpec, PatchLayout, laplacian_stencil, restriction_stencil
+from .stencils import GridSpec, PatchLayout, Stencil, laplacian_stencil, restriction_stencil
 from . import stencils
-from .vanka import (VankaOperator, _dia_bytes, _smoother_bytes, assemble_sparse, build_vanka,
-                    _row_slabs)
+from .vanka import (VankaOperator, _diagonal_offsets, _dia_bytes, _smoother_bytes,
+                    assemble_sparse, build_vanka, stencil_residual)
 
 __all__ = [
     "CycleSpec",
@@ -72,16 +74,21 @@ __all__ = [
 COARSEST_MAX = 7          # stop V-cycle coarsening at n in {3, ..., 7}
 STAGNATION_RATIO = 1e-13  # per-cycle contraction at rounding level
 
-# cap on the estimated bytes of a build: a hierarchy whose level matrices,
-# transfers, smoothers and coarse sine solve add up to more is refused before
-# anything is assembled (every 2D V-cycle up to h = 1/2048 is accepted, the
-# vertex Vanka one at 1.0 GiB; no Vanka V-cycle at h = 1/4096; the 3D
-# two-grid up to h = 1/256, at 1.9 GiB).  The cycles' own vectors are not
-# counted: a ``run_convergence`` cycle holds at most about 9 vectors of the
-# fine grid besides the build (5.3 to 8.6 by tracemalloc for every kind at
-# nu1, nu2 <= 2 on 1D n = 1023, 2D n = 255 and 3D n = 63), at most 0.8x the
-# estimate, so a run whose build is admitted peaks under twice the budget.
+# cap on the estimated bytes of a run: a request whose build (level
+# diagonals, transfers, smoothers and coarse sine solve, ``_build_bytes``)
+# and cycle vectors add up to more is refused before anything is assembled.
+# Every 2D V-cycle up to h = 1/2048 is accepted, the vertex Vanka one with a
+# 0.73 GiB build; no Vanka V-cycle at h = 1/4096 (element: a 2.25 GiB
+# build); the 3D two-grid and V-cycle up to h = 1/256, with 0.64 and
+# 0.72 GiB builds.  A ``run_convergence`` cycle holds at most about
+# ``_CYCLE_VECTORS`` vectors of the fine grid besides the build (5.3 to 8.6
+# by tracemalloc for every kind at nu1, nu2 <= 2 on 1D n = 1023, 2D n = 255
+# and 3D n = 63).  As a level of more than ``SLAB_ROWS`` points stores no
+# diagonals, they can outweigh the build: 1.1 GiB on the 3D V-cycle at
+# h = 1/256, and 4.5 GiB against a 2.0 GiB build on the 2D Jacobi
+# two-grid at h = 1/8192, which is refused.
 BUILD_BUDGET_BYTES = 2**31
+_CYCLE_VECTORS = 9
 
 _CSR_BYTES_PER_NNZ = 12   # float64 value plus int32 column index
 
@@ -106,31 +113,49 @@ class CycleSpec:
             raise ValueError(f"unknown cycle type {self.cycle!r}")
 
 
+def _holds_diagonals(grid: GridSpec) -> bool:
+    """Whether a level on ``grid`` stores its operator's diagonals: at most one slab of points."""
+    return grid.npoints <= stencils.SLAB_ROWS
+
+
 @dataclass
 class Level:
-    """One grid level: DIA operator, smoother applicator, transfers to the coarser level.
+    """One grid level: operator stencil, smoother applicator, transfers to the coarser level.
 
+    ``stencil`` is the level operator's.  A level of at most
+    :data:`~vankamg.stencils.SLAB_ROWS` points holds it assembled as
+    ``dia`` (``vanka.assemble_sparse``), whose one product is the fastest
+    residual there; a larger level holds no diagonals (``dia`` is None) but
+    ``kernel``, the ``vanka.stencil_residual`` of its stencil.  ``matrix``
+    is the DIA matrix either way, assembled on each access on a large level;
+    the cycle, the build and :meth:`Hierarchy.report` never read it.
     ``m_apply(r)`` evaluates ``M r`` into a fresh array and leaves ``r`` alone:
     :func:`relax` scales and updates its result in place; on a Vanka level
     it is the bound ``apply`` of the level's :class:`~vankamg.vanka.VankaOperator`.
     ``restrict`` is the full weighting ``R`` onto the next coarser level
     (``transfer_ops``) and ``prolong`` the view ``R^T``, a CSC matrix on
     ``R``'s arrays; the cycle prolongs with ``2**dim R^T``.  Only the
-    coarsest level holds ``sine``, its exact :class:`SineSolve`.  ``slabs``
-    holds the row slabs of ``matrix`` (``vanka._row_slabs``, empty on a
-    level of one slab), which share its diagonals.
+    coarsest level holds ``sine``, its exact :class:`SineSolve`.
     """
 
     grid: GridSpec
-    matrix: scipy.sparse.dia_matrix
+    stencil: Stencil
     m_apply: object = None
     restrict: scipy.sparse.csr_matrix | None = None  # from here to the next coarser level
     prolong: scipy.sparse.csc_matrix | None = None   # ``restrict.T``, sharing its arrays
     sine: SineSolve | None = None                    # exact solve, on the coarsest only
-    slabs: tuple = field(init=False, repr=False)     # ``_row_slabs(matrix)``
+    dia: scipy.sparse.dia_matrix | None = field(init=False, repr=False)
+    kernel: object = field(init=False, repr=False)   # ``b - A u`` where ``dia`` is None
 
     def __post_init__(self):
-        self.slabs = _row_slabs(self.matrix)
+        held = _holds_diagonals(self.grid)
+        self.dia = assemble_sparse(self.stencil, self.grid) if held else None
+        self.kernel = None if held else stencil_residual(self.stencil, self.grid)
+
+    @property
+    def matrix(self) -> scipy.sparse.dia_matrix:
+        """The level operator in DIA storage: ``dia``, or assembled now on a large level."""
+        return self.dia if self.dia is not None else assemble_sparse(self.stencil, self.grid)
 
 
 @dataclass(frozen=True)
@@ -186,10 +211,13 @@ class Hierarchy:
     def report(self) -> list:
         """One dict per level, finest first: what the level holds.
 
-        ``n``, ``h`` and ``unknowns`` size the grid; ``diagonals``,
-        ``nonzeros`` (``_nonzeros``: the DIA ``nnz`` also counts the zeros a
-        diagonal stores in rows whose neighbour lies off the grid) and
-        ``operator_bytes`` describe the level matrix, ``smoother`` is the
+        ``n``, ``h`` and ``unknowns`` size the grid; ``diagonals`` and
+        ``nonzeros`` describe the level operator, read from its stencil
+        without assembling it: an entry at offset ``o`` reaches
+        ``prod_k (n - |o_k|)`` rows of the Dirichlet grid (the DIA ``nnz``
+        also counts the zeros a diagonal stores in rows whose neighbour lies
+        off the grid).  ``operator_bytes`` are the diagonals the level holds,
+        0 on a level of more than ``SLAB_ROWS`` points; ``smoother`` is the
         smoother kind (None on the coarsest level, which is solved exactly),
         ``smoother_bytes`` a Vanka ``M`` with its weights (0 for the
         smoothers applied as stencils) and ``transfer_bytes`` the restriction
@@ -201,10 +229,12 @@ class Hierarchy:
         rows = []
         for level in self.levels:
             op = getattr(level.m_apply, "__self__", None)
-            rows.append({"n": level.grid.n, "h": level.grid.h, "unknowns": level.grid.npoints,
-                         "diagonals": len(level.matrix.offsets),
-                         "nonzeros": _nonzeros(level.matrix),
-                         "operator_bytes": _stored_bytes(level.matrix),
+            n = level.grid.n
+            entries = [o for o, c in level.stencil.entries.items() if c != 0]
+            rows.append({"n": n, "h": level.grid.h, "unknowns": level.grid.npoints,
+                         "diagonals": len(_diagonal_offsets(entries, level.grid)),
+                         "nonzeros": sum(prod(n - abs(k) for k in o) for o in entries),
+                         "operator_bytes": _stored_bytes(level.dia),
                          "smoother": None if level.sine is not None
                          else self.spec.smoother.kind.value,
                          "smoother_bytes": _stored_bytes(op.matrix) + op.weights.nbytes
@@ -223,17 +253,6 @@ class Hierarchy:
         rows = self.report()
         return {key: sum(row[count] for row in rows) / rows[0][count]
                 for key, count in (("operator", "nonzeros"), ("grid", "unknowns"))}
-
-
-def _nonzeros(matrix: scipy.sparse.dia_matrix) -> int:
-    """Nonzero entries of a DIA matrix, without copying its diagonals.
-
-    Diagonal ``offset`` stores column ``j`` in ``data[i, j]``, which lies in
-    the matrix only for ``offset <= j < rows + offset``.
-    """
-    rows, cols = matrix.shape
-    return sum(int(np.count_nonzero(line[max(0, off):max(0, min(cols, rows + off))]))
-               for line, off in zip(matrix.data, matrix.offsets.tolist()))
 
 
 def transfer_ops(fine_grid: GridSpec) -> scipy.sparse.csr_matrix:
@@ -304,15 +323,16 @@ def _transfer_bytes(coarse: GridSpec) -> int:
 def _build_bytes(sm: SmootherSpec, grids, level_stencils) -> int:
     """Estimated peak bytes of the level matrices, transfers, smoothers and coarse solve.
 
-    Every level matrix, every restriction, every Vanka ``M`` and its weights
-    and the coarsest level's sine matrix (``n**2`` values) and eigenvalues
-    (one per point) stay held.  Nothing built on the way is larger than a
-    few vectors of a grid: the eigenvalues are evaluated one slab of sine
-    modes at a time (on the 3D two-grid at h = 1/64 the tracemalloc peak is
-    1.05x the estimate).
+    The diagonals of every level of at most ``SLAB_ROWS`` points (a larger
+    level holds only its stencil), every restriction, every Vanka ``M`` and
+    its weights and the coarsest level's sine matrix (``n**2`` values) and
+    eigenvalues (one per point) stay held.  Nothing built on the way is
+    larger than a few vectors of a grid: the eigenvalues are evaluated one
+    slab of sine modes at a time (on the 3D two-grid at h = 1/64 the
+    tracemalloc peak is 1.05x the estimate).
     """
     held = sum(_dia_bytes([o for o, c in st.entries.items() if c != 0], grid)
-               for grid, st in zip(grids, level_stencils))
+               for grid, st in zip(grids, level_stencils) if _holds_diagonals(grid))
     held += sum(_transfer_bytes(grid) for grid in grids[1:])
     layout = _vanka_layout(sm)
     if layout is not None:
@@ -327,8 +347,9 @@ def _plan(spec: CycleSpec, fine_grid: GridSpec) -> tuple:
     V-cycles coarsen until at most :data:`COARSEST_MAX` points per dimension
     remain and need ``n >= 15``.  The fine stencil is the Laplacian, each
     coarser one ``stencils.galerkin_stencil`` of the one above.  Nothing is
-    assembled: a build whose ``_build_bytes`` estimate exceeds
-    :data:`BUILD_BUDGET_BYTES` is refused.
+    assembled: a request whose ``_build_bytes`` estimate and
+    ``_CYCLE_VECTORS`` fine-grid vectors exceed :data:`BUILD_BUDGET_BYTES`
+    is refused.
     """
     if fine_grid.boundary != "dirichlet":
         raise ValueError("the solver runs on Dirichlet grids")
@@ -350,10 +371,12 @@ def _plan(spec: CycleSpec, fine_grid: GridSpec) -> tuple:
         grids.append(GridSpec(g.dim, (g.n - 1) // 2, 2 * g.h))
         level_stencils.append(stencils.galerkin_stencil(level_stencils[-1]))
     build_bytes = _build_bytes(spec.smoother, grids, level_stencils)
-    if build_bytes > BUILD_BUDGET_BYTES:
+    vector_bytes = 8 * _CYCLE_VECTORS * fine_grid.npoints
+    if build_bytes + vector_bytes > BUILD_BUDGET_BYTES:
         raise ValueError(
             f"building the {spec.cycle} hierarchy on {n}^{fine_grid.dim} unknowns "
-            f"needs about {build_bytes / 2**30:.1f} GiB, "
+            f"needs about {build_bytes / 2**30:.1f} GiB and its cycles "
+            f"{vector_bytes / 2**30:.1f} GiB more, "
             f"over the {BUILD_BUDGET_BYTES / 2**30:.0f} GiB budget")
     return grids, level_stencils
 
@@ -362,43 +385,42 @@ def build_hierarchy(spec: CycleSpec, fine_grid: GridSpec) -> Hierarchy:
     """Build grids, operators, smoothers and transfers for the requested cycle.
 
     The levels are those of ``_plan``, which refuses a request before any
-    assembly.  Every level holds one operator in diagonal (DIA) storage:
-    the assembled fine Laplacian and the Galerkin operators below it, each
-    assembled from ``stencils.galerkin_stencil`` of the stencil one level up
-    (equal to ``2**-dim P^T A P``, as every hat of ``P`` lies inside the
-    grid).  Every level but the coarsest keeps the restriction ``R`` onto
+    assembly.  Every level holds its operator's stencil: the fine Laplacian
+    and the Galerkin operators below it, each ``stencils.galerkin_stencil``
+    of the stencil one level up (equal to ``2**-dim P^T A P``, as every hat
+    of ``P`` lies inside the grid); a :class:`Level` of at most
+    ``SLAB_ROWS`` points also assembles it in diagonal (DIA) storage.
+    Every level but the coarsest keeps the restriction ``R`` onto
     the next one and its transpose view, from which the cycle prolongs
     (``P = 2**dim R^T``, never stored), and each level's stencil builds its
     smoother.  The coarsest level keeps the :class:`SineSolve` of its
     stencil.
     """
     grids, level_stencils = _plan(spec, fine_grid)
-    levels = [Level(fine_grid, assemble_sparse(level_stencils[0], fine_grid))]
+    levels = [Level(fine_grid, level_stencils[0])]
     for grid, st in zip(grids[1:], level_stencils[1:]):
         levels[-1].restrict = transfer_ops(levels[-1].grid)
         levels[-1].prolong = levels[-1].restrict.T
-        levels.append(Level(grid, assemble_sparse(st, grid)))
-    for level, st in zip(levels[:-1], level_stencils):
-        level.m_apply = _smoother_applicator(spec.smoother, level.grid, st)
-    levels[-1].sine = SineSolve.of(level_stencils[-1], grids[-1])
+        levels.append(Level(grid, st))
+    for level in levels[:-1]:
+        level.m_apply = _smoother_applicator(spec.smoother, level.grid, level.stencil)
+    levels[-1].sine = SineSolve.of(levels[-1].stencil, levels[-1].grid)
     return Hierarchy(spec, levels)
 
 
 def _residual(level: Level, u: np.ndarray | None, b: np.ndarray) -> np.ndarray:
     """``b - A u`` in a new array, or ``b`` itself for the zero iterate ``u = None``.
 
-    On a level with row slabs each slab's ``b - A u`` is formed while its
-    product is in cache.
+    One product with the held DIA matrix, or on a level that holds none the
+    ``vanka.stencil_residual`` kernel, which gives the same bytes slab by
+    slab with each slab in cache.
     """
     if u is None:
         return b
-    if not level.slabs:
-        residual = level.matrix @ u
-        np.subtract(b, residual, out=residual)
-        return residual
-    residual = np.empty_like(b)
-    for r0, r1, slab in level.slabs:
-        np.subtract(b[r0:r1], slab @ u, out=residual[r0:r1])
+    if level.dia is None:
+        return level.kernel(u, b)
+    residual = level.dia @ u
+    np.subtract(b, residual, out=residual)
     return residual
 
 

@@ -35,11 +35,14 @@ and :class:`~vankamg.stencils.PatchLayout` are pure stencil data and live in
 :func:`assemble_sparse` turns any stencil into a DIA matrix by one rule:
 ``sum_o c_o kron_k T(o_k)``, a Kronecker product of 1D shifts per offset
 (periodic shifts carry the wrapped diagonal), written straight into its
-diagonals.
+diagonals.  :func:`stencil_residual` forms ``b - A u`` for that matrix from
+the stencil alone, adding each row's terms in the DIA product's order
+(:func:`_diagonals`), so its result is the product's bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -337,13 +340,32 @@ def _pieces(offset, grid: GridSpec):
             yield int(np.dot([d for d, _ in choice], strides)), box
 
 
+def _diagonal_offsets(offsets, grid: GridSpec) -> set:
+    """Flat offsets of the diagonals coupling each point to ``offsets`` on ``grid``."""
+    return {flat for o in offsets for flat, _ in _pieces(o, grid)}
+
+
 def _dia_bytes(offsets, grid: GridSpec) -> int:
     """Bytes of the DIA matrix coupling each point to ``offsets`` on ``grid``.
 
     Each diagonal holds a float64 value per point and a 4-byte offset.
     """
-    diagonals = {flat for o in offsets for flat, _ in _pieces(o, grid)}
-    return len(diagonals) * (8 * grid.npoints + 4)
+    return len(_diagonal_offsets(offsets, grid)) * (8 * grid.npoints + 4)
+
+
+def _diagonals(stencil: Stencil, grid: GridSpec) -> list:
+    """``(flat, [(box, coef), ...])`` per stored diagonal, in ascending ``flat``: DIA order.
+
+    Every piece of every nonzero entry (:func:`_pieces`) goes to the
+    diagonal of its flat offset, with its column box and float coefficient.
+    """
+    _check_stencil(stencil, grid)
+    pieces = {}
+    for offset, coef in stencil.entries.items():
+        if coef != 0:
+            for flat, box in _pieces(offset, grid):
+                pieces.setdefault(flat, []).append((box, float(coef)))
+    return [(flat, pieces[flat]) for flat in sorted(pieces)]
 
 
 def assemble_sparse(stencil: Stencil, grid: GridSpec) -> sp.dia_matrix:
@@ -362,43 +384,113 @@ def assemble_sparse(stencil: Stencil, grid: GridSpec) -> sp.dia_matrix:
     seen as a grid; the rest of the diagonal stays zero.  Pieces that share
     a diagonal (wrapped ones on periodic grids) reach disjoint rows, as a
     row reaches a given column through one offset only.  The diagonals are
-    stored in ascending order, so a product adds each row's terms in
-    ascending column order, as a sorted CSR product does.  Zero
-    coefficients and diagonals no point reaches are not stored;
+    stored in ascending order (:func:`_diagonals`), so a product adds each
+    row's terms in ascending column order, as a sorted CSR product does.
+    Zero coefficients and diagonals no point reaches are not stored;
     ``.tocsr()`` drops the zeros of the truncated diagonals.
     """
-    _check_stencil(stencil, grid)
-    pieces = {}
-    for offset, coef in stencil.entries.items():
-        if coef != 0:
-            for flat, box in _pieces(offset, grid):
-                pieces.setdefault(flat, []).append((box, float(coef)))
-    offsets = sorted(pieces)
-    data = np.zeros((len(offsets), grid.npoints))
-    for diagonal, flat in zip(data, offsets):
-        for box, coef in pieces[flat]:
+    diagonals = _diagonals(stencil, grid)
+    data = np.zeros((len(diagonals), grid.npoints))
+    for diagonal, (_, pieces) in zip(data, diagonals):
+        for box, coef in pieces:
             diagonal.reshape(grid.shape)[box] = coef
-    return sp.dia_matrix((data, offsets), shape=(grid.npoints,) * 2)
+    return sp.dia_matrix((data, [flat for flat, _ in diagonals]), shape=(grid.npoints,) * 2)
 
 
-def _row_slabs(matrix: sp.dia_matrix) -> tuple:
-    """Row slabs ``(r0, r1, slab)`` of a DIA matrix, or ``()`` if it is one slab.
+def _power_scale(coefs) -> float:
+    """The power of two that the most ``coefs`` equal in magnitude (the larger on a tie), or 1.0."""
+    powers = [abs(c) for c in coefs if math.frexp(abs(c))[0] == 0.5]
+    return max(powers, key=lambda p: (powers.count(p), p), default=1.0)
 
-    A matrix of more than :data:`~vankamg.stencils.SLAB_ROWS` rows is cut
-    into slabs of that many rows (the last one may be shorter), so a product
-    works on one slab of the output while it is in cache.  ``slab`` is rows
-    ``[r0, r1)``: a DIA matrix on the same ``data`` (shared, not copied)
-    whose offsets are shifted by ``r0``.  Each row adds the same diagonals in
-    the same order as in the whole matrix, so ``slab @ x`` is rows
-    ``[r0, r1)`` of ``matrix @ x`` bit for bit.
+
+def stencil_residual(stencil: Stencil, grid: GridSpec):
+    """Return ``residual(u, b)``, which forms ``b - A u`` in a new array without ``A``.
+
+    ``A`` is ``assemble_sparse(stencil, grid)``; nothing of its size is
+    stored.  For finite ``u`` and ``b`` the result equals ``b - A @ u`` byte
+    for byte.  The one exception: where a non-finite value of ``u`` is a
+    neighbour across the end of a row, the DIA product adds ``0 * inf``,
+    NaN, and this kernel adds nothing.
+
+    The rows run in slabs of :data:`~vankamg.stencils.SLAB_ROWS`, on flat
+    contiguous slices.  Each slab takes the terms in the DIA product's
+    order, ascending flat offset (:func:`_diagonals`), and adds each term's
+    product to the sum of the ones before it, starting from zero.  Where
+    the neighbour lies off the box, the DIA product adds ``0 * u``, a
+    signed zero; here the term holds ``+0.0`` there.  Neither changes a
+    sum that started from ``+0.0``, as such a sum is never ``-0.0`` in
+    round-to-nearest.  Those rows are found per axis past the first in a
+    view of whole planes; along the first axis the flat slice already
+    leaves them out.
+
+    A power of two ``s``, the magnitude most coefficients share (``h**-2``
+    for the Laplacian), is factored out (:func:`_power_scale`): the sum of
+    ``(c/s) u`` is formed and scaled by ``s`` at the end.  So the terms of
+    coefficient ``±s`` are plain additions and subtractions, done in place
+    with the off-box rows of the sum kept and put back.  Scaling by a
+    power of two is exact, so the result is the unscaled one unless a
+    product or a partial sum overflows or leaves the normal range.
     """
-    (rows, cols), size = matrix.shape, stencils.SLAB_ROWS
-    if rows <= size:
-        return ()
-    return tuple((r0, min(r0 + size, rows),
-                  sp.dia_matrix((matrix.data, matrix.offsets + r0),
-                                shape=(min(size, rows - r0), cols)))
-                 for r0 in range(0, rows, size))
+    n, size = grid.n, grid.npoints
+    plane = size // n
+    diagonals = _diagonals(stencil, grid)
+    scale = _power_scale([c for _, pieces in diagonals for _, c in pieces])
+    terms = []
+    for flat, pieces in diagonals:
+        for box, coef in pieces:
+            # per axis past the first, the rows whose neighbour lies off the box
+            off = tuple((slice(None),) * axis
+                        + (slice(n - part.start, n) if part.start else slice(0, n - part.stop),)
+                        for axis, part in enumerate(box[1:], 1) if part.start or part.stop < n)
+            terms.append((flat, coef / scale, off))
+
+    def residual(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+        u, b = np.asarray(u, dtype=float), np.asarray(b, dtype=float)
+        if u.shape != (size,) or b.shape != (size,):
+            raise ValueError(f"expected flat arrays of length {size}")
+        out = np.empty(size)
+        planes = out.reshape((-1,) + grid.shape[1:])
+        step = stencils.SLAB_ROWS
+        work = np.empty(min(step, size) + 2 * plane)
+        for r0 in range(0, size, step):
+            r1 = min(r0 + step, size)
+            total = out[r0:r1]
+            # ``work[i - first * plane]`` holds row ``i``, so whole planes line up
+            first, last = r0 // plane, -(-r1 // plane)
+            work_planes = work[:(last - first) * plane].reshape((-1,) + grid.shape[1:])
+            fresh = True
+            for flat, coef, off in terms:
+                lo, hi = max(r0, -flat), min(r1, size - flat)
+                if lo >= hi:
+                    continue
+                src, dst = u[lo + flat:hi + flat], total[lo - r0:hi - r0]
+                unit = coef in (1.0, -1.0)
+                if unit and not fresh:
+                    # whole planes may reach past [lo, hi); rows there are put back as they were
+                    kept =[(view, view.copy()) for view in (planes[first:last][i] for i in off)]
+                    (np.add if coef > 0 else np.subtract)(dst, src, out=dst)
+                    for view, value in kept:
+                        view[...] = value
+                elif unit and not off:
+                    (np.add if coef > 0 else np.subtract)(0.0, src, out=dst)
+                else:
+                    term = work[lo - first * plane:hi - first * plane]
+                    np.multiply(src, coef, out=term)
+                    for i in off:
+                        work_planes[i] = 0.0
+                    np.add(0.0 if fresh else dst, term, out=dst)
+                if fresh:
+                    total[:lo - r0] = 0.0
+                    total[hi - r0:] = 0.0
+                    fresh = False
+            if fresh:
+                total[:] = 0.0
+            if scale != 1.0:
+                total *= scale
+            np.subtract(b[r0:r1], total, out=total)
+        return out
+
+    return residual
 
 
 def export_triplets(matrix, path=None) -> str:

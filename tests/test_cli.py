@@ -336,7 +336,7 @@ def test_oversized_samples_refused_before_allocating(capsys, argv):
 
 
 def test_solve_refuses_an_oversized_3d_two_grid(capsys):
-    # h = 1/512: the fine 7-point Laplacian alone would take about 7.4 GB.
+    # h = 1/512: the restriction alone would take about 5.0 GiB.
     # The refusal needs the solver's byte estimate, so the solver (and scipy
     # with it) is imported before the traced window, which then holds only
     # the request's own allocations.

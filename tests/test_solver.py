@@ -360,8 +360,8 @@ def test_sine_eigenvalues_are_the_coarse_spectrum(dim, n):
 
 
 def test_oversized_3d_two_grid_refused_before_assembly():
-    # h = 1/512: the fine 7-point Laplacian alone is 7 diagonals of 511**3
-    # values of 8 B, about 7.4 GB
+    # h = 1/512: the restriction alone holds 27 entries of 12 B for each of
+    # 255**3 coarse rows, 5.0 GiB
     spec = CycleSpec(_smoother("mass3d", 3), 1, 0, "two-grid")
     tracemalloc.start()
     try:
@@ -413,14 +413,19 @@ def test_3d_two_grid_build_estimate_matches_the_measured_peak():
     assert 0.8 < estimate / peak < 1.25
 
 
-@pytest.mark.parametrize("kind, dim, n", [("jacobi", 1, 63), ("mass", 2, 63), ("mass3d", 3, 31)])
+@pytest.mark.parametrize("kind, dim, n", [("jacobi", 1, 63), ("mass", 2, 63), ("mass3d", 3, 31),
+                                          ("mass3d", 3, 63)])
 def test_build_estimate_counts_every_stored_matrix(kind, dim, n):
-    # without a Vanka smoother the estimate is exact: level diagonals,
+    # without a Vanka smoother the estimate is exact: the diagonals of the
+    # levels of at most SLAB_ROWS points (the fine 63**3 level holds none),
     # restrictions and the coarse sine matrix and eigenvalues
     spec = CycleSpec(_smoother(kind, dim), 1, 0, "v-cycle")
     grid = GridSpec(dim, n, 1 / (n + 1))
     grids, level_stencils = solver._plan(spec, grid)
     hier = build_hierarchy(spec, grid)
+    assert [level.dia is None for level in hier.levels] == \
+        [g.npoints > stencils.SLAB_ROWS for g in grids]
+    assert (hier.fine.dia is None) == (n == 63 and dim == 3)
 
     def nbytes(m):
         if m.format == "dia":
@@ -429,16 +434,17 @@ def test_build_estimate_counts_every_stored_matrix(kind, dim, n):
 
     restrictions = [level.restrict for level in hier.levels[:-1]]
     assert [nbytes(r) for r in restrictions] == [solver._transfer_bytes(g) for g in grids[1:]]
-    stored = sum(nbytes(level.matrix) for level in hier.levels) + sum(map(nbytes, restrictions))
+    stored = sum(nbytes(level.dia) for level in hier.levels if level.dia is not None)
+    stored += sum(map(nbytes, restrictions))
     stored += hier.levels[-1].sine.sines.nbytes + hier.levels[-1].sine.eigenvalues.nbytes
     assert solver._build_bytes(spec.smoother, grids, level_stencils) == stored
 
 
 @pytest.mark.parametrize("kind", ["vanka-e", "vanka-v"])
 def test_oversized_vanka_v_cycle_refused_before_assembly(kind):
-    # h = 1/4096: the fine Laplacian and element smoother alone are 14
-    # diagonals of 4095**2 values of 8 B, 1.75 GiB; the whole element build
-    # is estimated at 3.2 GiB
+    # h = 1/4096: the element smoother alone is 9 diagonals of 4095**2
+    # values of 8 B, 1.1 GiB; the whole element build is estimated at
+    # 2.25 GiB, and its cycles' vectors at 1.1 GiB more
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="GiB budget"):
@@ -457,12 +463,27 @@ def test_oversized_vanka_v_cycle_refused_before_assembly(kind):
     ("vanka-e", 2, 2047, "v-cycle"), ("vanka-v", 2, 2047, "v-cycle"),
     # the benchmark's grids
     ("vanka-e", 2, 255, "v-cycle"), ("vanka-e", 2, 255, "two-grid"), ("mass3d", 3, 63, "v-cycle"),
+    # h = 1/256: a 0.72 GiB build with no fine or level-1 diagonals, and 1.1
+    # GiB of cycle vectors (2.05 GiB, refused, with the diagonals)
+    ("mass3d", 3, 255, "v-cycle"),
 ])
 def test_build_budget_admits_2d_v_cycles_to_h1024_and_the_benchmark_grids(kind, dim, n,
                                                                           cycle_type):
     spec = CycleSpec(_smoother(kind, dim), 1, 0, cycle_type)
     grids, level_stencils = solver._plan(spec, GridSpec(dim, n, 1 / (n + 1)))
     assert grids[0].n == n and len(level_stencils) == len(grids)
+
+
+def test_cycle_vectors_count_toward_the_budget():
+    # the 2D Jacobi two-grid at h = 1/8192 builds in 2.0 GiB, as its fine
+    # level holds no diagonals, but its cycles hold 4.5 GiB of vectors
+    spec = CycleSpec(_smoother("jacobi", 2), 1, 0, "two-grid")
+    grids = [GridSpec(2, 8191, 1 / 8192), GridSpec(2, 4095, 1 / 4096)]
+    level_stencils = [laplacian_stencil(2, grids[0].h)]
+    level_stencils.append(stencils.galerkin_stencil(level_stencils[0]))
+    assert solver._build_bytes(spec.smoother, grids, level_stencils) <= solver.BUILD_BUDGET_BYTES
+    with pytest.raises(ValueError, match="2.0 GiB and its cycles 4.5 GiB more, over the 2 GiB"):
+        solver._plan(spec, grids[0])
 
 
 def test_hierarchy_validation():
@@ -528,7 +549,7 @@ def test_relax_vanka_scales_periodic_mode_by_symbol():
     grid = GridSpec(2, n, h, boundary="periodic")
     sm = _smoother("vanka-e", 2)
     st = laplacian_stencil(2, Fraction(1, 8))
-    level = Level(grid, assemble_sparse(st, grid),
+    level = Level(grid, st,
                   m_apply=build_vanka(PatchLayout("element", 2), grid, st).apply)
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     for theta in ((np.pi, np.pi), (np.pi / 2, np.pi / 2), (np.pi / 4, -np.pi / 2)):
@@ -545,7 +566,7 @@ def test_relax_smoothing_property_periodic_fft():
     grid = GridSpec(2, n, h, boundary="periodic")
     sm = _smoother("vanka-e", 2)
     st = laplacian_stencil(2, Fraction(1, 16))
-    level = Level(grid, assemble_sparse(st, grid),
+    level = Level(grid, st,
                   m_apply=build_vanka(PatchLayout("element", 2), grid, st).apply)
     rng = np.random.default_rng(4)
     u0 = rng.standard_normal(n * n)
@@ -629,38 +650,57 @@ def test_cycle_equals_the_allocating_recursion(smoother, dim, kind):
 @pytest.mark.parametrize("smoother, dim", [("jacobi", 3), ("vanka-e", 2), ("vanka-v", 2),
                                            ("mass", 2), ("mass3d", 3)])
 def test_cycle_by_slabs_equals_the_allocating_recursion(monkeypatch, smoother, dim, slab):
-    # the oracle runs on a hierarchy of one slab per product
+    # the oracle runs on a hierarchy that holds the diagonals of every level;
+    # under ``slab`` points per slab the larger levels hold none and form
+    # their residual from the stencil, slab by slab
     grid = GridSpec(dim, {2: 31, 3: 15}[dim], {2: 1 / 32, 3: 1 / 16}[dim])
     rng = np.random.default_rng(slab)
     u, b = rng.standard_normal(grid.npoints), rng.standard_normal(grid.npoints)
     for nu1, nu2 in ((1, 0), (1, 1)):
         spec = CycleSpec(_smoother(smoother, dim), nu1, nu2, "v-cycle")
         whole = build_hierarchy(spec, grid)
-        assert not whole.fine.slabs
+        assert all(level.dia is not None and level.kernel is None for level in whole.levels)
         want = _allocating_descend(whole, 0, u, b)
         with monkeypatch.context() as patch:
             patch.setattr(stencils, "SLAB_ROWS", slab)
             hier = build_hierarchy(spec, grid)
-            assert len(hier.fine.slabs) == -(-grid.npoints // slab)
+            assert [level.dia is None for level in hier.levels] == \
+                [level.grid.npoints > slab for level in hier.levels]
+            assert hier.fine.dia is None and hier.fine.kernel is not None
             residual = solver._residual(hier.fine, u, b)
-            assert residual.tobytes() == (b - hier.fine.matrix @ u).tobytes()
+            assert residual.tobytes() == (b - whole.fine.matrix @ u).tobytes()
             got = cycle(hier, u, b)
         assert got.tobytes() == want.tobytes(), (nu1, nu2)
 
 
 def test_mass3d_v_cycle_on_four_slabs_equals_the_allocating_recursion(monkeypatch):
-    # h = 1/64: 250047 rows, four slabs of the fine residual and smoother
+    # h = 1/64: 250047 rows, four slabs of the fine residual and smoother; the
+    # fine level holds no diagonals, the coarser ones (29791 rows and fewer) do
     grid = GridSpec(3, 63, 1 / 64)
     spec = CycleSpec(_smoother("mass3d", 3), 1, 0, "v-cycle")
     rng = np.random.default_rng(63)
     u, b = rng.standard_normal(grid.npoints), rng.standard_normal(grid.npoints)
     hier = build_hierarchy(spec, grid)
-    assert [r1 - r0 for r0, r1, _ in hier.fine.slabs] == [2**16] * 3 + [grid.npoints - 3 * 2**16]
+    assert -(-grid.npoints // stencils.SLAB_ROWS) == 4
+    assert [level.dia is None for level in hier.levels] == [True, False, False, False]
+    residual = solver._residual(hier.fine, u, b)
     got = cycle(hier, u, b)
     monkeypatch.setattr(stencils, "SLAB_ROWS", grid.npoints)
     whole = build_hierarchy(spec, grid)
-    assert not whole.fine.slabs
+    assert whole.fine.dia is not None
+    assert residual.tobytes() == solver._residual(whole.fine, u, b).tobytes()
     assert got.tobytes() == _allocating_descend(whole, 0, u, b).tobytes()
+
+
+def test_a_large_level_assembles_its_matrix_on_access():
+    grid = GridSpec(2, 511, 1 / 512)
+    hier = build_hierarchy(CycleSpec(_smoother("jacobi", 2), 1, 0, "v-cycle"), grid)
+    assert hier.fine.dia is None and hier.fine.grid.npoints > stencils.SLAB_ROWS
+    want = assemble_sparse(hier.fine.stencil, grid)
+    for part in ("offsets", "data"):
+        assert np.array_equal(getattr(hier.fine.matrix, part), getattr(want, part))
+    assert hier.fine.matrix is not hier.fine.matrix
+    assert hier.levels[1].matrix is hier.levels[1].dia
 
 
 @pytest.mark.parametrize("kind", ["two-grid", "v-cycle"])
@@ -692,7 +732,7 @@ def test_prolongation_is_a_view_of_the_restriction():
 
 
 @pytest.mark.parametrize("kind", ["jacobi", "vanka-e", "vanka-v"])
-def test_report_lists_what_each_level_holds(kind):
+def test_report_lists_what_each_level_holds(monkeypatch, kind):
     spec = CycleSpec(_smoother(kind, 2), 1, 0, "v-cycle")
     grid = GridSpec(2, 31, 1 / 32)
     grids, level_stencils = solver._plan(spec, grid)
@@ -702,8 +742,21 @@ def test_report_lists_what_each_level_holds(kind):
     assert [row["unknowns"] for row in report] == [31**2, 15**2, 7**2]
     # the 5-point Laplacian, then 9-point Galerkin operators
     assert [row["diagonals"] for row in report] == [5, 9, 9]
-    assert [row["operator_bytes"] for row in report] == \
-        [g.npoints * 8 * d + 4 * d for g, d in zip(grids, (5, 9, 9))]
+    diagonal_bytes = [g.npoints * 8 * d + 4 * d for g, d in zip(grids, (5, 9, 9))]
+    assert [row["operator_bytes"] for row in report] == diagonal_bytes
+    _assert_report_is_the_build_estimate(hier, spec, grids, level_stencils, kind)
+    # under 500 points per slab the fine level (961) holds no diagonals,
+    # and neither the report nor the estimate counts them
+    monkeypatch.setattr(stencils, "SLAB_ROWS", 500)
+    hier = build_hierarchy(spec, grid)
+    report = hier.report()
+    assert [row["diagonals"] for row in report] == [5, 9, 9]
+    assert [row["operator_bytes"] for row in report] == [0] + diagonal_bytes[1:]
+    _assert_report_is_the_build_estimate(hier, spec, grids, level_stencils, kind)
+
+
+def _assert_report_is_the_build_estimate(hier, spec, grids, level_stencils, kind):
+    report = hier.report()
     assert [row["transfer_bytes"] for row in report] == \
         [solver._transfer_bytes(g) for g in grids[1:]] + [0]
     # 9 element or 13 vertex diagonals of M, and the weights
@@ -722,24 +775,35 @@ def test_report_lists_what_each_level_holds(kind):
 
 
 @pytest.mark.parametrize("kind, dim, n", [("jacobi", 1, 31), ("vanka-v", 2, 31), ("mass3d", 3, 15)])
-def test_report_counts_the_nonzeros_of_each_level(kind, dim, n):
-    hier = build_hierarchy(CycleSpec(_smoother(kind, dim), 1, 0, "v-cycle"),
-                           GridSpec(dim, n, 1 / (n + 1)))
-    report = hier.report()
-    assert [row["h"] for row in report] == [2**k / (n + 1) for k in range(len(report))]
-    for row, level in zip(report, hier.levels):
-        assert row["nonzeros"] == level.matrix.tocsr().count_nonzero()
-    # in 2D and 3D a diagonal stores zeros in the rows whose neighbour lies
-    # off the grid, and the DIA nnz counts them
-    fine = hier.levels[0].matrix
-    assert (report[0]["nonzeros"] < fine.nnz) == (dim > 1)
+def test_report_counts_the_nonzeros_of_each_level(monkeypatch, kind, dim, n):
+    # with every level's diagonals held, then under 20 points per slab,
+    # where the levels of more points hold none
+    for slab in (stencils.SLAB_ROWS, 20):
+        monkeypatch.setattr(stencils, "SLAB_ROWS", slab)
+        hier = build_hierarchy(CycleSpec(_smoother(kind, dim), 1, 0, "v-cycle"),
+                               GridSpec(dim, n, 1 / (n + 1)))
+        assert (hier.fine.dia is None) == (slab == 20)
+        report = hier.report()
+        assert [row["h"] for row in report] == [2**k / (n + 1) for k in range(len(report))]
+        for row, level in zip(report, hier.levels):
+            assert row["nonzeros"] == level.matrix.tocsr().count_nonzero()
+            assert row["diagonals"] == len(level.matrix.offsets)
+        # in 2D and 3D a diagonal stores zeros in the rows whose neighbour lies
+        # off the grid, and the DIA nnz counts them
+        fine = hier.levels[0].matrix
+        assert (report[0]["nonzeros"] < fine.nnz) == (dim > 1)
 
 
-def test_report_counts_without_copying_the_diagonals():
-    # count_nonzero() on the DIA levels copies every in-bounds entry: an
-    # 18.6 MiB peak on this hierarchy, whose fine level stores 13.4 MiB
+def test_report_counts_without_copying_the_diagonals(monkeypatch):
+    # the report reads the stencils and assembles nothing: the fine level of
+    # this hierarchy holds no diagonals, and assembling them would take 13.4 MiB
     hier = build_hierarchy(CycleSpec(_smoother("mass3d", 3), 1, 0, "v-cycle"),
                            GridSpec(3, 63, 1 / 64))
+
+    def refuse(*args):
+        raise AssertionError("report() assembled a level matrix")
+
+    monkeypatch.setattr(solver, "assemble_sparse", refuse)
     tracemalloc.start()
     try:
         report = hier.report()
@@ -748,17 +812,6 @@ def test_report_counts_without_copying_the_diagonals():
         tracemalloc.stop()
     assert [row["nonzeros"] for row in report] == [1726515, 753571, 79507, 6859]
     assert peak < 2**20
-
-
-@pytest.mark.parametrize("shape", [(5, 5), (4, 6), (6, 4)])
-def test_nonzeros_skip_what_a_diagonal_stores_off_the_matrix(shape):
-    # a DIA diagonal stores a slot for every column, also where its row
-    # lies off the matrix; those slots hold nonzeros here
-    offsets = [-7, -2, 0, 1, 3, 6]
-    data = np.arange(1.0, 1 + len(offsets) * 6).reshape(len(offsets), 6)
-    data[2, 1] = 0.0
-    matrix = sp.dia_matrix((data, offsets), shape=shape)
-    assert solver._nonzeros(matrix) == matrix.tocsr().count_nonzero()
 
 
 @pytest.mark.parametrize("cycle_type", ["two-grid", "v-cycle"])

@@ -33,7 +33,7 @@ from vankamg import (
     laplacian_stencil,
     mass_stencil,
 )
-from vankamg import vanka
+from vankamg import stencils, vanka
 from vankamg.lfa import SmootherSpec, exact_optimum
 from vankamg.solver import CycleSpec, build_hierarchy
 from vankamg.vanka import VankaOperator
@@ -534,6 +534,107 @@ def test_assemble_sparse_takes_stencils_only():
         assemble_sparse(op, grid)
     with pytest.raises(TypeError, match="dia_matrix"):
         assemble_sparse(op.matrix, grid)
+
+
+# ---------------------------------------------------------------------------
+# residual from the stencil
+# ---------------------------------------------------------------------------
+
+def _residual_inputs(rng, size, zeros):
+    """Random ``u`` and ``b`` with a share ``zeros`` of each set to ``-0.0``."""
+    u, b = rng.standard_normal(size), rng.standard_normal(size)
+    u[rng.random(size) < zeros] = -0.0
+    b[rng.random(size) < zeros] = -0.0
+    return u, b
+
+
+@pytest.mark.parametrize("slab", [1, 7, 100, 10**6])
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_STENCILS))
+def test_stencil_residual_equals_the_dia_residual(monkeypatch, name, slab):
+    # slabs of one row, of a few rows with a partial last one, of many rows
+    # and of the whole grid; several pieces on one diagonal (periodic wraps,
+    # reach 2 on n = 3); inputs of both signs and 90 % -0.0, where a term of
+    # -0.0 at the start of a sum shows
+    monkeypatch.setattr(stencils, "SLAB_ROWS", slab)
+    st = ASSEMBLY_STENCILS[name]
+    rng = np.random.default_rng(slab)
+    for boundary in ("dirichlet", "periodic"):
+        for n in sorted({3, 2 * st.reach + 1, 5, 8}):
+            if boundary == "periodic" and n <= 2 * st.reach:
+                continue
+            grid = GridSpec(st.dim, n, 1 / (n + 1), boundary)
+            residual = vanka.stencil_residual(st, grid)
+            for zeros in (0.0, 0.9):
+                u, b = _residual_inputs(rng, grid.npoints, zeros)
+                want = b - assemble_sparse(st, grid) @ u
+                assert residual(u, b).tobytes() == want.tobytes(), (boundary, n, zeros)
+
+
+@pytest.mark.parametrize("slab", [100, 4096, 2**16])
+@pytest.mark.parametrize("dim, n", [(1, 1023), (2, 127), (3, 31)])
+def test_level_stencil_residual_equals_the_dia_residual(monkeypatch, dim, n, slab):
+    # the Laplacian with h**-2 factored out, then the Galerkin stencils below it
+    monkeypatch.setattr(stencils, "SLAB_ROWS", slab)
+    st, grid = laplacian_stencil(dim, Fraction(1, n + 1)), GridSpec(dim, n, 1 / (n + 1))
+    assert vanka._power_scale(float(c) for c in st.entries.values()) == (n + 1)**2
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        residual = vanka.stencil_residual(st, grid)
+        for zeros in (0.0, 0.9):
+            u, b = _residual_inputs(rng, grid.npoints, zeros)
+            want = b - assemble_sparse(st, grid) @ u
+            assert residual(u, b).tobytes() == want.tobytes(), (grid.n, zeros)
+        st, grid = galerkin_stencil(st), GridSpec(dim, (grid.n - 1) // 2, 2 * grid.h)
+
+
+def test_power_scale_picks_the_most_shared_power_of_two():
+    assert vanka._power_scale([-4.0, -4.0, 24.0, -4.0]) == 4.0
+    assert vanka._power_scale([-2048.0, -1024.0, -2048.0, -1024.0, 12288.0]) == 2048.0
+    assert vanka._power_scale([-768.0, -640.0, -192.0, 13824.0]) == 1.0
+    assert vanka._power_scale([0.5, 0.25, 0.25, 3.0]) == 0.25
+    assert vanka._power_scale([]) == 1.0
+
+
+def test_stencil_residual_adds_nothing_across_a_row_end():
+    # the one difference from the DIA product: point (1, 0) reaches the
+    # infinite (0, 4) through offset -1 across the end of row 0, where the
+    # diagonal stores a 0 and the product adds 0 * inf, NaN
+    grid = GridSpec(2, 5, 1 / 6)
+    st = laplacian_stencil(2, Fraction(1, 6))
+    u, b = np.zeros(grid.npoints), np.zeros(grid.npoints)
+    u[4] = np.inf
+    want = b - assemble_sparse(st, grid) @ u
+    got = vanka.stencil_residual(st, grid)(u, b)
+    assert np.isnan(want[5]) and got[5] == 0.0
+    assert np.delete(got, 5).tobytes() == np.delete(want, 5).tobytes()
+    assert np.isinf(got[[3, 4, 9]]).all()
+
+
+def test_stencil_residual_holds_one_vector():
+    # on the 3D n = 63 grid: the result and one slab of work, against the
+    # 14 MB of diagonals the DIA product reads
+    grid = GridSpec(3, 63, 1 / 64)
+    rng = np.random.default_rng(0)
+    u, b = rng.standard_normal(grid.npoints), rng.standard_normal(grid.npoints)
+    tracemalloc.start()
+    try:
+        residual = vanka.stencil_residual(laplacian_stencil(3, Fraction(1, 64)), grid)
+        built, _ = tracemalloc.get_traced_memory()
+        residual(u, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built < 2**14
+    assert peak < 8 * grid.npoints + 8 * (stencils.SLAB_ROWS + 2 * 63**2) + 2**16
+
+
+def test_stencil_residual_validates_lengths():
+    grid = GridSpec(2, 5, 1 / 6)
+    residual = vanka.stencil_residual(laplacian_stencil(2, Fraction(1, 6)), grid)
+    with pytest.raises(ValueError, match="length 25"):
+        residual(np.zeros(24), np.zeros(25))
+    with pytest.raises(ValueError, match="length 25"):
+        residual(np.zeros(25), np.zeros((5, 5)))
 
 
 def test_export_triplets_roundtrip(tmp_path):

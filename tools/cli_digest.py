@@ -38,6 +38,10 @@ DEFAULT_INVOCATIONS = [
     "scan-omega --kind jacobi --dim 3 --nu 3",
     "solve --kind vanka-e --h 1/32",
     "solve --kind mass3d --dim 3 --h 1/64 --cycle v-cycle --cycles 5",
+    "table1 --format csv",
+    "table2 --format csv",
+    "scan-omega --kind vanka-v --nu 1 --format csv",
+    "solve --kind mass3d --dim 3 --h 1/64 --cycle v-cycle --cycles 5 --format csv",
 ]
 
 
