@@ -7,13 +7,15 @@ ones the Galerkin operators ``A_H = 2**-dim P^T A P`` with linear
 interpolation ``P``, each ``stencils.galerkin_stencil`` of the stencil one
 level up: on these grids every hat of ``P`` lies inside the box, so the
 triple product is that constant-coefficient stencil truncated at the
-Dirichlet boundary.  A level of at most :data:`~vankamg.stencils.SLAB_ROWS`
-points also holds its operator assembled in diagonal (DIA) storage, the
-same matrix without the sparse product's temporaries.  Each level above the
-coarsest stores one transfer, the full weighting ``R = 2**-dim P^T`` of
-``stencils.restriction_stencil`` written straight into CSR; the cycle
-restricts with ``R`` and prolongs with ``2**dim R^T`` through the stored
-view ``R^T``, so ``A_H = R A P``.
+Dirichlet boundary.  A smoothed level of at most
+:data:`~vankamg.stencils.SLAB_ROWS` points also holds its operator
+assembled in diagonal (DIA) storage, the same matrix without the sparse
+product's temporaries.  No level stores a grid transfer: the cycle
+restricts with the full weighting ``R = 2**-dim P^T`` of
+``stencils.restriction_stencil`` and prolongs with ``P = 2**dim R^T``, both
+applied from the stencil's 1D line one axis at a time (``_restrict``,
+``_prolong``), so ``A_H = R A P``; ``transfer_ops`` assembles ``R`` as
+their reference.
 This reproduces the coarse Laplacian exactly in 1D and keeps the discrete
 two-grid operator aligned with its Fourier symbol (the error operator is
 invariant under the common rescaling of ``R`` and ``A_H``, so
@@ -74,23 +76,22 @@ __all__ = [
 COARSEST_MAX = 7          # stop V-cycle coarsening at n in {3, ..., 7}
 STAGNATION_RATIO = 1e-13  # per-cycle contraction at rounding level
 
-# cap on the estimated bytes of a run: a request whose build (level
-# diagonals, transfers, smoothers and coarse sine solve, ``_build_bytes``)
-# and cycle vectors add up to more is refused before anything is assembled.
-# Every 2D V-cycle up to h = 1/2048 is accepted, the vertex Vanka one with a
-# 0.73 GiB build; no Vanka V-cycle at h = 1/4096 (element: a 2.25 GiB
-# build); the 3D two-grid and V-cycle up to h = 1/256, with 0.64 and
-# 0.72 GiB builds.  A ``run_convergence`` cycle holds at most about
-# ``_CYCLE_VECTORS`` vectors of the fine grid besides the build (5.3 to 8.6
-# by tracemalloc for every kind at nu1, nu2 <= 2 on 1D n = 1023, 2D n = 255
-# and 3D n = 63).  As a level of more than ``SLAB_ROWS`` points stores no
-# diagonals, they can outweigh the build: 1.1 GiB on the 3D V-cycle at
-# h = 1/256, and 4.5 GiB against a 2.0 GiB build on the 2D Jacobi
-# two-grid at h = 1/8192, which is refused.
+# cap on the estimated bytes of a run: a request whose build (the diagonals
+# of the small levels, Vanka smoothers and coarse sine solve, ``_build_bytes``;
+# the grid transfers hold nothing) and cycle vectors add up to more is
+# refused before anything is assembled.  Every 2D V-cycle up to h = 1/2048 is
+# accepted, the vertex Vanka one with a 0.59 GiB build; no Vanka V-cycle at
+# h = 1/4096 (element: a 1.7 GiB build and 1.1 GiB of vectors); the 3D
+# two-grid and V-cycle up to h = 1/256, with 22 and 6.9 MiB builds.  A
+# ``run_convergence`` cycle holds at most about ``_CYCLE_VECTORS`` vectors of
+# the fine grid besides the build (5.9 to 8.6 by tracemalloc for every kind
+# at nu1, nu2 <= 2 on 1D n = 1023, 2D n = 255 and 3D n = 63).  As a level of
+# more than ``SLAB_ROWS`` points stores no diagonals, they outweigh the
+# build wherever the budget binds: 1.1 GiB on the 3D V-cycle at h = 1/256,
+# 8.9 GiB on the 3D two-grid at h = 1/512, and 4.5 GiB against a 0.3 GiB
+# build on the 2D Jacobi two-grid at h = 1/8192, both refused.
 BUILD_BUDGET_BYTES = 2**31
 _CYCLE_VECTORS = 9
-
-_CSR_BYTES_PER_NNZ = 12   # float64 value plus int32 column index
 
 
 class StagnationError(RuntimeError):
@@ -120,41 +121,40 @@ def _holds_diagonals(grid: GridSpec) -> bool:
 
 @dataclass
 class Level:
-    """One grid level: operator stencil, smoother applicator, transfers to the coarser level.
+    """One grid level: operator stencil, smoother applicator or coarse solve.
 
-    ``stencil`` is the level operator's.  A level of at most
+    ``stencil`` is the level operator's.  A smoothed level of at most
     :data:`~vankamg.stencils.SLAB_ROWS` points holds it assembled as
     ``dia`` (``vanka.assemble_sparse``), whose one product is the fastest
-    residual there; a larger level holds no diagonals (``dia`` is None) but
+    residual there; a larger one holds no diagonals (``dia`` is None) but
     ``kernel``, the ``vanka.stencil_residual`` of its stencil.  ``matrix``
-    is the DIA matrix either way, assembled on each access on a large level;
-    the cycle, the build and :meth:`Hierarchy.report` never read it.
+    is the DIA matrix either way, assembled on each access where ``dia`` is
+    None; the cycle, the build and :meth:`Hierarchy.report` never read it.
     ``m_apply(r)`` evaluates ``M r`` into a fresh array and leaves ``r`` alone:
     :func:`relax` scales and updates its result in place; on a Vanka level
     it is the bound ``apply`` of the level's :class:`~vankamg.vanka.VankaOperator`.
-    ``restrict`` is the full weighting ``R`` onto the next coarser level
-    (``transfer_ops``) and ``prolong`` the view ``R^T``, a CSC matrix on
-    ``R``'s arrays; the cycle prolongs with ``2**dim R^T``.  Only the
-    coarsest level holds ``sine``, its exact :class:`SineSolve`.
+    Only the coarsest level holds ``sine``, its exact :class:`SineSolve`;
+    the cycle forms no residual there, so it holds neither ``dia`` nor
+    ``kernel``.  No level holds a grid transfer: the cycle restricts with
+    :func:`_restrict` and prolongs with :func:`_prolong`.
     """
 
     grid: GridSpec
     stencil: Stencil
     m_apply: object = None
-    restrict: scipy.sparse.csr_matrix | None = None  # from here to the next coarser level
-    prolong: scipy.sparse.csc_matrix | None = None   # ``restrict.T``, sharing its arrays
     sine: SineSolve | None = None                    # exact solve, on the coarsest only
     dia: scipy.sparse.dia_matrix | None = field(init=False, repr=False)
-    kernel: object = field(init=False, repr=False)   # ``b - A u`` where ``dia`` is None
+    kernel: object = field(init=False, repr=False)   # ``b - A u`` on a large smoothed level
 
     def __post_init__(self):
-        held = _holds_diagonals(self.grid)
+        smoothed = self.sine is None
+        held = smoothed and _holds_diagonals(self.grid)
         self.dia = assemble_sparse(self.stencil, self.grid) if held else None
-        self.kernel = None if held else stencil_residual(self.stencil, self.grid)
+        self.kernel = stencil_residual(self.stencil, self.grid) if smoothed and not held else None
 
     @property
     def matrix(self) -> scipy.sparse.dia_matrix:
-        """The level operator in DIA storage: ``dia``, or assembled now on a large level."""
+        """The level operator in DIA storage: ``dia``, or assembled now where it is None."""
         return self.dia if self.dia is not None else assemble_sparse(self.stencil, self.grid)
 
 
@@ -177,9 +177,14 @@ class SineSolve:
         """The solve with ``stencil`` truncated on the Dirichlet ``grid``."""
         j = np.arange(1, grid.n + 1)
         sines = np.sqrt(2 / (grid.n + 1)) * np.sin(np.pi / (grid.n + 1) * np.outer(j, j))
-        modes = np.stack(np.meshgrid(*[np.pi / (grid.n + 1) * j] * grid.dim, indexing="ij"), -1)
-        # one slab at a time: ``symbol`` holds a phase per point and stencil entry
-        return cls(sines, np.array([symbol(stencil, slab) for slab in modes]).real)
+        theta = np.pi / (grid.n + 1) * j
+        eigenvalues = np.empty(grid.shape)
+        # one slab of modes at a time: ``symbol`` holds a phase and a cosine
+        # per point and stencil entry
+        for i, first in enumerate(theta):
+            slab = np.stack(np.meshgrid([first], *[theta] * (grid.dim - 1), indexing="ij"), -1)
+            eigenvalues[i] = symbol(stencil, slab[0]).real
+        return cls(sines, eigenvalues)
 
     def _transform(self, x: np.ndarray) -> np.ndarray:
         for _ in range(x.ndim):   # transform the last axis, then rotate it to the front
@@ -217,14 +222,13 @@ class Hierarchy:
         ``prod_k (n - |o_k|)`` rows of the Dirichlet grid (the DIA ``nnz``
         also counts the zeros a diagonal stores in rows whose neighbour lies
         off the grid).  ``operator_bytes`` are the diagonals the level holds,
-        0 on a level of more than ``SLAB_ROWS`` points; ``smoother`` is the
-        smoother kind (None on the coarsest level, which is solved exactly),
-        ``smoother_bytes`` a Vanka ``M`` with its weights (0 for the
-        smoothers applied as stencils) and ``transfer_bytes`` the restriction
-        (the prolongation shares its arrays).  The coarsest level adds
-        ``sine_bytes``, the sine matrix and eigenvalues of its
-        :class:`SineSolve`.  Everything is read from the built levels when
-        called.
+        0 on a level of more than ``SLAB_ROWS`` points and on the coarsest;
+        ``smoother`` is the smoother kind (None on the coarsest level, which
+        is solved exactly) and ``smoother_bytes`` a Vanka ``M`` with its
+        weights (0 for the smoothers applied as stencils).  The coarsest
+        level adds ``sine_bytes``, the sine matrix and eigenvalues of its
+        :class:`SineSolve`.  The grid transfers hold nothing.  Everything is
+        read from the built levels when called.
         """
         rows = []
         for level in self.levels:
@@ -238,8 +242,7 @@ class Hierarchy:
                          "smoother": None if level.sine is not None
                          else self.spec.smoother.kind.value,
                          "smoother_bytes": _stored_bytes(op.matrix) + op.weights.nbytes
-                         if isinstance(op, VankaOperator) else 0,
-                         "transfer_bytes": _stored_bytes(level.restrict)})
+                         if isinstance(op, VankaOperator) else 0})
             if level.sine is not None:
                 rows[-1]["sine_bytes"] = level.sine.sines.nbytes + level.sine.eigenvalues.nbytes
         return rows
@@ -256,30 +259,86 @@ class Hierarchy:
 
 
 def transfer_ops(fine_grid: GridSpec) -> scipy.sparse.csr_matrix:
-    """Full-weighting restriction ``R`` from the ``n`` grid to the ``(n-1)/2`` grid.
+    """Full-weighting restriction ``R`` from the ``n`` grid to the ``(n-1)/2`` grid, assembled.
 
-    ``R`` applies ``stencils.restriction_stencil`` at the fine points under
-    the coarse ones (coarse ``J`` on fine ``2J + 1`` per axis), so every row
-    keeps all ``3**dim`` weights and the CSR arrays are written directly:
-    ``indptr`` steps by ``3**dim``, each row's columns are its centre plus the
-    flat offsets in ascending order, and ``data`` repeats the weights.  The
-    cycle prolongs with linear interpolation ``P = 2**dim R^T``, never stored.
+    The rows of ``assemble_sparse(restriction_stencil(dim), fine_grid)`` at
+    the fine points under the coarse ones (coarse ``J`` on fine ``2J + 1``
+    per axis), each with all ``3**dim`` weights in ascending column order.
+    Linear interpolation is ``P = 2**dim R^T``.  The solver stores neither:
+    this matrix is the assembled reference of :func:`_restrict` and
+    :func:`_prolong`.
     """
-    n, dim = fine_grid.n, fine_grid.dim
+    n = fine_grid.n
     if n < 3 or (n - 1) % 2:
         raise ValueError(f"cannot coarsen n={n}")
-    strides = n ** np.arange(dim - 1, -1, -1)
-    weights = sorted((int(np.dot(o, strides)), float(c))
-                     for o, c in restriction_stencil(dim).entries.items())
-    rows = ((n - 1) // 2) ** dim
-    index = np.int32 if max(len(weights) * rows, fine_grid.npoints) < 2**31 else np.int64
-    axis = 2 * np.arange((n - 1) // 2, dtype=index) + 1
-    centre = sum(np.ix_(*[axis * int(s) for s in strides])).reshape(-1)
-    flat = np.array([f for f, _ in weights], dtype=index)
-    indptr = len(weights) * np.arange(rows + 1, dtype=index)
-    data = np.tile([c for _, c in weights], rows)
-    return scipy.sparse.csr_matrix((data, (centre[:, None] + flat).reshape(-1), indptr),
-                                   shape=(rows, fine_grid.npoints))
+    axis = np.arange(1, n, 2)
+    under = np.ravel_multi_index(np.meshgrid(*[axis] * fine_grid.dim, indexing="ij"),
+                                 fine_grid.shape).reshape(-1)
+    rows = assemble_sparse(restriction_stencil(fine_grid.dim), fine_grid).tocsr()[under]
+    rows.sort_indices()
+    return rows
+
+
+def _at(axis: int, start: int, stop: int, step: int = 1) -> tuple:
+    """Index of positions ``start:stop:step`` along ``axis`` and all of every axis before it."""
+    return (slice(None),) * axis + (slice(start, stop, step),)
+
+
+def _restrict(fine: GridSpec, r: np.ndarray) -> np.ndarray:
+    """Full weighting ``R r`` onto the coarse grid, in a new flat array.
+
+    ``R`` is ``stencils.restriction_stencil`` read at the fine points under
+    the coarse ones (coarse ``J`` on fine ``2J + 1`` per axis), each of which
+    has all its neighbours inside the box.  The stencil's lines
+    (``Stencil._axis_factors``: ``2`` at the centre and ``1`` on each side,
+    then the scale ``0.25**dim``) are applied one axis at a time, axis 0
+    first, at those points only, so every sweep halves the array, and the
+    scale comes once at the end.  Every point adds the same terms in the
+    same order as ``stencils.apply``, so the result is
+    ``stencils.apply(restriction_stencil(dim), fine, r)`` at the coarse
+    points bit for bit.
+    """
+    scale, sweeps = restriction_stencil(fine.dim)._axis_factors
+    x = r.reshape(fine.shape)
+    for axis, line in sweeps:
+        (o, c), *rest = line
+        y = c * x[_at(axis, 1 + o, fine.n - 1 + o, 2)]
+        for o, c in rest:
+            term = x[_at(axis, 1 + o, fine.n - 1 + o, 2)]
+            y += term if c == 1.0 else c * term
+        x = y
+    x *= scale
+    return x.reshape(-1)
+
+
+def _prolong(fine: GridSpec, coarse: np.ndarray) -> np.ndarray:
+    """Linear interpolation ``P e = 2**dim R^T e`` onto ``fine``, in a new flat array.
+
+    The transpose of :func:`_restrict`, sweep by sweep in the reverse order.
+    The coarse values are scaled once by ``2**dim`` times the scale of
+    ``stencils.restriction_stencil`` (``0.5**dim``) and expanded one axis at
+    a time, the last axis first, by the stencil's lines
+    (``Stencil._axis_factors`` scales each to ``1`` on its sides; the centre
+    weight is ``2``): a fine point under a coarse one takes the centre
+    weight times its value, every other fine point the sum of its two coarse
+    neighbours, or the one neighbour at either end of the box.  So the small
+    arrays take the strided last-axis sweep and the whole fine array is
+    written in axis-0 planes.  Scaling by a power of two is exact, so with
+    the axes reversed this is ``2**dim * stencils.apply(restriction_stencil(dim),
+    fine, z)`` for ``z`` the coarse values injected at the fine points under
+    them and zero elsewhere, bit for bit but for the sign of a zero result.
+    """
+    scale, sweeps = restriction_stencil(fine.dim)._axis_factors
+    n, m = fine.n, (fine.n - 1) // 2
+    x = coarse.reshape((m,) * fine.dim) * (scale * 2**fine.dim)
+    for axis, line in reversed(sweeps):
+        y = np.empty(x.shape[:axis] + (n,) + x.shape[axis + 1:])
+        np.multiply(x, dict(line)[0], out=y[_at(axis, 1, n, 2)])
+        np.add(x[_at(axis, 0, m - 1)], x[_at(axis, 1, m)], out=y[_at(axis, 2, n - 1, 2)])
+        y[_at(axis, 0, 1)] = x[_at(axis, 0, 1)]
+        y[_at(axis, n - 1, n)] = x[_at(axis, m - 1, m)]
+        x = y
+    return x.reshape(-1)
 
 
 def _smoother_applicator(sm: SmootherSpec, level_grid: GridSpec, stencil):
@@ -314,30 +373,26 @@ def _vanka_layout(sm: SmootherSpec):
     return PatchLayout(kinds[sm.kind], sm.dim) if sm.kind in kinds else None
 
 
-def _transfer_bytes(coarse: GridSpec) -> int:
-    """Bytes of the stored restriction onto ``coarse``: ``3**dim`` entries per row."""
-    rows = coarse.npoints
-    return _CSR_BYTES_PER_NNZ * 3**coarse.dim * rows + 4 * (rows + 1)
-
-
 def _build_bytes(sm: SmootherSpec, grids, level_stencils) -> int:
-    """Estimated peak bytes of the level matrices, transfers, smoothers and coarse solve.
+    """Estimated peak bytes of the level matrices, smoothers and coarse solve.
 
-    The diagonals of every level of at most ``SLAB_ROWS`` points (a larger
-    level holds only its stencil), every restriction, every Vanka ``M`` and
-    its weights and the coarsest level's sine matrix (``n**2`` values) and
-    eigenvalues (one per point) stay held.  Nothing built on the way is
-    larger than a few vectors of a grid: the eigenvalues are evaluated one
-    slab of sine modes at a time (on the 3D two-grid at h = 1/64 the
-    tracemalloc peak is 1.05x the estimate).
+    The diagonals of every smoothed level of at most ``SLAB_ROWS`` points (a
+    larger level holds only its stencil), every Vanka ``M`` and its weights
+    and the coarsest level's sine matrix (``n**2`` values) and eigenvalues
+    (one per point) stay held; the grid transfers are applied from their
+    stencil and hold nothing.  On top of that, the last step of the build
+    evaluates the eigenvalues one slab of sine modes at a time, holding a
+    phase and a cosine per point of the slab and stencil entry.  Nothing
+    else built on the way is larger.
     """
     held = sum(_dia_bytes([o for o, c in st.entries.items() if c != 0], grid)
-               for grid, st in zip(grids, level_stencils) if _holds_diagonals(grid))
-    held += sum(_transfer_bytes(grid) for grid in grids[1:])
+               for grid, st in zip(grids[:-1], level_stencils) if _holds_diagonals(grid))
     layout = _vanka_layout(sm)
     if layout is not None:
         held += sum(_smoother_bytes(layout, grid) for grid in grids[:-1])
-    return held + 8 * (grids[-1].n ** 2 + grids[-1].npoints)
+    coarse = grids[-1]
+    workspace = 16 * len(level_stencils[-1].entries) * coarse.n ** (coarse.dim - 1)
+    return held + 8 * (coarse.n ** 2 + coarse.npoints) + workspace
 
 
 def _plan(spec: CycleSpec, fine_grid: GridSpec) -> tuple:
@@ -382,29 +437,24 @@ def _plan(spec: CycleSpec, fine_grid: GridSpec) -> tuple:
 
 
 def build_hierarchy(spec: CycleSpec, fine_grid: GridSpec) -> Hierarchy:
-    """Build grids, operators, smoothers and transfers for the requested cycle.
+    """Build grids, operators, smoothers and the coarse solve for the requested cycle.
 
     The levels are those of ``_plan``, which refuses a request before any
     assembly.  Every level holds its operator's stencil: the fine Laplacian
     and the Galerkin operators below it, each ``stencils.galerkin_stencil``
     of the stencil one level up (equal to ``2**-dim P^T A P``, as every hat
-    of ``P`` lies inside the grid); a :class:`Level` of at most
-    ``SLAB_ROWS`` points also assembles it in diagonal (DIA) storage.
-    Every level but the coarsest keeps the restriction ``R`` onto
-    the next one and its transpose view, from which the cycle prolongs
-    (``P = 2**dim R^T``, never stored), and each level's stencil builds its
-    smoother.  The coarsest level keeps the :class:`SineSolve` of its
-    stencil.
+    of ``P`` lies inside the grid).  Each level but the coarsest builds its
+    smoother from its stencil, and a :class:`Level` of them of at most
+    ``SLAB_ROWS`` points also assembles the stencil in diagonal (DIA)
+    storage.  The coarsest level keeps only the :class:`SineSolve` of its
+    stencil.  No transfer is built: the cycle applies ``R`` and ``P`` from
+    ``stencils.restriction_stencil``.
     """
     grids, level_stencils = _plan(spec, fine_grid)
-    levels = [Level(fine_grid, level_stencils[0])]
-    for grid, st in zip(grids[1:], level_stencils[1:]):
-        levels[-1].restrict = transfer_ops(levels[-1].grid)
-        levels[-1].prolong = levels[-1].restrict.T
-        levels.append(Level(grid, st))
-    for level in levels[:-1]:
-        level.m_apply = _smoother_applicator(spec.smoother, level.grid, level.stencil)
-    levels[-1].sine = SineSolve.of(levels[-1].stencil, levels[-1].grid)
+    levels = [Level(grid, st, _smoother_applicator(spec.smoother, grid, st))
+              for grid, st in zip(grids[:-1], level_stencils)]
+    levels.append(Level(grids[-1], level_stencils[-1],
+                        sine=SineSolve.of(level_stencils[-1], grids[-1])))
     return Hierarchy(spec, levels)
 
 
@@ -444,11 +494,10 @@ def _descend(hier: Hierarchy, idx: int, u: np.ndarray | None, b: np.ndarray) -> 
     Starting from zero skips the product ``A 0`` and the additions of zero;
     in IEEE arithmetic ``b - 0 = b`` and ``0 + x = x``, so the result is the
     one the explicit zero vector gives.  The residual is restricted by
-    ``R @ r`` and the coarse correction ``e`` prolonged by ``R^T @ (2**dim e)``
-    through the stored view ``R^T``;
-    scaling by a power of two is exact and both products sum in the order of
-    ``2**-dim P^T r`` and ``P e``, so they match those bit for bit.  Every
-    other step writes into an array this cycle made, never into the caller's
+    :func:`_restrict` and the coarse correction prolonged by
+    :func:`_prolong`, each bit for bit a ``stencils.apply`` of
+    ``stencils.restriction_stencil`` on the whole fine grid.  Every other
+    step writes into an array this cycle made, never into the caller's
     ``u`` or ``b``.
     """
     level = hier.levels[idx]
@@ -457,9 +506,8 @@ def _descend(hier: Hierarchy, idx: int, u: np.ndarray | None, b: np.ndarray) -> 
     sm = hier.spec.smoother
     for _ in range(hier.spec.nu1):
         u = relax(sm, level, u, b)
-    coarse = _descend(hier, idx + 1, None, level.restrict @ _residual(level, u, b))
-    coarse *= 2.0 ** level.grid.dim
-    correction = level.prolong @ coarse
+    coarse = _descend(hier, idx + 1, None, _restrict(level.grid, _residual(level, u, b)))
+    correction = _prolong(level.grid, coarse)
     if u is not None:
         correction += u
     u = correction

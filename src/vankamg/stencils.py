@@ -295,8 +295,9 @@ def restriction_stencil(dim: int) -> Stencil:
     point ``2J``; ``R`` averages the fine values around it, and linear
     interpolation is ``P = 2**dim R^T``.  The analysis takes its transfer
     symbol from this stencil, ``galerkin_stencil`` its weights and the
-    solver its stored restriction matrix.  Memoised, so the frequency-grid caches keyed
-    by stencil identity see one object per dimension.
+    solver's transfers their 1D line, applied one axis at a time.
+    Memoised, so the frequency-grid caches keyed by stencil identity see one
+    object per dimension.
     """
     line = Stencil(1, {(-1,): Fraction(1, 4), (0,): Fraction(1, 2), (1,): Fraction(1, 4)})
     return _tensor_power(line, dim)

@@ -336,10 +336,11 @@ def test_oversized_samples_refused_before_allocating(capsys, argv):
 
 
 def test_solve_refuses_an_oversized_3d_two_grid(capsys):
-    # h = 1/512: the restriction alone would take about 5.0 GiB.
-    # The refusal needs the solver's byte estimate, so the solver (and scipy
-    # with it) is imported before the traced window, which then holds only
-    # the request's own allocations.
+    # h = 1/512: the build is estimated at 0.2 GiB, but the cycles would
+    # hold 8.9 GiB of vectors of 511**3 values.  The refusal needs the
+    # solver's byte estimate, so the solver (and scipy with it) is imported
+    # before the traced window, which then holds only the request's own
+    # allocations.
     importlib.import_module("vankamg.solver")
     tracemalloc.start()
     try:

@@ -9,6 +9,7 @@ regardless of n, versus 1/17 for the interior symbol), while in 2D it stays
 within about 0.01 of the predicted factor.  Both behaviours are pinned here.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -81,6 +82,13 @@ def _interpolation(fine):
     return p
 
 
+def _coarse_points(fine):
+    """Flat indices of the fine points under the coarse ones: coarse j on fine 2j + 1 per axis."""
+    axis = 2 * np.arange((fine.n - 1) // 2) + 1
+    return np.ravel_multi_index(np.meshgrid(*[axis] * fine.dim, indexing="ij"),
+                                fine.shape).reshape(-1)
+
+
 def test_prolongation_columns_1d():
     r = transfer_ops(GridSpec(1, 7, 1 / 8))
     assert r.shape == (3, 7)
@@ -104,18 +112,16 @@ def test_prolongation_is_the_scaled_transpose_of_the_restriction_stencil(dim, n)
     # points under the coarse ones (coarse j on fine 2j + 1 per axis)
     fine = GridSpec(dim, n, 1 / (n + 1))
     conv = assemble_sparse(restriction_stencil(dim), fine).toarray()
-    coarse_axis = 2 * np.arange((n - 1) // 2) + 1
-    under = np.ravel_multi_index(np.meshgrid(*[coarse_axis] * dim, indexing="ij"),
-                                 fine.shape).reshape(-1)
     r = transfer_ops(fine).toarray()
-    assert np.array_equal(r, conv[under])
+    assert np.array_equal(r, conv[_coarse_points(fine)])
     # the cycle prolongs with 2**dim R^T, the Kronecker interpolation
     assert np.array_equal(2**dim * r.T, _interpolation(fine).toarray())
 
 
 @pytest.mark.parametrize("dim, n", [(1, 255), (2, 63), (3, 31)])
 def test_restriction_is_the_scaled_transpose_of_the_kronecker_interpolation(dim, n):
-    # written straight into CSR: 3**dim sorted entries per row, 32-bit indices
+    # the rows of the assembled stencil under the coarse points: 3**dim
+    # sorted entries per row, 32-bit indices
     fine = GridSpec(dim, n, 1 / (n + 1))
     r = transfer_ops(fine)
     want = (_interpolation(fine).T * 2.0 ** -dim).tocsr()
@@ -129,6 +135,87 @@ def test_restriction_is_the_scaled_transpose_of_the_kronecker_interpolation(dim,
 def test_transfer_requires_odd_refinable_n():
     with pytest.raises(ValueError, match="coarsen"):
         transfer_ops(GridSpec(1, 4, 0.2))
+
+
+def _interpolated(fine, coarse):
+    """Oracle of the prolongation: ``2**dim`` times the restriction stencil applied to
+    the coarse values injected at the fine points under them, with the axes reversed."""
+    injected = np.zeros(fine.shape)
+    injected.reshape(-1)[_coarse_points(fine)] = coarse
+    # the stencil is the same on every axis, and ``stencils.apply`` sweeps
+    # axis 0 first: on the transposed box that is the last axis of ``fine``
+    flipped = np.ascontiguousarray(injected.transpose()).reshape(-1)
+    swept = stencils.apply(restriction_stencil(fine.dim), fine, flipped).reshape(fine.shape)
+    return 2.0**fine.dim * swept.transpose().reshape(-1)
+
+
+_TRANSFER_GRIDS = [(1, 3), (1, 7), (1, 255), (2, 3), (2, 7), (2, 63), (3, 3), (3, 7), (3, 31)]
+
+
+@pytest.mark.parametrize("planes", [None, 1, 3])
+@pytest.mark.parametrize("dim, n", _TRANSFER_GRIDS)
+def test_transfers_equal_the_restriction_stencil_product_bit_for_bit(monkeypatch, dim, n,
+                                                                    planes):
+    # the oracle applies the restriction stencil on the whole fine grid, in
+    # one slab or in slabs of one or three axis-0 planes, whose ends fall on
+    # odd and even fine planes alike; restriction reads it at the coarse
+    # points, prolongation takes 2**dim times it on the injected correction
+    # with the axes reversed
+    fine = GridSpec(dim, n, 1 / (n + 1))
+    if planes is not None:
+        monkeypatch.setattr(stencils, "SLAB_ROWS", planes * n ** (dim - 1))
+    weighting, under = restriction_stencil(dim), _coarse_points(fine)
+    rng = np.random.default_rng(10 * n + dim)
+    r, e = rng.standard_normal(fine.npoints), rng.standard_normal(len(under))
+    r0, e0 = r.copy(), e.copy()
+    got = solver._restrict(fine, r)
+    assert got.shape == (len(under),)
+    assert got.tobytes() == stencils.apply(weighting, fine, r)[under].tobytes()
+    got = solver._prolong(fine, e)
+    assert got.shape == (fine.npoints,)
+    assert got.tobytes() == _interpolated(fine, e).tobytes()
+    assert np.array_equal(r, r0) and np.array_equal(e, e0)
+
+
+def _gamma(k):
+    """Higham's ``gamma_k = k u / (1 - k u)``, ``u`` the unit roundoff of float64."""
+    u = 2.0**-53
+    return k * u / (1 - k * u)
+
+
+def _rounded_products(matrix, x):
+    """``matrix @ x`` correctly rounded: every product is exact, each row summed by ``fsum``."""
+    matrix = matrix.tocsr()
+    terms = matrix.data * x[matrix.indices]
+    return np.array([math.fsum(terms[a:b]) for a, b in zip(matrix.indptr, matrix.indptr[1:])])
+
+
+@pytest.mark.parametrize("dim, n", _TRANSFER_GRIDS)
+def test_transfers_equal_the_assembled_restriction(dim, n):
+    # every weight of R and of P = 2**dim R^T is a power of two, so every
+    # product is exact and the sums alone round: on integer values every
+    # partial sum is exact and both sides agree.  On random values the
+    # transfers add a point's terms axis by axis and the assembled products
+    # row by row; a row of at most 3**dim terms summed in any order lies
+    # within gamma_(3**dim - 1) |R| |x| of the exact sum, so both lie within
+    # gamma_(3**dim) |R| |x| of the correctly rounded one.  In 1D both add
+    # the same terms in the same order.
+    fine = GridSpec(dim, n, 1 / (n + 1))
+    r_mat = transfer_ops(fine)
+    p_mat = 2.0**dim * r_mat.T
+    rng = np.random.default_rng(10 * n + dim)
+    x = rng.integers(-2**20, 2**20, fine.npoints).astype(float)
+    e = rng.integers(-2**20, 2**20, r_mat.shape[0]).astype(float)
+    assert np.array_equal(solver._restrict(fine, x), r_mat @ x)
+    assert np.array_equal(solver._prolong(fine, e), p_mat @ e)
+    x, e = rng.standard_normal(fine.npoints), rng.standard_normal(r_mat.shape[0])
+    for transfer, matrix, v in ((solver._restrict, r_mat, x), (solver._prolong, p_mat, e)):
+        rounded = _rounded_products(matrix, v)
+        bound = _gamma(3**dim) * (abs(matrix) @ abs(v))
+        assert np.all(np.abs(transfer(fine, v) - rounded) <= bound)
+        assert np.all(np.abs(matrix @ v - rounded) <= bound)
+        if dim == 1:
+            assert transfer(fine, v).tobytes() == (matrix @ v).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +447,8 @@ def test_sine_eigenvalues_are_the_coarse_spectrum(dim, n):
 
 
 def test_oversized_3d_two_grid_refused_before_assembly():
-    # h = 1/512: the restriction alone holds 27 entries of 12 B for each of
-    # 255**3 coarse rows, 5.0 GiB
+    # h = 1/512: the build is estimated at 0.2 GiB, but the cycles hold
+    # 8.9 GiB of vectors of 511**3 values
     spec = CycleSpec(_smoother("mass3d", 3), 1, 0, "two-grid")
     tracemalloc.start()
     try:
@@ -398,9 +485,10 @@ def test_build_estimate_matches_the_measured_peak(kind):
 
 
 def test_3d_two_grid_build_estimate_matches_the_measured_peak():
-    # the coarse eigenvalues are evaluated one slab of sine modes at a time;
-    # all 31**3 at once put symbol's phases and cosines (27 per point) on top
-    # and the peak at 1.47x the estimate; it reads 1.05x
+    # the build holds only the coarse sine solve, and its peak is set by the
+    # eigenvalues evaluated one slab of sine modes at a time, with symbol's
+    # phases and cosines of that slab on top; the estimate counts them and
+    # reads 0.92x the peak
     spec, grid = CycleSpec(_smoother("mass3d", 3), 1, 0, "two-grid"), GridSpec(3, 63, 1 / 64)
     grids, level_stencils = solver._plan(spec, grid)
     estimate = solver._build_bytes(spec.smoother, grids, level_stencils)
@@ -417,34 +505,32 @@ def test_3d_two_grid_build_estimate_matches_the_measured_peak():
                                           ("mass3d", 3, 63)])
 def test_build_estimate_counts_every_stored_matrix(kind, dim, n):
     # without a Vanka smoother the estimate is exact: the diagonals of the
-    # levels of at most SLAB_ROWS points (the fine 63**3 level holds none),
-    # restrictions and the coarse sine matrix and eigenvalues
+    # smoothed levels of at most SLAB_ROWS points (the fine 63**3 level holds
+    # none, nor does the coarsest), the coarse sine matrix and eigenvalues,
+    # and the phases and cosines of one slab of sine modes while those are
+    # evaluated; no level holds a grid transfer
     spec = CycleSpec(_smoother(kind, dim), 1, 0, "v-cycle")
     grid = GridSpec(dim, n, 1 / (n + 1))
     grids, level_stencils = solver._plan(spec, grid)
     hier = build_hierarchy(spec, grid)
     assert [level.dia is None for level in hier.levels] == \
-        [g.npoints > stencils.SLAB_ROWS for g in grids]
+        [g.npoints > stencils.SLAB_ROWS for g in grids[:-1]] + [True]
     assert (hier.fine.dia is None) == (n == 63 and dim == 3)
-
-    def nbytes(m):
-        if m.format == "dia":
-            return m.data.nbytes + m.offsets.nbytes
-        return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-
-    restrictions = [level.restrict for level in hier.levels[:-1]]
-    assert [nbytes(r) for r in restrictions] == [solver._transfer_bytes(g) for g in grids[1:]]
-    stored = sum(nbytes(level.dia) for level in hier.levels if level.dia is not None)
-    stored += sum(map(nbytes, restrictions))
-    stored += hier.levels[-1].sine.sines.nbytes + hier.levels[-1].sine.eigenvalues.nbytes
-    assert solver._build_bytes(spec.smoother, grids, level_stencils) == stored
+    assert hier.levels[-1].kernel is None
+    stored = sum(level.dia.data.nbytes + level.dia.offsets.nbytes
+                 for level in hier.levels if level.dia is not None)
+    sine = hier.levels[-1].sine
+    assert sine.eigenvalues.base is None
+    stored += sine.sines.nbytes + sine.eigenvalues.nbytes
+    slab = 16 * len(level_stencils[-1].entries) * grids[-1].n ** (dim - 1)
+    assert solver._build_bytes(spec.smoother, grids, level_stencils) == stored + slab
 
 
 @pytest.mark.parametrize("kind", ["vanka-e", "vanka-v"])
 def test_oversized_vanka_v_cycle_refused_before_assembly(kind):
     # h = 1/4096: the element smoother alone is 9 diagonals of 4095**2
     # values of 8 B, 1.1 GiB; the whole element build is estimated at
-    # 2.25 GiB, and its cycles' vectors at 1.1 GiB more
+    # 1.7 GiB (vertex 2.3 GiB), and its cycles' vectors at 1.1 GiB more
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="GiB budget"):
@@ -458,13 +544,14 @@ def test_oversized_vanka_v_cycle_refused_before_assembly(kind):
 @pytest.mark.parametrize("kind, dim, n, cycle_type", [
     ("vanka-e", 2, 1023, "v-cycle"), ("vanka-v", 2, 1023, "v-cycle"),
     ("jacobi", 2, 1023, "v-cycle"), ("mass", 2, 1023, "v-cycle"),
-    # h = 1/2048: estimated 830 and 1001 MiB in diagonal storage (1431 and
-    # 1750 MiB in CSR, where one build read a max RSS of 1335 and 1591 MiB)
+    # h = 1/2048: estimated 432 and 602 MiB with no stored transfers (830
+    # and 1001 MiB with them, 1431 and 1750 MiB with CSR levels, where one
+    # build read a max RSS of 1335 and 1591 MiB)
     ("vanka-e", 2, 2047, "v-cycle"), ("vanka-v", 2, 2047, "v-cycle"),
     # the benchmark's grids
     ("vanka-e", 2, 255, "v-cycle"), ("vanka-e", 2, 255, "two-grid"), ("mass3d", 3, 63, "v-cycle"),
-    # h = 1/256: a 0.72 GiB build with no fine or level-1 diagonals, and 1.1
-    # GiB of cycle vectors (2.05 GiB, refused, with the diagonals)
+    # h = 1/256: a 6.9 MiB build with no fine, level-1 or coarsest diagonals
+    # and no stored transfers, and 1.1 GiB of cycle vectors
     ("mass3d", 3, 255, "v-cycle"),
 ])
 def test_build_budget_admits_2d_v_cycles_to_h1024_and_the_benchmark_grids(kind, dim, n,
@@ -475,14 +562,15 @@ def test_build_budget_admits_2d_v_cycles_to_h1024_and_the_benchmark_grids(kind, 
 
 
 def test_cycle_vectors_count_toward_the_budget():
-    # the 2D Jacobi two-grid at h = 1/8192 builds in 2.0 GiB, as its fine
-    # level holds no diagonals, but its cycles hold 4.5 GiB of vectors
+    # the 2D Jacobi two-grid at h = 1/8192 builds in 0.3 GiB, as its fine
+    # level holds no diagonals and no level a transfer, but its cycles hold
+    # 4.5 GiB of vectors
     spec = CycleSpec(_smoother("jacobi", 2), 1, 0, "two-grid")
     grids = [GridSpec(2, 8191, 1 / 8192), GridSpec(2, 4095, 1 / 4096)]
     level_stencils = [laplacian_stencil(2, grids[0].h)]
     level_stencils.append(stencils.galerkin_stencil(level_stencils[0]))
     assert solver._build_bytes(spec.smoother, grids, level_stencils) <= solver.BUILD_BUDGET_BYTES
-    with pytest.raises(ValueError, match="2.0 GiB and its cycles 4.5 GiB more, over the 2 GiB"):
+    with pytest.raises(ValueError, match="0.3 GiB and its cycles 4.5 GiB more, over the 2 GiB"):
         solver._plan(spec, grids[0])
 
 
@@ -610,20 +698,27 @@ def test_smoother_applicators():
 
 
 def _allocating_descend(hier, idx, u, b):
-    """Oracle: the cycle with allocating operations, explicit zero starts, Kronecker ``P``."""
+    """Oracle: the cycle with allocating operations, explicit zero starts and whole-grid transfers.
+
+    The residual is restricted by ``stencils.apply`` of the restriction
+    stencil on the whole fine grid, read at the points under the coarse ones,
+    and the coarse correction prolonged by :func:`_interpolated`.
+    """
     level = hier.levels[idx]
     if level.sine is not None:
         return level.sine.solve(b)
     omega = float(hier.spec.smoother.omega)
+    grid = level.grid
 
     def sweep(u):
         return u + omega * level.m_apply(b - level.matrix @ u)
 
     for _ in range(hier.spec.nu1):
         u = sweep(u)
-    p = _interpolation(level.grid)
-    coarse_b = (p.T @ (b - level.matrix @ u)) * 2.0 ** -level.grid.dim
-    u = u + p @ _allocating_descend(hier, idx + 1, np.zeros_like(coarse_b), coarse_b)
+    swept = stencils.apply(restriction_stencil(grid.dim), grid, b - level.matrix @ u)
+    coarse_b = swept[_coarse_points(grid)]
+    coarse_u = _allocating_descend(hier, idx + 1, np.zeros_like(coarse_b), coarse_b)
+    u = u + _interpolated(grid, coarse_u)
     for _ in range(hier.spec.nu2):
         u = sweep(u)
     return u
@@ -632,9 +727,9 @@ def _allocating_descend(hier, idx, u, b):
 @pytest.mark.parametrize("kind", ["two-grid", "v-cycle"])
 @pytest.mark.parametrize("smoother, dim", _SMOOTHERS)
 def test_cycle_equals_the_allocating_recursion(smoother, dim, kind):
-    # zero starts, in-place updates and transfers through the stored R change
-    # no bit of the result, and the caller's iterate and right-hand side stay
-    # as they were
+    # zero starts, in-place updates and transfers applied axis by axis at the
+    # coarse points only change no bit of the result, and the caller's
+    # iterate and right-hand side stay as they were
     grid = GridSpec(dim, 15, 1 / 16)
     rng = np.random.default_rng(dim)
     u0, b0 = rng.standard_normal(grid.npoints), rng.standard_normal(grid.npoints)
@@ -642,7 +737,7 @@ def test_cycle_equals_the_allocating_recursion(smoother, dim, kind):
     for nu1, nu2 in ((1, 0), (1, 1), (0, 2), (2, 1)):
         hier = build_hierarchy(CycleSpec(_smoother(smoother, dim), nu1, nu2, kind), grid)
         want = _allocating_descend(hier, 0, u0, b0)
-        assert np.array_equal(cycle(hier, u, b), want), (nu1, nu2)
+        assert cycle(hier, u, b).tobytes() == want.tobytes(), (nu1, nu2)
         assert np.array_equal(u, u0) and np.array_equal(b, b0)
 
 
@@ -650,22 +745,23 @@ def test_cycle_equals_the_allocating_recursion(smoother, dim, kind):
 @pytest.mark.parametrize("smoother, dim", [("jacobi", 3), ("vanka-e", 2), ("vanka-v", 2),
                                            ("mass", 2), ("mass3d", 3)])
 def test_cycle_by_slabs_equals_the_allocating_recursion(monkeypatch, smoother, dim, slab):
-    # the oracle runs on a hierarchy that holds the diagonals of every level;
-    # under ``slab`` points per slab the larger levels hold none and form
-    # their residual from the stencil, slab by slab
+    # the oracle runs on a hierarchy that holds the diagonals of every
+    # smoothed level; under ``slab`` points per slab the larger levels hold
+    # none and form their residual from the stencil, slab by slab
     grid = GridSpec(dim, {2: 31, 3: 15}[dim], {2: 1 / 32, 3: 1 / 16}[dim])
     rng = np.random.default_rng(slab)
     u, b = rng.standard_normal(grid.npoints), rng.standard_normal(grid.npoints)
     for nu1, nu2 in ((1, 0), (1, 1)):
         spec = CycleSpec(_smoother(smoother, dim), nu1, nu2, "v-cycle")
         whole = build_hierarchy(spec, grid)
-        assert all(level.dia is not None and level.kernel is None for level in whole.levels)
+        assert all(level.dia is not None and level.kernel is None
+                   for level in whole.levels[:-1])
         want = _allocating_descend(whole, 0, u, b)
         with monkeypatch.context() as patch:
             patch.setattr(stencils, "SLAB_ROWS", slab)
             hier = build_hierarchy(spec, grid)
             assert [level.dia is None for level in hier.levels] == \
-                [level.grid.npoints > slab for level in hier.levels]
+                [level.grid.npoints > slab for level in hier.levels[:-1]] + [True]
             assert hier.fine.dia is None and hier.fine.kernel is not None
             residual = solver._residual(hier.fine, u, b)
             assert residual.tobytes() == (b - whole.fine.matrix @ u).tobytes()
@@ -675,14 +771,15 @@ def test_cycle_by_slabs_equals_the_allocating_recursion(monkeypatch, smoother, d
 
 def test_mass3d_v_cycle_on_four_slabs_equals_the_allocating_recursion(monkeypatch):
     # h = 1/64: 250047 rows, four slabs of the fine residual and smoother; the
-    # fine level holds no diagonals, the coarser ones (29791 rows and fewer) do
+    # fine level holds no diagonals, the smoothed coarser ones (29791 rows and
+    # fewer) do, and the coarsest, solved by sines, holds none
     grid = GridSpec(3, 63, 1 / 64)
     spec = CycleSpec(_smoother("mass3d", 3), 1, 0, "v-cycle")
     rng = np.random.default_rng(63)
     u, b = rng.standard_normal(grid.npoints), rng.standard_normal(grid.npoints)
     hier = build_hierarchy(spec, grid)
     assert -(-grid.npoints // stencils.SLAB_ROWS) == 4
-    assert [level.dia is None for level in hier.levels] == [True, False, False, False]
+    assert [level.dia is None for level in hier.levels] == [True, False, False, True]
     residual = solver._residual(hier.fine, u, b)
     got = cycle(hier, u, b)
     monkeypatch.setattr(stencils, "SLAB_ROWS", grid.npoints)
@@ -721,16 +818,6 @@ def test_diagonal_products_equal_the_csr_products(smoother, dim, kind):
             assert (matrix @ x).tobytes() == (matrix.tocsr() @ x).tobytes(), level.grid.n
 
 
-def test_prolongation_is_a_view_of_the_restriction():
-    hier = build_hierarchy(CycleSpec(_smoother("vanka-e", 2), 1, 0, "v-cycle"),
-                           GridSpec(2, 31, 1 / 32))
-    for level in hier.levels[:-1]:
-        assert level.prolong.format == "csc" and level.prolong.shape == level.restrict.shape[::-1]
-        for part in ("data", "indices", "indptr"):
-            assert np.shares_memory(getattr(level.prolong, part), getattr(level.restrict, part))
-    assert hier.levels[-1].restrict is None and hier.levels[-1].prolong is None
-
-
 @pytest.mark.parametrize("kind", ["jacobi", "vanka-e", "vanka-v"])
 def test_report_lists_what_each_level_holds(monkeypatch, kind):
     spec = CycleSpec(_smoother(kind, 2), 1, 0, "v-cycle")
@@ -740,9 +827,10 @@ def test_report_lists_what_each_level_holds(monkeypatch, kind):
     report = hier.report()
     assert [row["n"] for row in report] == [31, 15, 7]
     assert [row["unknowns"] for row in report] == [31**2, 15**2, 7**2]
-    # the 5-point Laplacian, then 9-point Galerkin operators
+    # the 5-point Laplacian, then 9-point Galerkin operators; the coarsest
+    # level, solved by sines, holds no diagonals
     assert [row["diagonals"] for row in report] == [5, 9, 9]
-    diagonal_bytes = [g.npoints * 8 * d + 4 * d for g, d in zip(grids, (5, 9, 9))]
+    diagonal_bytes = [g.npoints * 8 * d + 4 * d for g, d in zip(grids, (5, 9))] + [0]
     assert [row["operator_bytes"] for row in report] == diagonal_bytes
     _assert_report_is_the_build_estimate(hier, spec, grids, level_stencils, kind)
     # under 500 points per slab the fine level (961) holds no diagonals,
@@ -757,8 +845,8 @@ def test_report_lists_what_each_level_holds(monkeypatch, kind):
 
 def _assert_report_is_the_build_estimate(hier, spec, grids, level_stencils, kind):
     report = hier.report()
-    assert [row["transfer_bytes"] for row in report] == \
-        [solver._transfer_bytes(g) for g in grids[1:]] + [0]
+    # no level holds a grid transfer
+    assert all("transfer_bytes" not in row for row in report)
     # 9 element or 13 vertex diagonals of M, and the weights
     diagonals = {"jacobi": 0, "vanka-e": 9, "vanka-v": 13}[kind]
     assert [row["smoother_bytes"] for row in report] == \
@@ -768,10 +856,11 @@ def _assert_report_is_the_build_estimate(hier, spec, grids, level_stencils, kind
     sine = hier.levels[-1].sine
     assert report[-1]["sine_bytes"] == sine.sines.nbytes + sine.eigenvalues.nbytes == 8 * 98
     assert all("sine_bytes" not in row for row in report[:-1])
-    # the build estimate is what the levels hold
+    # the build estimate is what the levels hold, and the phases and
+    # cosines of one slab of the 7 x 7 sine modes, 9 entries each
     held = sum(row.get(key, 0) for row in report
-               for key in ("operator_bytes", "smoother_bytes", "transfer_bytes", "sine_bytes"))
-    assert solver._build_bytes(spec.smoother, grids, level_stencils) == held
+               for key in ("operator_bytes", "smoother_bytes", "sine_bytes"))
+    assert solver._build_bytes(spec.smoother, grids, level_stencils) == held + 16 * 9 * 7
 
 
 @pytest.mark.parametrize("kind, dim, n", [("jacobi", 1, 31), ("vanka-v", 2, 31), ("mass3d", 3, 15)])
