@@ -7,15 +7,12 @@ ones the Galerkin operators ``A_H = 2**-dim P^T A P`` with linear
 interpolation ``P``, each ``stencils.galerkin_stencil`` of the stencil one
 level up: on these grids every hat of ``P`` lies inside the box, so the
 triple product is that constant-coefficient stencil truncated at the
-Dirichlet boundary.  A smoothed level of at most
-:data:`~vankamg.stencils.SLAB_ROWS` points also holds its operator
-assembled in diagonal (DIA) storage, the same matrix without the sparse
-product's temporaries.  No level stores a grid transfer: the cycle
-restricts with the full weighting ``R = 2**-dim P^T`` of
-``stencils.restriction_stencil`` and prolongs with ``P = 2**dim R^T``, both
-applied from the stencil's 1D line one axis at a time (``_restrict``,
-``_prolong``), so ``A_H = R A P``; ``transfer_ops`` assembles ``R`` as
-their reference.
+Dirichlet boundary.  No level stores its operator or a grid transfer:
+the cycle restricts with the full weighting ``R = 2**-dim P^T`` of
+``stencils.restriction_stencil`` and prolongs with ``P = 2**dim R^T``,
+both applied from the stencil's 1D line one axis at a time
+(``_restrict``, ``_prolong``), so ``A_H = R A P``; ``transfer_ops``
+assembles ``R`` as their reference.
 This reproduces the coarse Laplacian exactly in 1D and keeps the discrete
 two-grid operator aligned with its Fourier symbol (the error operator is
 invariant under the common rescaling of ``R`` and ``A_H``, so
@@ -29,14 +26,13 @@ estimated from the level stencils before anything is assembled, and a
 request whose build and cycle vectors exceed :data:`BUILD_BUDGET_BYTES` is
 refused.  :meth:`Hierarchy.report` lists what each level holds.
 
-On a level of at most ``SLAB_ROWS`` points the residual ``b - A u`` is one
-product with the held DIA matrix.  A larger level stores no diagonals,
-which would be copies of its stencil's few coefficients: its residual is
-formed from the stencil, slab by slab of ``SLAB_ROWS`` rows, by
-``vanka.stencil_residual``, which adds each row's terms in the DIA
-product's order and gives its result bit for bit.  The rank-one smoothers
-run in slabs of axis-0 planes (``stencils.apply``), and a Vanka smoother
-is one product on the whole vector.
+Every smoothed level forms its residual ``b - A u`` from its stencil, slab
+by slab of :data:`~vankamg.stencils.SLAB_ROWS` rows, by
+``vanka.stencil_residual``, which adds each row's terms in the order of
+the product with the assembled DIA matrix and gives its result bit for
+bit.  The rank-one smoothers run in slabs of axis-0 planes
+(``stencils.apply``), and a Vanka smoother is one product on the whole
+vector.
 
 ``measured_convergence_factor`` runs homogeneous cycles (``b = 0``) from a
 seeded random start, renormalising the iterate every cycle; the asymptotic
@@ -56,8 +52,8 @@ import scipy.sparse
 from .lfa import SmootherKind, SmootherSpec, _sweeps, symbol
 from .stencils import GridSpec, PatchLayout, Stencil, laplacian_stencil, restriction_stencil
 from . import stencils
-from .vanka import (VankaOperator, _diagonal_offsets, _dia_bytes, _smoother_bytes,
-                    assemble_sparse, build_vanka, stencil_residual)
+from .vanka import (VankaOperator, _diagonal_offsets, _smoother_bytes, assemble_sparse,
+                    build_vanka, stencil_residual)
 
 __all__ = [
     "CycleSpec",
@@ -76,20 +72,20 @@ __all__ = [
 COARSEST_MAX = 7          # stop V-cycle coarsening at n in {3, ..., 7}
 STAGNATION_RATIO = 1e-13  # per-cycle contraction at rounding level
 
-# cap on the estimated bytes of a run: a request whose build (the diagonals
-# of the small levels, Vanka smoothers and coarse sine solve, ``_build_bytes``;
-# the grid transfers hold nothing) and cycle vectors add up to more is
-# refused before anything is assembled.  Every 2D V-cycle up to h = 1/2048 is
-# accepted, the vertex Vanka one with a 0.59 GiB build; no Vanka V-cycle at
-# h = 1/4096 (element: a 1.7 GiB build and 1.1 GiB of vectors); the 3D
-# two-grid and V-cycle up to h = 1/256, with 22 and 6.9 MiB builds.  A
+# cap on the estimated bytes of a run: a request whose build (Vanka smoothers
+# and coarse sine solve, ``_build_bytes``; the level operators and grid
+# transfers hold nothing) and cycle vectors add up to more is refused before
+# anything is assembled.  Every 2D V-cycle up to h = 1/2048 is accepted, the
+# vertex Vanka one with a 0.58 GiB build; no Vanka V-cycle at h = 1/4096
+# (element: a 1.7 GiB build and 1.1 GiB of vectors); the 3D two-grid and
+# V-cycle up to h = 1/256, with 22 MiB and 24 KiB builds.  A
 # ``run_convergence`` cycle holds at most about ``_CYCLE_VECTORS`` vectors of
 # the fine grid besides the build (5.9 to 8.6 by tracemalloc for every kind
-# at nu1, nu2 <= 2 on 1D n = 1023, 2D n = 255 and 3D n = 63).  As a level of
-# more than ``SLAB_ROWS`` points stores no diagonals, they outweigh the
-# build wherever the budget binds: 1.1 GiB on the 3D V-cycle at h = 1/256,
-# 8.9 GiB on the 3D two-grid at h = 1/512, and 4.5 GiB against a 0.3 GiB
-# build on the 2D Jacobi two-grid at h = 1/8192, both refused.
+# at nu1, nu2 <= 2 on 1D n = 1023, 2D n = 255 and 3D n = 63).  As no level
+# stores its operator, the vectors outweigh the build in 2D and 3D but with
+# a Vanka smoother: 1.1 GiB on the 3D V-cycle at h = 1/256, 8.9 GiB on the
+# 3D two-grid at h = 1/512, and 4.5 GiB against a 0.3 GiB build on the 2D
+# Jacobi two-grid at h = 1/8192, both refused.
 BUILD_BUDGET_BYTES = 2**31
 _CYCLE_VECTORS = 9
 
@@ -114,48 +110,37 @@ class CycleSpec:
             raise ValueError(f"unknown cycle type {self.cycle!r}")
 
 
-def _holds_diagonals(grid: GridSpec) -> bool:
-    """Whether a level on ``grid`` stores its operator's diagonals: at most one slab of points."""
-    return grid.npoints <= stencils.SLAB_ROWS
-
-
 @dataclass
 class Level:
     """One grid level: operator stencil, smoother applicator or coarse solve.
 
-    ``stencil`` is the level operator's.  A smoothed level of at most
-    :data:`~vankamg.stencils.SLAB_ROWS` points holds it assembled as
-    ``dia`` (``vanka.assemble_sparse``), whose one product is the fastest
-    residual there; a larger one holds no diagonals (``dia`` is None) but
-    ``kernel``, the ``vanka.stencil_residual`` of its stencil.  ``matrix``
-    is the DIA matrix either way, assembled on each access where ``dia`` is
-    None; the cycle, the build and :meth:`Hierarchy.report` never read it.
+    ``stencil`` is the level operator's, and a smoothed level holds
+    ``kernel``, its ``vanka.stencil_residual``, in place of the assembled
+    operator.  ``matrix`` is that operator in DIA storage
+    (``vanka.assemble_sparse``), assembled on each access; the cycle, the
+    build and :meth:`Hierarchy.report` never read it.
     ``m_apply(r)`` evaluates ``M r`` into a fresh array and leaves ``r`` alone:
     :func:`relax` scales and updates its result in place; on a Vanka level
     it is the bound ``apply`` of the level's :class:`~vankamg.vanka.VankaOperator`.
     Only the coarsest level holds ``sine``, its exact :class:`SineSolve`;
-    the cycle forms no residual there, so it holds neither ``dia`` nor
-    ``kernel``.  No level holds a grid transfer: the cycle restricts with
-    :func:`_restrict` and prolongs with :func:`_prolong`.
+    the cycle forms no residual there, so it holds no ``kernel``.  No level
+    holds a grid transfer: the cycle restricts with :func:`_restrict` and
+    prolongs with :func:`_prolong`.
     """
 
     grid: GridSpec
     stencil: Stencil
     m_apply: object = None
     sine: SineSolve | None = None                    # exact solve, on the coarsest only
-    dia: scipy.sparse.dia_matrix | None = field(init=False, repr=False)
-    kernel: object = field(init=False, repr=False)   # ``b - A u`` on a large smoothed level
+    kernel: object = field(init=False, repr=False)   # ``b - A u`` on a smoothed level
 
     def __post_init__(self):
-        smoothed = self.sine is None
-        held = smoothed and _holds_diagonals(self.grid)
-        self.dia = assemble_sparse(self.stencil, self.grid) if held else None
-        self.kernel = stencil_residual(self.stencil, self.grid) if smoothed and not held else None
+        self.kernel = stencil_residual(self.stencil, self.grid) if self.sine is None else None
 
     @property
     def matrix(self) -> scipy.sparse.dia_matrix:
-        """The level operator in DIA storage: ``dia``, or assembled now where it is None."""
-        return self.dia if self.dia is not None else assemble_sparse(self.stencil, self.grid)
+        """The level operator in DIA storage, assembled now."""
+        return assemble_sparse(self.stencil, self.grid)
 
 
 @dataclass(frozen=True)
@@ -198,12 +183,6 @@ class SineSolve:
         return self._transform(x).reshape(-1)
 
 
-def _stored_bytes(matrix) -> int:
-    """Bytes of the arrays a DIA or CSR matrix stores; 0 for None."""
-    return sum(getattr(matrix, part).nbytes for part in ("data", "offsets", "indices", "indptr")
-               if hasattr(matrix, part))
-
-
 @dataclass
 class Hierarchy:
     spec: CycleSpec
@@ -221,11 +200,10 @@ class Hierarchy:
         without assembling it: an entry at offset ``o`` reaches
         ``prod_k (n - |o_k|)`` rows of the Dirichlet grid (the DIA ``nnz``
         also counts the zeros a diagonal stores in rows whose neighbour lies
-        off the grid).  ``operator_bytes`` are the diagonals the level holds,
-        0 on a level of more than ``SLAB_ROWS`` points and on the coarsest;
-        ``smoother`` is the smoother kind (None on the coarsest level, which
-        is solved exactly) and ``smoother_bytes`` a Vanka ``M`` with its
-        weights (0 for the smoothers applied as stencils).  The coarsest
+        off the grid); no level holds the operator itself.  ``smoother`` is
+        the smoother kind (None on the coarsest level, which is solved
+        exactly) and ``smoother_bytes`` a Vanka ``M`` with its weights (0
+        for the smoothers applied as stencils).  The coarsest
         level adds ``sine_bytes``, the sine matrix and eigenvalues of its
         :class:`SineSolve`.  The grid transfers hold nothing.  Everything is
         read from the built levels when called.
@@ -238,11 +216,10 @@ class Hierarchy:
             rows.append({"n": n, "h": level.grid.h, "unknowns": level.grid.npoints,
                          "diagonals": len(_diagonal_offsets(entries, level.grid)),
                          "nonzeros": sum(prod(n - abs(k) for k in o) for o in entries),
-                         "operator_bytes": _stored_bytes(level.dia),
                          "smoother": None if level.sine is not None
                          else self.spec.smoother.kind.value,
-                         "smoother_bytes": _stored_bytes(op.matrix) + op.weights.nbytes
-                         if isinstance(op, VankaOperator) else 0})
+                         "smoother_bytes": op.matrix.data.nbytes + op.matrix.offsets.nbytes
+                         + op.weights.nbytes if isinstance(op, VankaOperator) else 0})
             if level.sine is not None:
                 rows[-1]["sine_bytes"] = level.sine.sines.nbytes + level.sine.eigenvalues.nbytes
         return rows
@@ -374,22 +351,18 @@ def _vanka_layout(sm: SmootherSpec):
 
 
 def _build_bytes(sm: SmootherSpec, grids, level_stencils) -> int:
-    """Estimated peak bytes of the level matrices, smoothers and coarse solve.
+    """Estimated peak bytes of the smoothers and coarse solve.
 
-    The diagonals of every smoothed level of at most ``SLAB_ROWS`` points (a
-    larger level holds only its stencil), every Vanka ``M`` and its weights
-    and the coarsest level's sine matrix (``n**2`` values) and eigenvalues
-    (one per point) stay held; the grid transfers are applied from their
-    stencil and hold nothing.  On top of that, the last step of the build
-    evaluates the eigenvalues one slab of sine modes at a time, holding a
-    phase and a cosine per point of the slab and stencil entry.  Nothing
-    else built on the way is larger.
+    Every Vanka ``M`` and its weights and the coarsest level's sine matrix
+    (``n**2`` values) and eigenvalues (one per point) stay held; the level
+    operators and grid transfers are applied from their stencils and hold
+    nothing.  On top of that, the last step of the build evaluates the
+    eigenvalues one slab of sine modes at a time, holding a phase and a
+    cosine per point of the slab and stencil entry.  Nothing else built on
+    the way is larger.
     """
-    held = sum(_dia_bytes([o for o, c in st.entries.items() if c != 0], grid)
-               for grid, st in zip(grids[:-1], level_stencils) if _holds_diagonals(grid))
     layout = _vanka_layout(sm)
-    if layout is not None:
-        held += sum(_smoother_bytes(layout, grid) for grid in grids[:-1])
+    held = 0 if layout is None else sum(_smoother_bytes(layout, grid) for grid in grids[:-1])
     coarse = grids[-1]
     workspace = 16 * len(level_stencils[-1].entries) * coarse.n ** (coarse.dim - 1)
     return held + 8 * (coarse.n ** 2 + coarse.npoints) + workspace
@@ -444,11 +417,10 @@ def build_hierarchy(spec: CycleSpec, fine_grid: GridSpec) -> Hierarchy:
     and the Galerkin operators below it, each ``stencils.galerkin_stencil``
     of the stencil one level up (equal to ``2**-dim P^T A P``, as every hat
     of ``P`` lies inside the grid).  Each level but the coarsest builds its
-    smoother from its stencil, and a :class:`Level` of them of at most
-    ``SLAB_ROWS`` points also assembles the stencil in diagonal (DIA)
-    storage.  The coarsest level keeps only the :class:`SineSolve` of its
-    stencil.  No transfer is built: the cycle applies ``R`` and ``P`` from
-    ``stencils.restriction_stencil``.
+    smoother and its residual kernel from its stencil; no level assembles
+    its operator.  The coarsest level keeps only the :class:`SineSolve` of
+    its stencil.  No transfer is built: the cycle applies ``R`` and ``P``
+    from ``stencils.restriction_stencil``.
     """
     grids, level_stencils = _plan(spec, fine_grid)
     levels = [Level(grid, st, _smoother_applicator(spec.smoother, grid, st))
@@ -461,17 +433,11 @@ def build_hierarchy(spec: CycleSpec, fine_grid: GridSpec) -> Hierarchy:
 def _residual(level: Level, u: np.ndarray | None, b: np.ndarray) -> np.ndarray:
     """``b - A u`` in a new array, or ``b`` itself for the zero iterate ``u = None``.
 
-    One product with the held DIA matrix, or on a level that holds none the
-    ``vanka.stencil_residual`` kernel, which gives the same bytes slab by
-    slab with each slab in cache.
+    The level's ``vanka.stencil_residual`` kernel, which gives the bytes of
+    the product with the assembled DIA matrix slab by slab, each slab in
+    cache.
     """
-    if u is None:
-        return b
-    if level.dia is None:
-        return level.kernel(u, b)
-    residual = level.dia @ u
-    np.subtract(b, residual, out=residual)
-    return residual
+    return b if u is None else level.kernel(u, b)
 
 
 def relax(sm: SmootherSpec, level: Level, u: np.ndarray | None, b: np.ndarray) -> np.ndarray:

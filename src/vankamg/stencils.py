@@ -401,11 +401,12 @@ def closed_form_stencil(layout: PatchLayout, h) -> Stencil:
 
 # points per slab of a product on a large grid: 2**16 float64 values, 512 KiB,
 # so a slab of the input, the output and one work buffer stay in a 2 MiB L2
-# cache for all the work done on them.  Of 2**14 to 2**17 it gives the
-# fastest 3D n = 63 mass V-cycle (6.1 ms against 6.2-6.3 ms at 2**15 and
-# 7.5-8.9 ms at 2**17, one BLAS thread, 2-CPU VM), and it keeps the 2D
-# n = 255 Vanka level (65025 rows) one slab: at 2**15 its V-cycle takes
-# 1.63-1.69 ms against 1.59-1.62 ms.
+# cache for all the work done on them.  On the 3D n = 63 mass V-cycle
+# 2**14 to 2**16 tie and 2**17 is slower (best of ten rounds 9.8 ms against
+# 10.5 ms, one BLAS thread, 2-CPU Xeon VM).
+# The 2D n = 255 Vanka level (65025 rows) forms its residual in one slab
+# here and in two at 2**15, and its V-cycle takes the same time either way
+# (1.91-2.06 ms against 1.82-2.13 ms, interquartile over the same rounds).
 SLAB_ROWS = 2**16
 
 

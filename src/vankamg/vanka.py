@@ -407,10 +407,11 @@ def stencil_residual(stencil: Stencil, grid: GridSpec):
     """Return ``residual(u, b)``, which forms ``b - A u`` in a new array without ``A``.
 
     ``A`` is ``assemble_sparse(stencil, grid)``; nothing of its size is
-    stored.  For finite ``u`` and ``b`` the result equals ``b - A @ u`` byte
-    for byte.  The one exception: where a non-finite value of ``u`` is a
-    neighbour across the end of a row, the DIA product adds ``0 * inf``,
-    NaN, and this kernel adds nothing.
+    stored.  It is the one residual of the solver's smoothed levels, none
+    of which stores its operator.  For finite ``u`` and ``b`` the result
+    equals ``b - A @ u`` byte for byte.  The one exception: where a
+    non-finite value of ``u`` is a neighbour across the end of a row, the
+    DIA product adds ``0 * inf``, NaN, and this kernel adds nothing.
 
     The rows run in slabs of :data:`~vankamg.stencils.SLAB_ROWS`, on flat
     contiguous slices.  Each slab takes the terms in the DIA product's

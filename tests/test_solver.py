@@ -291,26 +291,29 @@ def test_coarse_operators_near_the_triple_product_off_dyadic_h(dim, n, h, kind):
 
 
 def test_v_cycle_build_peak_stays_near_what_it_holds():
-    # no sparse triple product: the 3D n = 31 build peaked at 1.92x the bytes
-    # it holds with one, at 1.13x assembling each level from its stencil with
-    # a Kronecker-built P, at 1.05x writing R and every level straight into
-    # CSR, and at 1.05x with the levels in diagonal storage; the bound leaves
-    # 0.05 over that
+    # no level holds its operator or a transfer, so the build holds the 3 KiB
+    # sine solve and, as Python objects, the stencils and residual kernels
+    # (29-53 KiB); the peak over that is the transient of the sine
+    # eigenvalues, evaluated one slab of modes at a time.  The estimate
+    # counts that slab and the sine solve and reads 1.04x the transient
     spec = CycleSpec(_smoother("mass3d", 3), 1, 0, "v-cycle")
+    grid = GridSpec(3, 31, 1 / 32)
+    estimate = solver._build_bytes(spec.smoother, *solver._plan(spec, grid))
     tracemalloc.start()
     try:
-        hier = build_hierarchy(spec, GridSpec(3, 31, 1 / 32))
+        hier = build_hierarchy(spec, grid)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(hier.levels) == 3
-    assert peak <= 1.1 * held
+    assert 0.8 < estimate / (peak - held) < 1.25
 
 
 def test_v_cycle_build_peak_at_h64_3d():
     # the mass3d V-cycle workload: 46.4 MiB with a Kronecker-built P, whose
     # COO temporaries set the peak; 41.2 MiB with R written straight into
-    # CSR; 31.0 MiB with the levels in diagonal storage
+    # CSR; 31.0 MiB with the levels in diagonal storage; 0.08 MiB with no
+    # level holding its operator
     spec = CycleSpec(_smoother("mass3d", 3), 1, 0, "v-cycle")
     tracemalloc.start()
     try:
@@ -504,24 +507,18 @@ def test_3d_two_grid_build_estimate_matches_the_measured_peak():
 @pytest.mark.parametrize("kind, dim, n", [("jacobi", 1, 63), ("mass", 2, 63), ("mass3d", 3, 31),
                                           ("mass3d", 3, 63)])
 def test_build_estimate_counts_every_stored_matrix(kind, dim, n):
-    # without a Vanka smoother the estimate is exact: the diagonals of the
-    # smoothed levels of at most SLAB_ROWS points (the fine 63**3 level holds
-    # none, nor does the coarsest), the coarse sine matrix and eigenvalues,
-    # and the phases and cosines of one slab of sine modes while those are
-    # evaluated; no level holds a grid transfer
+    # without a Vanka smoother the estimate is exact: the coarse sine matrix
+    # and eigenvalues, and the phases and cosines of one slab of sine modes
+    # while those are evaluated; no level holds its operator or a grid
+    # transfer
     spec = CycleSpec(_smoother(kind, dim), 1, 0, "v-cycle")
     grid = GridSpec(dim, n, 1 / (n + 1))
     grids, level_stencils = solver._plan(spec, grid)
     hier = build_hierarchy(spec, grid)
-    assert [level.dia is None for level in hier.levels] == \
-        [g.npoints > stencils.SLAB_ROWS for g in grids[:-1]] + [True]
-    assert (hier.fine.dia is None) == (n == 63 and dim == 3)
     assert hier.levels[-1].kernel is None
-    stored = sum(level.dia.data.nbytes + level.dia.offsets.nbytes
-                 for level in hier.levels if level.dia is not None)
     sine = hier.levels[-1].sine
     assert sine.eigenvalues.base is None
-    stored += sine.sines.nbytes + sine.eigenvalues.nbytes
+    stored = sine.sines.nbytes + sine.eigenvalues.nbytes
     slab = 16 * len(level_stencils[-1].entries) * grids[-1].n ** (dim - 1)
     assert solver._build_bytes(spec.smoother, grids, level_stencils) == stored + slab
 
@@ -550,8 +547,8 @@ def test_oversized_vanka_v_cycle_refused_before_assembly(kind):
     ("vanka-e", 2, 2047, "v-cycle"), ("vanka-v", 2, 2047, "v-cycle"),
     # the benchmark's grids
     ("vanka-e", 2, 255, "v-cycle"), ("vanka-e", 2, 255, "two-grid"), ("mass3d", 3, 63, "v-cycle"),
-    # h = 1/256: a 6.9 MiB build with no fine, level-1 or coarsest diagonals
-    # and no stored transfers, and 1.1 GiB of cycle vectors
+    # h = 1/256: a 24 KiB build, the coarse sine solve, as no level stores
+    # its operator or a transfer, and 1.1 GiB of cycle vectors
     ("mass3d", 3, 255, "v-cycle"),
 ])
 def test_build_budget_admits_2d_v_cycles_to_h1024_and_the_benchmark_grids(kind, dim, n,
@@ -562,8 +559,8 @@ def test_build_budget_admits_2d_v_cycles_to_h1024_and_the_benchmark_grids(kind, 
 
 
 def test_cycle_vectors_count_toward_the_budget():
-    # the 2D Jacobi two-grid at h = 1/8192 builds in 0.3 GiB, as its fine
-    # level holds no diagonals and no level a transfer, but its cycles hold
+    # the 2D Jacobi two-grid at h = 1/8192 builds in 0.3 GiB, as no level
+    # holds its operator or a transfer, but its cycles hold
     # 4.5 GiB of vectors
     spec = CycleSpec(_smoother("jacobi", 2), 1, 0, "two-grid")
     grids = [GridSpec(2, 8191, 1 / 8192), GridSpec(2, 4095, 1 / 4096)]
@@ -708,14 +705,14 @@ def _allocating_descend(hier, idx, u, b):
     if level.sine is not None:
         return level.sine.solve(b)
     omega = float(hier.spec.smoother.omega)
-    grid = level.grid
+    grid, matrix = level.grid, level.matrix
 
     def sweep(u):
-        return u + omega * level.m_apply(b - level.matrix @ u)
+        return u + omega * level.m_apply(b - matrix @ u)
 
     for _ in range(hier.spec.nu1):
         u = sweep(u)
-    swept = stencils.apply(restriction_stencil(grid.dim), grid, b - level.matrix @ u)
+    swept = stencils.apply(restriction_stencil(grid.dim), grid, b - matrix @ u)
     coarse_b = swept[_coarse_points(grid)]
     coarse_u = _allocating_descend(hier, idx + 1, np.zeros_like(coarse_b), coarse_b)
     u = u + _interpolated(grid, coarse_u)
@@ -745,24 +742,20 @@ def test_cycle_equals_the_allocating_recursion(smoother, dim, kind):
 @pytest.mark.parametrize("smoother, dim", [("jacobi", 3), ("vanka-e", 2), ("vanka-v", 2),
                                            ("mass", 2), ("mass3d", 3)])
 def test_cycle_by_slabs_equals_the_allocating_recursion(monkeypatch, smoother, dim, slab):
-    # the oracle runs on a hierarchy that holds the diagonals of every
-    # smoothed level; under ``slab`` points per slab the larger levels hold
-    # none and form their residual from the stencil, slab by slab
+    # the oracle multiplies by every level's assembled matrix; under ``slab``
+    # points per slab the larger levels form their residual from the
+    # stencil in several slabs
     grid = GridSpec(dim, {2: 31, 3: 15}[dim], {2: 1 / 32, 3: 1 / 16}[dim])
     rng = np.random.default_rng(slab)
     u, b = rng.standard_normal(grid.npoints), rng.standard_normal(grid.npoints)
     for nu1, nu2 in ((1, 0), (1, 1)):
         spec = CycleSpec(_smoother(smoother, dim), nu1, nu2, "v-cycle")
         whole = build_hierarchy(spec, grid)
-        assert all(level.dia is not None and level.kernel is None
-                   for level in whole.levels[:-1])
         want = _allocating_descend(whole, 0, u, b)
         with monkeypatch.context() as patch:
             patch.setattr(stencils, "SLAB_ROWS", slab)
             hier = build_hierarchy(spec, grid)
-            assert [level.dia is None for level in hier.levels] == \
-                [level.grid.npoints > slab for level in hier.levels[:-1]] + [True]
-            assert hier.fine.dia is None and hier.fine.kernel is not None
+            assert hier.fine.grid.npoints > slab
             residual = solver._residual(hier.fine, u, b)
             assert residual.tobytes() == (b - whole.fine.matrix @ u).tobytes()
             got = cycle(hier, u, b)
@@ -770,34 +763,54 @@ def test_cycle_by_slabs_equals_the_allocating_recursion(monkeypatch, smoother, d
 
 
 def test_mass3d_v_cycle_on_four_slabs_equals_the_allocating_recursion(monkeypatch):
-    # h = 1/64: 250047 rows, four slabs of the fine residual and smoother; the
-    # fine level holds no diagonals, the smoothed coarser ones (29791 rows and
-    # fewer) do, and the coarsest, solved by sines, holds none
+    # h = 1/64: 250047 rows, four slabs of the fine residual and smoother,
+    # against one slab of the whole fine grid
     grid = GridSpec(3, 63, 1 / 64)
     spec = CycleSpec(_smoother("mass3d", 3), 1, 0, "v-cycle")
     rng = np.random.default_rng(63)
     u, b = rng.standard_normal(grid.npoints), rng.standard_normal(grid.npoints)
     hier = build_hierarchy(spec, grid)
     assert -(-grid.npoints // stencils.SLAB_ROWS) == 4
-    assert [level.dia is None for level in hier.levels] == [True, False, False, True]
     residual = solver._residual(hier.fine, u, b)
     got = cycle(hier, u, b)
     monkeypatch.setattr(stencils, "SLAB_ROWS", grid.npoints)
     whole = build_hierarchy(spec, grid)
-    assert whole.fine.dia is not None
     assert residual.tobytes() == solver._residual(whole.fine, u, b).tobytes()
     assert got.tobytes() == _allocating_descend(whole, 0, u, b).tobytes()
 
 
 def test_a_large_level_assembles_its_matrix_on_access():
+    # every level, of more than one slab of points or not, assembles its
+    # matrix anew on each access
     grid = GridSpec(2, 511, 1 / 512)
     hier = build_hierarchy(CycleSpec(_smoother("jacobi", 2), 1, 0, "v-cycle"), grid)
-    assert hier.fine.dia is None and hier.fine.grid.npoints > stencils.SLAB_ROWS
-    want = assemble_sparse(hier.fine.stencil, grid)
-    for part in ("offsets", "data"):
-        assert np.array_equal(getattr(hier.fine.matrix, part), getattr(want, part))
-    assert hier.fine.matrix is not hier.fine.matrix
-    assert hier.levels[1].matrix is hier.levels[1].dia
+    assert hier.fine.grid.npoints > stencils.SLAB_ROWS >= hier.levels[1].grid.npoints
+    for level in hier.levels:
+        want = assemble_sparse(level.stencil, level.grid)
+        for part in ("offsets", "data"):
+            assert np.array_equal(getattr(level.matrix, part), getattr(want, part))
+        assert level.matrix is not level.matrix
+
+
+@pytest.mark.parametrize("kind", ["two-grid", "v-cycle"])
+@pytest.mark.parametrize("smoother, dim", _SMOOTHERS)
+def test_no_build_assembles_a_level_operator(monkeypatch, smoother, dim, kind):
+    # every smoothed level forms its residual from its stencil, byte for
+    # byte the product with its assembled matrix
+    grid = GridSpec(dim, 15, 1 / 16)
+    spec = CycleSpec(_smoother(smoother, dim), 1, 0, kind)
+
+    def refuse(*args):
+        raise AssertionError("build_hierarchy assembled a level operator")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "assemble_sparse", refuse)
+        hier = build_hierarchy(spec, grid)
+    rng = np.random.default_rng(dim)
+    for level in hier.levels[:-1]:
+        u, b = rng.standard_normal(level.grid.npoints), rng.standard_normal(level.grid.npoints)
+        want = b - level.matrix @ u
+        assert solver._residual(level, u, b).tobytes() == want.tobytes(), level.grid.n
 
 
 @pytest.mark.parametrize("kind", ["two-grid", "v-cycle"])
@@ -819,7 +832,7 @@ def test_diagonal_products_equal_the_csr_products(smoother, dim, kind):
 
 
 @pytest.mark.parametrize("kind", ["jacobi", "vanka-e", "vanka-v"])
-def test_report_lists_what_each_level_holds(monkeypatch, kind):
+def test_report_lists_what_each_level_holds(kind):
     spec = CycleSpec(_smoother(kind, 2), 1, 0, "v-cycle")
     grid = GridSpec(2, 31, 1 / 32)
     grids, level_stencils = solver._plan(spec, grid)
@@ -827,26 +840,15 @@ def test_report_lists_what_each_level_holds(monkeypatch, kind):
     report = hier.report()
     assert [row["n"] for row in report] == [31, 15, 7]
     assert [row["unknowns"] for row in report] == [31**2, 15**2, 7**2]
-    # the 5-point Laplacian, then 9-point Galerkin operators; the coarsest
-    # level, solved by sines, holds no diagonals
+    # the 5-point Laplacian, then 9-point Galerkin operators
     assert [row["diagonals"] for row in report] == [5, 9, 9]
-    diagonal_bytes = [g.npoints * 8 * d + 4 * d for g, d in zip(grids, (5, 9))] + [0]
-    assert [row["operator_bytes"] for row in report] == diagonal_bytes
-    _assert_report_is_the_build_estimate(hier, spec, grids, level_stencils, kind)
-    # under 500 points per slab the fine level (961) holds no diagonals,
-    # and neither the report nor the estimate counts them
-    monkeypatch.setattr(stencils, "SLAB_ROWS", 500)
-    hier = build_hierarchy(spec, grid)
-    report = hier.report()
-    assert [row["diagonals"] for row in report] == [5, 9, 9]
-    assert [row["operator_bytes"] for row in report] == [0] + diagonal_bytes[1:]
     _assert_report_is_the_build_estimate(hier, spec, grids, level_stencils, kind)
 
 
 def _assert_report_is_the_build_estimate(hier, spec, grids, level_stencils, kind):
     report = hier.report()
-    # no level holds a grid transfer
-    assert all("transfer_bytes" not in row for row in report)
+    # no level holds its operator or a grid transfer
+    assert all("operator_bytes" not in row and "transfer_bytes" not in row for row in report)
     # 9 element or 13 vertex diagonals of M, and the weights
     diagonals = {"jacobi": 0, "vanka-e": 9, "vanka-v": 13}[kind]
     assert [row["smoother_bytes"] for row in report] == \
@@ -859,33 +861,29 @@ def _assert_report_is_the_build_estimate(hier, spec, grids, level_stencils, kind
     # the build estimate is what the levels hold, and the phases and
     # cosines of one slab of the 7 x 7 sine modes, 9 entries each
     held = sum(row.get(key, 0) for row in report
-               for key in ("operator_bytes", "smoother_bytes", "sine_bytes"))
+               for key in ("smoother_bytes", "sine_bytes"))
     assert solver._build_bytes(spec.smoother, grids, level_stencils) == held + 16 * 9 * 7
 
 
 @pytest.mark.parametrize("kind, dim, n", [("jacobi", 1, 31), ("vanka-v", 2, 31), ("mass3d", 3, 15)])
-def test_report_counts_the_nonzeros_of_each_level(monkeypatch, kind, dim, n):
-    # with every level's diagonals held, then under 20 points per slab,
-    # where the levels of more points hold none
-    for slab in (stencils.SLAB_ROWS, 20):
-        monkeypatch.setattr(stencils, "SLAB_ROWS", slab)
-        hier = build_hierarchy(CycleSpec(_smoother(kind, dim), 1, 0, "v-cycle"),
-                               GridSpec(dim, n, 1 / (n + 1)))
-        assert (hier.fine.dia is None) == (slab == 20)
-        report = hier.report()
-        assert [row["h"] for row in report] == [2**k / (n + 1) for k in range(len(report))]
-        for row, level in zip(report, hier.levels):
-            assert row["nonzeros"] == level.matrix.tocsr().count_nonzero()
-            assert row["diagonals"] == len(level.matrix.offsets)
-        # in 2D and 3D a diagonal stores zeros in the rows whose neighbour lies
-        # off the grid, and the DIA nnz counts them
-        fine = hier.levels[0].matrix
-        assert (report[0]["nonzeros"] < fine.nnz) == (dim > 1)
+def test_report_counts_the_nonzeros_of_each_level(kind, dim, n):
+    hier = build_hierarchy(CycleSpec(_smoother(kind, dim), 1, 0, "v-cycle"),
+                           GridSpec(dim, n, 1 / (n + 1)))
+    report = hier.report()
+    assert [row["h"] for row in report] == [2**k / (n + 1) for k in range(len(report))]
+    for row, level in zip(report, hier.levels):
+        matrix = level.matrix
+        assert row["nonzeros"] == matrix.tocsr().count_nonzero()
+        assert row["diagonals"] == len(matrix.offsets)
+    # in 2D and 3D a diagonal stores zeros in the rows whose neighbour lies
+    # off the grid, and the DIA nnz counts them
+    fine = hier.levels[0].matrix
+    assert (report[0]["nonzeros"] < fine.nnz) == (dim > 1)
 
 
 def test_report_counts_without_copying_the_diagonals(monkeypatch):
-    # the report reads the stencils and assembles nothing: the fine level of
-    # this hierarchy holds no diagonals, and assembling them would take 13.4 MiB
+    # the report reads the stencils and assembles nothing: no level holds its
+    # diagonals, and assembling the fine level's would take 13.4 MiB
     hier = build_hierarchy(CycleSpec(_smoother("mass3d", 3), 1, 0, "v-cycle"),
                            GridSpec(3, 63, 1 / 64))
 

@@ -37,6 +37,8 @@ DEFAULT_INVOCATIONS = [
     "scan-omega --kind mass3d --dim 3 --nu 1",
     "scan-omega --kind jacobi --dim 3 --nu 3",
     "solve --kind vanka-e --h 1/32",
+    "solve --kind vanka-e --h 1/256 --cycle v-cycle --cycles 5",
+    "solve --kind vanka-v --dim 1 --h 1/128",
     "solve --kind mass3d --dim 3 --h 1/64 --cycle v-cycle --cycles 5",
     "table1 --format csv",
     "table2 --format csv",
