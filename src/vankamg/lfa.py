@@ -346,19 +346,20 @@ def symbol(stencil: Stencil, theta) -> np.ndarray:
     return values.reshape(theta.shape[:-1])
 
 
-def _harmonic_symbols(stencil: Stencil, dim: int, bases_1d: np.ndarray) -> np.ndarray:
-    """Real symbol at every harmonic of the Cartesian bases, shape ``(K, N)``.
+def _cosine_contraction(stencil: Stencil, dim: int, table) -> np.ndarray:
+    """The stencil's real symbol, its coefficient tensor contracted with ``table``.
 
     The stencil must be symmetric under each axis reflection; then
     ``exp(i o . theta)`` reduces to ``prod_k cos(o_k theta_k)``, so the symbol
-    is the coefficient tensor contracted axis by axis with the real table
-    ``cos(o theta)`` of ``bases_1d``.  The harmonic ``theta + pi`` takes the
-    same table times ``(-1)**o``, exactly ``cos(o (theta + pi))``.  The
-    contraction is elementwise, axis by axis with the axis moved last, so a
-    column depends only on its own base: mirrored bases give bit-identical
-    columns.  Row ``k`` is harmonic
-    ``kappas[k]``; columns follow the Cartesian product of ``bases_1d`` (axis
-    0 slowest).  Every grid route of the analysis starts here, so a grid of
+    is the coefficient tensor contracted axis by axis with a real table of
+    ``cos(o theta)``.  ``table(orders)`` gives that table for the orders
+    ``-r..r`` of one axis, one row per order and one column per frequency
+    of the axis; the result has one axis of frequencies per grid axis.  Each
+    axis is summed order by order into one zero-initialised array, so a
+    frequency depends only on its own angles and the transient is one array
+    of the result's size (``einsum`` forms each term without the buffers a
+    broadcast ufunc allocates, about 130 KB a call).  Every symbol route of
+    the analysis and the solver's sine eigenvalues start here, so a grid of
     the wrong dimension, or a stencil without the symmetry, raises here.
     """
     if dim != stencil.dim:
@@ -371,11 +372,29 @@ def _harmonic_symbols(stencil: Stencil, dim: int, bases_1d: np.ndarray) -> np.nd
     values = np.zeros(tuple(2 * reach + 1))
     values[tuple((offsets + reach).T)] = coefs
     for axis in range(dim):
-        orders = np.arange(-reach[axis], reach[axis] + 1)
-        table = np.cos(np.multiply.outer(orders, bases_1d))
-        table = np.stack((table, table * (-1.0) ** orders[:, None]), axis=1)  # (R, 2, N1)
-        values = sum(np.multiply.outer(row, line) for row, line in zip(values, table))
-    split = values.reshape((2, len(bases_1d)) * dim)
+        lines = table(np.arange(-reach[axis], reach[axis] + 1))
+        summed = np.zeros(values.shape[1:] + lines.shape[1:])
+        for row, line in zip(values, lines):
+            summed += np.einsum("...,k->...k", row, line)
+        values = summed
+    return values
+
+
+def _harmonic_symbols(stencil: Stencil, dim: int, bases_1d: np.ndarray) -> np.ndarray:
+    """Real symbol at every harmonic of the Cartesian bases, shape ``(K, N)``.
+
+    :func:`_cosine_contraction` with the table ``cos(o theta)`` of
+    ``bases_1d`` beside that of the harmonic ``theta + pi``, the same table
+    times ``(-1)**o``, exactly ``cos(o (theta + pi))``.  The contraction is
+    elementwise, so a column depends only on its own base: mirrored bases
+    give bit-identical columns.  Row ``k`` is harmonic ``kappas[k]``;
+    columns follow the Cartesian product of ``bases_1d`` (axis 0 slowest).
+    """
+    def table(orders):
+        plain = np.cos(np.multiply.outer(orders, bases_1d))
+        return np.concatenate((plain, plain * (-1.0) ** orders[:, None]), axis=1)  # (R, 2 N1)
+
+    split = _cosine_contraction(stencil, dim, table).reshape((2, len(bases_1d)) * dim)
     order = [*range(0, 2 * dim, 2), *range(1, 2 * dim, 2)]
     return split.transpose(order).reshape(2**dim, len(bases_1d)**dim)
 

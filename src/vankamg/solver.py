@@ -21,7 +21,10 @@ stencil also builds its Vanka smoother.  The coarsest level is solved
 exactly by the type-I sine transform (:class:`SineSolve`): its operator is
 a reflection-symmetric stencil of reach 1 truncated at the Dirichlet
 boundary, which the sine modes diagonalise with the stencil's symbol as
-eigenvalues (Hockney's fast Poisson solver).  The bytes of the build are
+eigenvalues (Hockney's fast Poisson solver).  Those eigenvalues come from
+the analysis' own evaluator, ``lfa._cosine_contraction``, so they are the
+LFA's harmonic-0 symbols at ``theta_j = j pi/(n+1)`` bit for bit: one
+symbol for both engines.  The bytes of the build are
 estimated from the level stencils before anything is assembled, and a
 request whose build and cycle vectors exceed :data:`BUILD_BUDGET_BYTES` is
 refused.  :meth:`Hierarchy.report` lists what each level holds.
@@ -49,7 +52,7 @@ from math import prod
 import numpy as np
 import scipy.sparse
 
-from .lfa import SmootherKind, SmootherSpec, _sweeps, symbol
+from .lfa import SmootherKind, SmootherSpec, _cosine_contraction, _sweeps
 from .stencils import GridSpec, PatchLayout, Stencil, laplacian_stencil, restriction_stencil
 from . import stencils
 from .vanka import (VankaOperator, _diagonal_offsets, _smoother_bytes, assemble_sparse,
@@ -78,13 +81,14 @@ STAGNATION_RATIO = 1e-13  # per-cycle contraction at rounding level
 # anything is assembled.  Every 2D V-cycle up to h = 1/2048 is accepted, the
 # vertex Vanka one with a 0.58 GiB build; no Vanka V-cycle at h = 1/4096
 # (element: a 1.7 GiB build and 1.1 GiB of vectors); the 3D two-grid and
-# V-cycle up to h = 1/256, with 22 MiB and 24 KiB builds.  A
+# V-cycle up to h = 1/256, with 31 MiB (a 32 MiB tracemalloc peak) and
+# 6 KiB builds.  A
 # ``run_convergence`` cycle holds at most about ``_CYCLE_VECTORS`` vectors of
 # the fine grid besides the build (5.9 to 8.6 by tracemalloc for every kind
 # at nu1, nu2 <= 2 on 1D n = 1023, 2D n = 255 and 3D n = 63).  As no level
 # stores its operator, the vectors outweigh the build in 2D and 3D but with
 # a Vanka smoother: 1.1 GiB on the 3D V-cycle at h = 1/256, 8.9 GiB on the
-# 3D two-grid at h = 1/512, and 4.5 GiB against a 0.3 GiB build on the 2D
+# 3D two-grid at h = 1/512, and 4.5 GiB against a 0.4 GiB build on the 2D
 # Jacobi two-grid at h = 1/8192, both refused.
 BUILD_BUDGET_BYTES = 2**31
 _CYCLE_VECTORS = 9
@@ -151,24 +155,28 @@ class SineSolve:
     (``S = S^T = S^-1``) diagonalises the truncated stencil axis by axis; the
     eigenvalue of mode ``j`` is the stencil's symbol at ``theta = j pi/(n+1)``.
     So ``A^-1 b = S⊗…⊗S ((S⊗…⊗S b) / eigenvalues)``, each ``S⊗…⊗S`` applied
-    one axis at a time.
+    one axis at a time.  The eigenvalues are ``lfa._cosine_contraction`` with
+    the table ``cos(o theta)`` of those angles, the LFA's harmonic-0 symbols
+    there bit for bit; it refuses a stencil not symmetric under each axis
+    reflection, which the sine modes do not diagonalise.  ``S`` is built in
+    place, so the build peaks at ``n**2`` values and two arrays of one value
+    per point (``_build_bytes``).
     """
 
     sines: np.ndarray        # ``S``, shape (n, n)
-    eigenvalues: np.ndarray  # ``lfa.symbol`` on the sine modes, shape (n,)*dim
+    eigenvalues: np.ndarray  # harmonic-0 LFA symbols at the sine angles, shape (n,)*dim
 
     @classmethod
     def of(cls, stencil, grid: GridSpec) -> "SineSolve":
         """The solve with ``stencil`` truncated on the Dirichlet ``grid``."""
         j = np.arange(1, grid.n + 1)
-        sines = np.sqrt(2 / (grid.n + 1)) * np.sin(np.pi / (grid.n + 1) * np.outer(j, j))
+        sines = np.outer(j.astype(float), j)   # built in place: no ``n**2`` temporary
+        sines *= np.pi / (grid.n + 1)
+        np.sin(sines, out=sines)
+        sines *= np.sqrt(2 / (grid.n + 1))
         theta = np.pi / (grid.n + 1) * j
-        eigenvalues = np.empty(grid.shape)
-        # one slab of modes at a time: ``symbol`` holds a phase and a cosine
-        # per point and stencil entry
-        for i, first in enumerate(theta):
-            slab = np.stack(np.meshgrid([first], *[theta] * (grid.dim - 1), indexing="ij"), -1)
-            eigenvalues[i] = symbol(stencil, slab[0]).real
+        eigenvalues = _cosine_contraction(stencil, grid.dim,
+                                          lambda orders: np.cos(np.multiply.outer(orders, theta)))
         return cls(sines, eigenvalues)
 
     def _transform(self, x: np.ndarray) -> np.ndarray:
@@ -350,22 +358,20 @@ def _vanka_layout(sm: SmootherSpec):
     return PatchLayout(kinds[sm.kind], sm.dim) if sm.kind in kinds else None
 
 
-def _build_bytes(sm: SmootherSpec, grids, level_stencils) -> int:
+def _build_bytes(sm: SmootherSpec, grids) -> int:
     """Estimated peak bytes of the smoothers and coarse solve.
 
     Every Vanka ``M`` and its weights and the coarsest level's sine matrix
     (``n**2`` values) and eigenvalues (one per point) stay held; the level
     operators and grid transfers are applied from their stencils and hold
-    nothing.  On top of that, the last step of the build evaluates the
-    eigenvalues one slab of sine modes at a time, holding a phase and a
-    cosine per point of the slab and stencil entry.  Nothing else built on
-    the way is larger.
+    nothing.  On top of that, the last axis of the eigenvalues'
+    ``lfa._cosine_contraction`` holds one more array of one value per point,
+    the term it adds.  Nothing else built on the way is larger.
     """
     layout = _vanka_layout(sm)
     held = 0 if layout is None else sum(_smoother_bytes(layout, grid) for grid in grids[:-1])
     coarse = grids[-1]
-    workspace = 16 * len(level_stencils[-1].entries) * coarse.n ** (coarse.dim - 1)
-    return held + 8 * (coarse.n ** 2 + coarse.npoints) + workspace
+    return held + 8 * (coarse.n ** 2 + 2 * coarse.npoints)
 
 
 def _plan(spec: CycleSpec, fine_grid: GridSpec) -> tuple:
@@ -398,7 +404,7 @@ def _plan(spec: CycleSpec, fine_grid: GridSpec) -> tuple:
         g = grids[-1]
         grids.append(GridSpec(g.dim, (g.n - 1) // 2, 2 * g.h))
         level_stencils.append(stencils.galerkin_stencil(level_stencils[-1]))
-    build_bytes = _build_bytes(spec.smoother, grids, level_stencils)
+    build_bytes = _build_bytes(spec.smoother, grids)
     vector_bytes = 8 * _CYCLE_VECTORS * fine_grid.npoints
     if build_bytes + vector_bytes > BUILD_BUDGET_BYTES:
         raise ValueError(
@@ -498,13 +504,7 @@ class ConvergenceRun:
 
 
 def _asymptotic_factor(ratios, tail: int) -> float:
-    used = ratios[-tail:] if tail < len(ratios) else ratios
-    for ratio in used:
-        if ratio < STAGNATION_RATIO:
-            raise StagnationError(
-                f"per-cycle ratio {ratio:.3e} is at rounding level; "
-                "the asymptotic factor is no longer measurable")
-    return float(np.exp(np.mean(np.log(used))))
+    return float(np.exp(np.mean(np.log(ratios[-tail:]))))
 
 
 def run_convergence(hier: Hierarchy, cycles: int = 50, tail: int = 10,

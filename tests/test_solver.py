@@ -23,11 +23,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import vankamg as v
-from vankamg import solver, stencils
+from vankamg import lfa, solver, stencils
 from vankamg.lfa import SmootherKind, SmootherSpec, exact_optimum, smoother_symbol
 from vankamg.solver import (
     CycleSpec,
     Level,
+    SineSolve,
     StagnationError,
     build_hierarchy,
     cycle,
@@ -293,12 +294,16 @@ def test_coarse_operators_near_the_triple_product_off_dyadic_h(dim, n, h, kind):
 def test_v_cycle_build_peak_stays_near_what_it_holds():
     # no level holds its operator or a transfer, so the build holds the 3 KiB
     # sine solve and, as Python objects, the stencils and residual kernels
-    # (29-53 KiB); the peak over that is the transient of the sine
-    # eigenvalues, evaluated one slab of modes at a time.  The estimate
-    # counts that slab and the sine solve and reads 1.04x the transient
+    # (27-46 KiB); the peak over that is the last term of the sine
+    # eigenvalues' contraction, one value per point of the 7**3 grid, and a
+    # few KiB of Python objects.  The estimate counts that term and the sine
+    # solve and reads 0.97-1.13x the transient.  The smallest level
+    # operator, 27 diagonals of 7**3 values, takes 72 KiB: assembled and
+    # held it would show in ``held``, assembled and dropped in the transient
     spec = CycleSpec(_smoother("mass3d", 3), 1, 0, "v-cycle")
     grid = GridSpec(3, 31, 1 / 32)
-    estimate = solver._build_bytes(spec.smoother, *solver._plan(spec, grid))
+    grids, _ = solver._plan(spec, grid)
+    estimate = solver._build_bytes(spec.smoother, grids)
     tracemalloc.start()
     try:
         hier = build_hierarchy(spec, grid)
@@ -306,14 +311,17 @@ def test_v_cycle_build_peak_stays_near_what_it_holds():
     finally:
         tracemalloc.stop()
     assert len(hier.levels) == 3
+    assert held < 64 << 10
     assert 0.8 < estimate / (peak - held) < 1.25
 
 
 def test_v_cycle_build_peak_at_h64_3d():
     # the mass3d V-cycle workload: 46.4 MiB with a Kronecker-built P, whose
     # COO temporaries set the peak; 41.2 MiB with R written straight into
-    # CSR; 31.0 MiB with the levels in diagonal storage; 0.08 MiB with no
-    # level holding its operator
+    # CSR; 31.0 MiB with the levels in diagonal storage; 0.06-0.07 MiB with
+    # no level holding its operator; 0.04-0.05 MiB with the coarse sine
+    # eigenvalues from one contraction.  The fine operator alone would take
+    # 13 MiB
     spec = CycleSpec(_smoother("mass3d", 3), 1, 0, "v-cycle")
     tracemalloc.start()
     try:
@@ -322,7 +330,7 @@ def test_v_cycle_build_peak_at_h64_3d():
     finally:
         tracemalloc.stop()
     assert len(hier.levels) == 4
-    assert peak <= 44 << 20
+    assert peak <= 1 << 20
 
 
 def test_v_cycle_level_sizes():
@@ -449,6 +457,33 @@ def test_sine_eigenvalues_are_the_coarse_spectrum(dim, n):
     assert np.abs(sine - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
+@pytest.mark.parametrize("kind", ["two-grid", "v-cycle"])
+@pytest.mark.parametrize("smoother, dim", _SMOOTHERS)
+def test_sine_eigenvalues_are_the_lfa_harmonic_symbols(smoother, dim, kind):
+    # one symbol evaluator for both engines: the coarsest eigenvalues are the
+    # analysis' harmonic-0 symbols at theta_j = j pi/(n+1), bit for bit
+    n = {1: 31, 2: 15, 3: 15}[dim]
+    hier = build_hierarchy(CycleSpec(_smoother(smoother, dim), 1, 0, kind),
+                           GridSpec(dim, n, 1 / (n + 1)))
+    coarse = hier.levels[-1]
+    theta = np.pi / (coarse.grid.n + 1) * np.arange(1, coarse.grid.n + 1)
+    want = lfa._harmonic_symbols(coarse.stencil, dim, theta)[0].reshape(coarse.grid.shape)
+    assert coarse.sine.eigenvalues.shape == want.shape
+    assert coarse.sine.eigenvalues.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("skew", [
+    Stencil(1, {(-1,): 1, (0,): 4, (1,): 2}),
+    # symmetric through the origin, s[-o] == s[o], but not under one axis reflection
+    Stencil(2, {(0, 0): Fraction(1, 4), (1, 1): Fraction(1, 16), (-1, -1): Fraction(1, 16)}),
+], ids=["1d", "2d"])
+def test_sine_solve_refuses_a_stencil_without_reflection_symmetry(skew):
+    # the sine modes diagonalise only stencils symmetric under each axis reflection
+    assert not skew.is_reflection_symmetric
+    with pytest.raises(ValueError, match="reflection"):
+        SineSolve.of(skew, GridSpec(skew.dim, 7, 1 / 8))
+
+
 def test_oversized_3d_two_grid_refused_before_assembly():
     # h = 1/512: the build is estimated at 0.2 GiB, but the cycles hold
     # 8.9 GiB of vectors of 511**3 values
@@ -472,8 +507,8 @@ def test_build_estimate_matches_the_measured_peak(kind):
     # within a factor 1.25 either way; at n = 255 it reads 0.99x (element)
     # and 1.00x (vertex) the tracemalloc peak (1.12x and 1.14x in CSR)
     spec, grid = _vanka_v_cycle(kind), GridSpec(2, 255, 1 / 256)
-    grids, level_stencils = solver._plan(spec, grid)
-    estimate = solver._build_bytes(spec.smoother, grids, level_stencils)
+    grids, _ = solver._plan(spec, grid)
+    estimate = solver._build_bytes(spec.smoother, grids)
     tracemalloc.start()
     try:
         build_hierarchy(spec, grid)
@@ -487,40 +522,50 @@ def test_build_estimate_matches_the_measured_peak(kind):
     assert peak <= 28 * 2**20
 
 
-def test_3d_two_grid_build_estimate_matches_the_measured_peak():
-    # the build holds only the coarse sine solve, and its peak is set by the
-    # eigenvalues evaluated one slab of sine modes at a time, with symbol's
-    # phases and cosines of that slab on top; the estimate counts them and
-    # reads 0.92x the peak
-    spec, grid = CycleSpec(_smoother("mass3d", 3), 1, 0, "two-grid"), GridSpec(3, 63, 1 / 64)
-    grids, level_stencils = solver._plan(spec, grid)
-    estimate = solver._build_bytes(spec.smoother, grids, level_stencils)
+def _two_grid_build_estimate_over_peak(kind, dim, n):
+    spec = CycleSpec(_smoother(kind, dim), 1, 0, "two-grid")
+    grid = GridSpec(dim, n, 1 / (n + 1))
+    grids, _ = solver._plan(spec, grid)
+    estimate = solver._build_bytes(spec.smoother, grids)
     tracemalloc.start()
     try:
         build_hierarchy(spec, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 0.8 < estimate / peak < 1.25
+    return estimate / peak
+
+
+def test_3d_two_grid_build_estimate_matches_the_measured_peak():
+    # the build holds only the coarse sine solve, and its peak is set by the
+    # last axis of the eigenvalues' contraction, which adds one term of a
+    # value per point into them; the estimate counts the sine matrix, the
+    # eigenvalues and that term and reads 0.93x the peak
+    assert 0.8 < _two_grid_build_estimate_over_peak("mass3d", 3, 63) < 1.25
+
+
+def test_1d_two_grid_build_estimate_matches_the_measured_peak():
+    # in 1D the sine matrix sets the peak: built in place, it reads 0.94x
+    # (0.49x with the two n**2 temporaries of building it out of place)
+    assert 0.8 < _two_grid_build_estimate_over_peak("jacobi", 1, 1023) < 1.25
 
 
 @pytest.mark.parametrize("kind, dim, n", [("jacobi", 1, 63), ("mass", 2, 63), ("mass3d", 3, 31),
                                           ("mass3d", 3, 63)])
 def test_build_estimate_counts_every_stored_matrix(kind, dim, n):
     # without a Vanka smoother the estimate is exact: the coarse sine matrix
-    # and eigenvalues, and the phases and cosines of one slab of sine modes
-    # while those are evaluated; no level holds its operator or a grid
-    # transfer
+    # and eigenvalues, and the term of one value per point the last axis of
+    # their contraction adds into them; no level holds its operator or a
+    # grid transfer
     spec = CycleSpec(_smoother(kind, dim), 1, 0, "v-cycle")
     grid = GridSpec(dim, n, 1 / (n + 1))
-    grids, level_stencils = solver._plan(spec, grid)
+    grids, _ = solver._plan(spec, grid)
     hier = build_hierarchy(spec, grid)
     assert hier.levels[-1].kernel is None
     sine = hier.levels[-1].sine
     assert sine.eigenvalues.base is None
     stored = sine.sines.nbytes + sine.eigenvalues.nbytes
-    slab = 16 * len(level_stencils[-1].entries) * grids[-1].n ** (dim - 1)
-    assert solver._build_bytes(spec.smoother, grids, level_stencils) == stored + slab
+    assert solver._build_bytes(spec.smoother, grids) == stored + sine.eigenvalues.nbytes
 
 
 @pytest.mark.parametrize("kind", ["vanka-e", "vanka-v"])
@@ -547,7 +592,7 @@ def test_oversized_vanka_v_cycle_refused_before_assembly(kind):
     ("vanka-e", 2, 2047, "v-cycle"), ("vanka-v", 2, 2047, "v-cycle"),
     # the benchmark's grids
     ("vanka-e", 2, 255, "v-cycle"), ("vanka-e", 2, 255, "two-grid"), ("mass3d", 3, 63, "v-cycle"),
-    # h = 1/256: a 24 KiB build, the coarse sine solve, as no level stores
+    # h = 1/256: a 6 KiB build, the coarse sine solve, as no level stores
     # its operator or a transfer, and 1.1 GiB of cycle vectors
     ("mass3d", 3, 255, "v-cycle"),
 ])
@@ -559,15 +604,13 @@ def test_build_budget_admits_2d_v_cycles_to_h1024_and_the_benchmark_grids(kind, 
 
 
 def test_cycle_vectors_count_toward_the_budget():
-    # the 2D Jacobi two-grid at h = 1/8192 builds in 0.3 GiB, as no level
-    # holds its operator or a transfer, but its cycles hold
-    # 4.5 GiB of vectors
+    # the 2D Jacobi two-grid at h = 1/8192 builds in 0.4 GiB (the 4095**2
+    # coarse sine matrix, eigenvalues and contraction term), as no level
+    # holds its operator or a transfer, but its cycles hold 4.5 GiB of vectors
     spec = CycleSpec(_smoother("jacobi", 2), 1, 0, "two-grid")
     grids = [GridSpec(2, 8191, 1 / 8192), GridSpec(2, 4095, 1 / 4096)]
-    level_stencils = [laplacian_stencil(2, grids[0].h)]
-    level_stencils.append(stencils.galerkin_stencil(level_stencils[0]))
-    assert solver._build_bytes(spec.smoother, grids, level_stencils) <= solver.BUILD_BUDGET_BYTES
-    with pytest.raises(ValueError, match="0.3 GiB and its cycles 4.5 GiB more, over the 2 GiB"):
+    assert solver._build_bytes(spec.smoother, grids) <= solver.BUILD_BUDGET_BYTES
+    with pytest.raises(ValueError, match="0.4 GiB and its cycles 4.5 GiB more, over the 2 GiB"):
         solver._plan(spec, grids[0])
 
 
@@ -835,17 +878,17 @@ def test_diagonal_products_equal_the_csr_products(smoother, dim, kind):
 def test_report_lists_what_each_level_holds(kind):
     spec = CycleSpec(_smoother(kind, 2), 1, 0, "v-cycle")
     grid = GridSpec(2, 31, 1 / 32)
-    grids, level_stencils = solver._plan(spec, grid)
+    grids, _ = solver._plan(spec, grid)
     hier = build_hierarchy(spec, grid)
     report = hier.report()
     assert [row["n"] for row in report] == [31, 15, 7]
     assert [row["unknowns"] for row in report] == [31**2, 15**2, 7**2]
     # the 5-point Laplacian, then 9-point Galerkin operators
     assert [row["diagonals"] for row in report] == [5, 9, 9]
-    _assert_report_is_the_build_estimate(hier, spec, grids, level_stencils, kind)
+    _assert_report_is_the_build_estimate(hier, spec, grids, kind)
 
 
-def _assert_report_is_the_build_estimate(hier, spec, grids, level_stencils, kind):
+def _assert_report_is_the_build_estimate(hier, spec, grids, kind):
     report = hier.report()
     # no level holds its operator or a grid transfer
     assert all("operator_bytes" not in row and "transfer_bytes" not in row for row in report)
@@ -858,11 +901,11 @@ def _assert_report_is_the_build_estimate(hier, spec, grids, level_stencils, kind
     sine = hier.levels[-1].sine
     assert report[-1]["sine_bytes"] == sine.sines.nbytes + sine.eigenvalues.nbytes == 8 * 98
     assert all("sine_bytes" not in row for row in report[:-1])
-    # the build estimate is what the levels hold, and the phases and
-    # cosines of one slab of the 7 x 7 sine modes, 9 entries each
+    # the build estimate is what the levels hold, and the term of 7**2
+    # values the last axis of the eigenvalues' contraction adds into them
     held = sum(row.get(key, 0) for row in report
                for key in ("smoother_bytes", "sine_bytes"))
-    assert solver._build_bytes(spec.smoother, grids, level_stencils) == held + 16 * 9 * 7
+    assert solver._build_bytes(spec.smoother, grids) == held + 8 * 7**2
 
 
 @pytest.mark.parametrize("kind, dim, n", [("jacobi", 1, 31), ("vanka-v", 2, 31), ("mass3d", 3, 15)])
@@ -1030,11 +1073,12 @@ def test_run_convergence_ratio_history():
 # stagnation guards
 # ---------------------------------------------------------------------------
 
-def test_asymptotic_factor_values_and_stagnation():
+def test_asymptotic_factor_values():
+    # a tail longer than the run averages every ratio; ratios at rounding
+    # level never reach it (``test_run_convergence_detects_stagnation``)
     assert solver._asymptotic_factor((0.5, 0.125), 2) == pytest.approx(0.25, rel=1e-15)
+    assert solver._asymptotic_factor((0.5, 0.125), 5) == pytest.approx(0.25, rel=1e-15)
     assert solver._asymptotic_factor((0.9, 0.5, 0.125), 2) == pytest.approx(0.25, rel=1e-15)
-    with pytest.raises(StagnationError, match="rounding"):
-        solver._asymptotic_factor((0.5, 1e-14), 2)
 
 
 def test_run_convergence_detects_stagnation(monkeypatch):

@@ -13,17 +13,26 @@ Each ``INVOCATION`` is one quoted argument list, such as ``"table2"`` or
 ``"scan-omega --kind jacobi --dim 3"``; without any, ``DEFAULT_INVOCATIONS``
 run.  Point ``PYTHONPATH`` at another tree's ``src`` to digest that tree.
 Only the standard library and the package are used.
+
+Run as a script, it sets ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS``
+to 1 before numpy is imported: BLAS products, and with them the bytes of
+some ``solve`` runs, depend on the thread count, so digests taken with the
+library's default threads would depend on the caller's environment.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import os
 import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from vankamg import cli
+if __name__ == "__main__":   # before ``vankamg`` imports numpy
+    os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
+
+from vankamg import cli  # noqa: E402
 
 DEFAULT_INVOCATIONS = [
     "table1",
@@ -40,6 +49,8 @@ DEFAULT_INVOCATIONS = [
     "solve --kind vanka-e --h 1/256 --cycle v-cycle --cycles 5",
     "solve --kind vanka-v --dim 1 --h 1/128",
     "solve --kind mass3d --dim 3 --h 1/64 --cycle v-cycle --cycles 5",
+    "solve --kind mass3d --dim 3 --h 1/64 --cycles 5",
+    "solve --kind jacobi --dim 1 --h 1/1024 --cycles 5",
     "table1 --format csv",
     "table2 --format csv",
     "scan-omega --kind vanka-v --nu 1 --format csv",
